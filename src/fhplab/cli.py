@@ -23,7 +23,9 @@ from typing import Optional
 
 from . import __version__
 from ._jsonutil import SCHEMA_VERSION, parse_rational, rat_to_json
-from . import constructs, fraclp, pseudofield, setfam, sqfint, typecount, vc
+# pseudofield and sqfint load numpy, so only the ff and sqf handlers import
+# them: every other command starts without numpy.
+from . import constructs, fraclp, setfam, typecount, vc
 
 ENV_SIZE_CAP = "FHPLAB_SIZE_CAP"
 ENV_TYPE_CAP = "FHPLAB_TYPE_CAP"
@@ -252,7 +254,9 @@ def _handle_construct(cfg: ExperimentConfig):
     return out, 0
 
 
-def _load_system(opt) -> sqfint.GSystem:
+def _load_system(opt):
+    from . import sqfint
+
     if getattr(opt, "shifts", None):
         return sqfint.shift_system(_int_list(opt.shifts), m=opt.modulus)
     if getattr(opt, "system", None):
@@ -261,6 +265,8 @@ def _load_system(opt) -> sqfint.GSystem:
 
 
 def _handle_sqf(cfg: ExperimentConfig):
+    from . import sqfint
+
     opt = cfg.options
     action = opt.action
     if action == "count":
@@ -332,6 +338,8 @@ def _handle_sqf(cfg: ExperimentConfig):
 
 
 def _handle_ff(cfg: ExperimentConfig):
+    from . import pseudofield
+
     opt = cfg.options
     if opt.action == "fit":
         fit = pseudofield.dim_meas_fit(
@@ -466,7 +474,11 @@ def _emit(text: str, output: Optional[str]):
     tmp = output + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)
-    os.replace(tmp, output)
+    try:
+        os.replace(tmp, output)
+    except OSError:
+        os.remove(tmp)
+        raise
 
 
 def run(config: ExperimentConfig) -> int:
@@ -497,7 +509,11 @@ def run(config: ExperimentConfig) -> int:
     }
     if config.timing:
         report["runtime_seconds"] = round(time.monotonic() - started, 6)
-    _emit(_render(report, config.fmt), config.output)
+    try:
+        _emit(_render(report, config.fmt), config.output)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -17,9 +17,9 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-import sympy
 
 from ._jsonutil import SCHEMA_VERSION, rat_to_json
+from ._primes import isprime
 from .formulas import evaluate_formula
 from .setfam import (
     ColorfulReport,
@@ -46,7 +46,7 @@ class FieldStructure:
     __slots__ = ("p", "add_table", "mul_table")
 
     def __init__(self, p: int):
-        if not sympy.isprime(p):
+        if not isprime(p):
             raise ValueError(f"p = {p} is not prime")
         if p > FIELD_CAP:
             raise ValueError(f"p = {p} exceeds the field cap {FIELD_CAP}")

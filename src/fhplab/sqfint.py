@@ -28,17 +28,24 @@ from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-import sympy
 
 from ._jsonutil import SCHEMA_VERSION, rat_to_json
+from ._primes import factorint, isprime, primerange
 from .setfam import FhpReport, SetFamily, check_fhp_instance
 
 INT64_MAX = 2**63 - 1
+# epsilon ends with more digits than this are rounded for the report.  The
+# margin below Python's 4,300-digit int-to-str limit leaves room for the
+# rationals reports derive from them (sqf count's lower_bound,
+# theoretical_beta).
+EXACT_DIGITS = 4000
+_EXACT_LIMIT = 10**EXACT_DIGITS
+EPSILON_BITS = 64
 
 
 def vp(a: int, p: int):
     """p-adic valuation; vp(0, p) is +infinity by convention (math.inf)."""
-    if not sympy.isprime(p):
+    if not isprime(p):
         raise ValueError(f"p = {p} is not prime")
     if a == 0:
         return math.inf
@@ -52,7 +59,7 @@ def vp(a: int, p: int):
 
 def in_Upl(a: int, p: int, l: int) -> bool:
     """a in U_{p,l}  <=>  v_p(a) >= l.  Levels l <= 0 hold vacuously."""
-    if not sympy.isprime(p):
+    if not isprime(p):
         raise ValueError(f"p = {p} is not prime")
     if l <= 0:
         return True
@@ -68,7 +75,7 @@ def in_Pm(a: int, m: int) -> bool:
         raise ValueError("m must be >= 1")
     if a == 0:
         return False
-    for p, v in sympy.factorint(abs(a)).items():
+    for p, v in factorint(abs(a)).items():
         if v >= 2 + vp(m, p):
             return False
     return True
@@ -276,7 +283,7 @@ class SpecialFormula:
         allowed.update(f"zp{j}" for j in range(self.negative_slots))
         conds = dict(self.p_conditions)
         for p, cond in conds.items():
-            if not sympy.isprime(p):
+            if not isprime(p):
                 raise ValueError(f"condition key {p} is not prime")
             for atom in cond.atoms():
                 bad = atom.form.variables() - allowed
@@ -403,7 +410,7 @@ def p_satisfiable(sys: GSystem, p: int) -> Tuple[bool, Optional[Tuple[int, int]]
     so residues 0..p^L-1 are scanned in order and the first witness class
     (residue, modulus) is returned.
     """
-    if not sympy.isprime(p):
+    if not isprime(p):
         raise ValueError(f"p = {p} is not prime")
     f = sys.formula
     slot_level = 2 + vp(f.modulus_m, p)
@@ -437,7 +444,10 @@ class DensityCertificate:
     epsilon is reported as an exact rational interval: epsilon_upper is the
     head factor 1/(2D) times the truncated Euler-type product over primes in
     (B, tail_prime]; epsilon_lower additionally pays the infinite-tail bound
-    1 - 2n/tail_prime.  error_term(t) is the explicit ceiling version of
+    1 - 2n/tail_prime.  An end whose exact numerator or denominator has
+    more than EXACT_DIGITS digits is rounded outward (lower down, upper up)
+    to 64 significant bits, which keeps the bracket sound and the report
+    renderable.  error_term(t) is the explicit ceiling version of
     sum_i(sqrt|c_i| + sqrt|kt + c_i|) + 1.  degenerate marks certificates
     whose bound carries no information (some factor <= 0).
     """
@@ -471,13 +481,26 @@ class DensityCertificate:
         }
 
 
+def _round_outward(x: Fraction, up: bool) -> Fraction:
+    """x if its numerator and denominator have at most EXACT_DIGITS digits,
+    else x rounded down (up when up) to EPSILON_BITS significant bits."""
+    a, b = abs(x.numerator), x.denominator
+    if a < _EXACT_LIMIT and b < _EXACT_LIMIT:
+        return x
+    e = a.bit_length() - b.bit_length()  # floor(log2|x|) is e or e - 1
+    if (a << max(-e, 0)) < (b << max(e, 0)):
+        e -= 1
+    step = Fraction(2) ** (e + 1 - EPSILON_BITS)
+    return (math.ceil(x / step) if up else math.floor(x / step)) * step
+
+
 @lru_cache(maxsize=64)
 def _truncated_product(B: int, tail: int, n: int, m: int) -> Fraction:
     """Exact product of (1 - n/p^(2+v_p(m))) over primes B < p <= tail."""
     prod = Fraction(1)
     if n == 0:
         return prod
-    for p in sympy.primerange(B + 1, tail + 1):
+    for p in primerange(B + 1, tail + 1):
         prod *= 1 - Fraction(n, p ** (2 + vp(m, p)))
     return prod
 
@@ -491,12 +514,12 @@ def default_cutoff(formula: SpecialFormula) -> int:
     and primes with p^2 <= n.  B = 1 means an empty head (D = 1).
     """
     candidates = {1}
-    for p in sympy.factorint(abs(formula.lead_k)):
+    for p in factorint(abs(formula.lead_k)):
         candidates.add(p)
     candidates.update(formula.p_conditions.keys())
     n = formula.positive_slots
     if n >= 4:
-        for p in sympy.primerange(2, math.isqrt(n) + 1):
+        for p in primerange(2, math.isqrt(n) + 1):
             candidates.add(p)
     return max(candidates)
 
@@ -534,7 +557,7 @@ def density_certificate(
         raise ValueError("tail_prime must be >= B")
     m = formula.modulus_m
     D = 1
-    for p in sympy.primerange(2, B + 1):
+    for p in primerange(2, B + 1):
         L = formula.theta_level(p)
         if n >= 1:
             L = max(L, 2 + vp(m, p))
@@ -546,7 +569,7 @@ def density_certificate(
             # above the default cutoff every factor is positive; cacheable
             prod = _truncated_product(B, tail_prime, n, m)
         else:
-            for p in sympy.primerange(B + 1, tail_prime + 1):
+            for p in primerange(B + 1, tail_prime + 1):
                 factor = 1 - Fraction(n, p ** (2 + vp(m, p)))
                 if factor <= 0:
                     degenerate = True
@@ -556,6 +579,8 @@ def density_certificate(
     lower = upper * tail_slack if upper > 0 else upper
     if n >= 1 and lower <= 0:
         degenerate = True
+    lower = _round_outward(lower, up=False)
+    upper = _round_outward(upper, up=True)
     return DensityCertificate(
         epsilon_lower=lower,
         epsilon_upper=upper,
@@ -587,7 +612,7 @@ def _pm_bad_mask(k: int, c: int, m: int, t: int) -> np.ndarray:
     """
     bad = bytearray(t)
     maxabs = max(abs(k * 1 + c), abs(k * (t - 1) + c), 1)
-    for p in sympy.primerange(2, math.isqrt(maxabs) + 1):
+    for p in primerange(2, math.isqrt(maxabs) + 1):
         q = p ** (2 + vp(m, p))
         g = math.gcd(k, q)
         if c % g:
@@ -787,14 +812,14 @@ def dickson_admissible(
     for i, (a, _) in enumerate(forms):
         if a < 1:
             raise ValueError(f"form {i}: leading coefficient must be >= 1")
-    candidates = set(sympy.primerange(2, len(forms) + 1))
+    candidates = set(primerange(2, len(forms) + 1))
     for a, b in forms:
         g = math.gcd(a, b)
         if g > 1:
-            candidates.update(sympy.factorint(g).keys())
+            candidates.update(factorint(g).keys())
     if prime_bound is not None:
         candidates = {r for r in candidates if r <= prime_bound}
-        candidates.update(sympy.primerange(2, prime_bound + 1))
+        candidates.update(primerange(2, prime_bound + 1))
     for r in sorted(candidates):
         hit = set()
         covered = False

@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from ._jsonutil import SCHEMA_VERSION, rat_to_json
 from .formulas import evaluate_formula
 from .setfam import SetFamily
@@ -679,6 +677,8 @@ def power_saving_probe(
     Compares the log-log slope against k - 1/d^(k-1); an estimate, not a
     limit statement.  Needs at least three l values with positive counts.
     """
+    import numpy as np  # imported here: the only numpy user in this module
+
     ls = list(l_values)
     if len(ls) < 3:
         raise ValueError("need at least three l values")

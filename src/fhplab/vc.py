@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from ._jsonutil import SCHEMA_VERSION, rat_to_json
 from .setfam import SetFamily
 
@@ -192,6 +190,8 @@ def density_fit(dual_values: dict) -> Optional[Fraction]:
     An estimate of the polynomial growth rate; needs at least two distinct
     sizes with positive values, else None.
     """
+    import numpy as np  # imported here: the only numpy user in this module
+
     pts = [(n, v) for n, v in sorted(dual_values.items()) if n >= 1 and v >= 1]
     if len(pts) < 2:
         return None

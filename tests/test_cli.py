@@ -222,6 +222,26 @@ class TestOutputContract:
         assert val["report.intersection_number"] == "2/3"
         assert val["report.transversal.tau_star"] == "3/2"
 
+    def test_output_into_missing_directory_is_two(self, triangle_path,
+                                                  tmp_path, capsys):
+        target = tmp_path / "missing" / "rep.json"
+        code = main(["lp", "--family", triangle_path, "--output", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert not target.parent.exists()
+
+    def test_output_onto_directory_leaves_no_tmp(self, triangle_path,
+                                                 tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.mkdir()
+        code = main(["lp", "--family", triangle_path, "--output", str(target)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not list(tmp_path.glob("*.tmp"))
+
     def test_output_file_written_whole(self, triangle_path, tmp_path,
                                        capsys):
         out = tmp_path / "rep.json"
@@ -281,6 +301,20 @@ class TestMiscCommands:
         )
         assert code == 0
         assert rep["report"]["count"] == 608
+
+    def test_sqf_count_tail_prime(self, capsys):
+        code, rep = run_json(
+            ["sqf", "count", "--shifts", "0,2,6", "--window", "100000",
+             "--tail-prime", "10007"],
+            capsys,
+        )
+        assert code == 0
+        assert rep["report"]["bound_holds"] is True
+        cert = rep["report"]["certificate"]
+        for end in ("epsilon_lower", "epsilon_upper"):
+            den = cert[end]["den"]
+            assert den & (den - 1) == 0
+            assert cert[end]["num"].bit_length() == 64
 
     def test_count_types_family_mode(self, triangle_path, capsys):
         code, rep = run_json(

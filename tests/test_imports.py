@@ -1,0 +1,89 @@
+"""Which heavy modules each README command loads, read from sys.modules.
+
+The CLI must start without sympy on every command, and without numpy on
+the commands that never compute with it.  The checks look at module sets,
+not times, so they do not depend on the machine.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+# runs one command, then prints the top-level names in sys.modules
+DRIVER = """
+import json, sys
+from fhplab import cli
+try:
+    cli.main(sys.argv[1:])
+except SystemExit:
+    pass
+print(json.dumps(sorted({name.split(".")[0] for name in sys.modules})))
+"""
+
+README_COMMANDS = [
+    "analyze --family {fam} --k 2 --alpha 2/3 --pk 4",
+    "lp --family {fam}",
+    "vc --family {fam} --dual-sizes 2,4,8",
+    "construct block --k 2 --r 3 --m 4 --verify",
+    "construct shattered --m 4",
+    "construct furedi --family {triples} --trials 100 --seed 7",
+    "sqf count --shifts 0,2,6 --window 1000 --tail-prime 10007",
+    "sqf psat --shifts 0,1,2,3 --p 2",
+    "sqf dickson --forms 1,0;1,2;1,6",
+    "ff lines --p 5 --k 2 --alpha 1/2",
+    "ff fit --count 31 --q 31 --n 2",
+    "count-types --family {fam} --m 1 --k 2 --l 6",
+]
+NUMPY_FREE = ("construct", "analyze", "lp")
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("imports")
+    docs = {
+        "fam": {"ground": 6, "sets": [[0, 1, 2], [1, 2, 3], [2, 4], [0, 5]]},
+        "triples": {"ground": 6, "sets": [[0, 1, 2], [1, 3, 4], [2, 4, 5]]},
+    }
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = str(root / f"{name}.json")
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+    paths["out"] = str(root / "report.json")
+    return paths
+
+
+def loaded_modules(argv):
+    env = {**os.environ}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", DRIVER, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert "Traceback" not in proc.stderr, proc.stderr
+    return set(json.loads(proc.stdout.strip().splitlines()[-1]))
+
+
+@pytest.mark.parametrize("command", README_COMMANDS)
+def test_readme_command_imports(command, inputs):
+    argv = command.format(**inputs).split() + ["--output", inputs["out"]]
+    modules = loaded_modules(argv)
+    assert "fhplab" in modules
+    assert "sympy" not in modules
+    if argv[0] in NUMPY_FREE:
+        assert "numpy" not in modules
+
+
+def test_bare_cli_import_is_light():
+    modules = loaded_modules(["--version"])
+    assert "sympy" not in modules
+    assert "numpy" not in modules

@@ -263,6 +263,69 @@ class TestDensityCertificate:
         assert cert.epsilon_lower <= cert.epsilon_upper
         assert (cert.B, cert.D) == (1, 1)
 
+    def test_small_denominators_stay_exact(self):
+        cert = density_certificate(shift_system([0]).formula, 7)
+        upper = Fraction(1, 2)
+        for p in (2, 3, 5, 7):
+            upper *= 1 - Fraction(1, p * p)
+        assert cert.epsilon_upper == upper
+        assert cert.epsilon_lower == upper * (1 - Fraction(2, 7))
+
+    def test_large_head_stays_exact(self):
+        # lead_k = 29 puts every prime up to 29 in the head: D > 2^64
+        f = shift_system([0], lead_k=29).formula
+        cert = density_certificate(f, 31)
+        D = math.prod(p * p for p in sympy.primerange(2, 30))
+        upper = Fraction(1, 2 * D) * (1 - Fraction(1, 31 * 31))
+        assert (cert.B, cert.D) == (29, D)
+        assert cert.epsilon_upper == upper
+        assert cert.epsilon_lower == upper * (1 - Fraction(2, 31))
+        assert cert.epsilon_lower > 0
+        assert not cert.degenerate
+
+    def test_moderate_tail_stays_exact(self):
+        # the exact ends here have about 1,700 digits
+        cert = density_certificate(shift_system([0, 2, 6]).formula, 2000)
+        upper = Fraction(1, 2)
+        for p in sympy.primerange(2, 2001):
+            upper *= 1 - Fraction(3, p * p)
+        assert cert.epsilon_upper == upper
+        assert cert.epsilon_lower == upper * (1 - Fraction(6, 2000))
+
+    def test_huge_ends_rounded_outward(self):
+        cert = density_certificate(shift_system([0, 2, 6]).formula, 10007)
+        upper = Fraction(1, 2)
+        for p in sympy.primerange(2, 10008):
+            upper *= 1 - Fraction(3, p * p)
+        lower = upper * (1 - Fraction(6, 10007))
+        assert upper.denominator > 10**4300
+        for got, exact, up in (
+            (cert.epsilon_lower, lower, False),
+            (cert.epsilon_upper, upper, True),
+        ):
+            # 64 significant bits: one step of the grid is 2^(e - 63)
+            e = math.floor(math.log2(exact))
+            step = Fraction(2) ** (e - 63)
+            if up:
+                assert exact <= got < exact + step
+            else:
+                assert exact - step < got <= exact
+            assert got.denominator == 2 ** (63 - e)
+            assert (got / step).denominator == 1
+        assert not cert.degenerate
+
+    def test_tiny_huge_end_keeps_precision(self):
+        # a head with D > 2^64 and a tail whose ends need rounding
+        f = shift_system([0], lead_k=31).formula
+        cert = density_certificate(f, 10007)
+        assert cert.D > 2**64
+        assert 0 < cert.epsilon_lower < cert.epsilon_upper
+        assert cert.epsilon_upper < Fraction(1, 2 * cert.D)
+        assert cert.epsilon_upper - cert.epsilon_lower < Fraction(
+            1, 2 * cert.D
+        ) * Fraction(1, 10**3)
+        assert not cert.degenerate
+
     def test_no_slots_gives_half_over_d(self):
         f = SpecialFormula(
             lead_k=1, modulus_m=1, positive_slots=0, negative_slots=0
