@@ -1,9 +1,11 @@
 """Exact rational linear programming for intersection numbers and transversals.
 
-A dense two-phase tableau simplex over fractions.Fraction with Bland's
-anti-cycling rule.  Instances here are small (at most a few hundred
-variables), so termination and bit-exact primal/dual certificates matter
-more than speed.  Variables are implicitly nonnegative.
+A dense two-phase tableau simplex with Bland's anti-cycling rule, kept
+fraction-free: every entry is an integer over one common denominator, the
+determinant of the current basis, and each pivot divides exactly by the
+previous one (Bareiss 1968, Edmonds 1967).  Instances here are small (at
+most a few hundred variables), so termination and bit-exact primal/dual
+certificates matter more than speed.  Variables are implicitly nonnegative.
 
 The two LPs of interest are dual to each other on a finite ground set:
 
@@ -15,6 +17,7 @@ and i(F) * tau*(F) = 1 whenever all members are nonempty.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -100,68 +103,85 @@ class TransversalResult:
         return out
 
 
-def _price(rows, rhs, basis, costs, ncols):
-    """Reduced-cost row r_j = c_j - c_B . (tableau column j), and z = c_B . b."""
-    m = len(rows)
-    red = list(costs)
-    z = Fraction(0)
-    for i in range(m):
-        cb = costs[basis[i]]
+def _price(tab, basis, costs, det):
+    """Set the reduced-cost row tab[-1] to det * (c_j - c_B . column j).
+
+    Its last entry, over the rhs column, is -det * (c_B . b).
+    """
+    red = [det * c for c in costs]
+    red.append(0)
+    for row, bv in zip(tab, basis):
+        cb = costs[bv]
         if cb:
-            z += cb * rhs[i]
-            row = rows[i]
-            for j in range(ncols):
-                if row[j]:
-                    red[j] -= cb * row[j]
-    return red, z
+            red = [r - cb * a for r, a in zip(red, row)]
+    tab[-1] = red
 
 
-def _pivot(rows, rhs, red, basis, prow, pcol):
-    piv = rows[prow][pcol]
-    rows[prow] = [a / piv for a in rows[prow]]
-    rhs[prow] /= piv
-    prow_vals = rows[prow]
-    for i in range(len(rows)):
+def _pivot(tab, basis, prow, pcol, det):
+    """Fraction-free pivot on tab[prow][pcol]; returns the new det.
+
+    Every other row i becomes (p*T[i][j] - T[i][pcol]*T[prow][j]) // det,
+    an exact division (Bareiss), and the pivot row is left as it is.
+    """
+    row_p = tab[prow]
+    piv = row_p[pcol]
+    if piv < 0:
+        # only on a zero-rhs row (an artificial driven out after phase 1):
+        # negating the row first gives the same tableau and keeps det > 0
+        row_p = tab[prow] = [-a for a in row_p]
+        piv = -piv
+    for i, row in enumerate(tab):
         if i == prow:
             continue
-        f = rows[i][pcol]
+        f = row[pcol]
         if f:
-            rows[i] = [a - f * b for a, b in zip(rows[i], prow_vals)]
-            rhs[i] -= f * rhs[prow]
-    f = red[pcol]
-    if f:
-        for j in range(len(red)):
-            red[j] -= f * prow_vals[j]
+            tab[i] = [(piv * a - f * b) // det for a, b in zip(row, row_p)]
+        elif piv != det:
+            tab[i] = [piv * a // det for a in row]
     basis[prow] = pcol
+    return piv
 
 
-def _simplex(rows, rhs, basis, costs, ncols, banned):
-    """Run Bland-rule simplex to optimality; returns 'optimal' or 'unbounded'."""
-    red, _ = _price(rows, rhs, basis, costs, ncols)
+def _simplex(tab, basis, costs, det, banned):
+    """Run Bland-rule simplex to optimality; returns (status, det).
+
+    status is 'optimal' or 'unbounded'; tab[-1] holds the final reduced
+    costs.
+    """
+    _price(tab, basis, costs, det)
+    m = len(basis)
+    ncols = len(costs)
     while True:
+        red = tab[-1]
         pcol = -1
         for j in range(ncols):
-            if j not in banned and red[j] > 0:
+            if red[j] > 0 and j not in banned:
                 pcol = j
                 break
         if pcol < 0:
-            return "optimal", red
+            return "optimal", det
+        # ratio test b_i / a_i over a_i > 0, cross-multiplied (all entries
+        # share the denominator det); ties go to the smallest basic index
         prow = -1
-        best_ratio = None
-        for i in range(len(rows)):
-            a = rows[i][pcol]
+        for i in range(m):
+            row = tab[i]
+            a = row[pcol]
             if a > 0:
-                ratio = rhs[i] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[prow])
-                ):
-                    best_ratio = ratio
-                    prow = i
+                if prow < 0:
+                    prow, best_a, best_b = i, a, row[-1]
+                    continue
+                lhs = row[-1] * best_a
+                rhs = best_b * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[prow]):
+                    prow, best_a, best_b = i, a, row[-1]
         if prow < 0:
-            return "unbounded", red
-        _pivot(rows, rhs, red, basis, prow, pcol)
+            return "unbounded", det
+        det = _pivot(tab, basis, prow, pcol, det)
+
+
+def _scaled(values, scale):
+    """The integers scale * v for Fractions v whose denominators divide scale."""
+    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
@@ -174,94 +194,81 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     maximize = problem.sense == "max"
     obj = list(problem.objective) if maximize else [-c for c in problem.objective]
 
-    # normalize to rhs >= 0, remembering sign flips for the dual
-    rows = []
-    rels = []
-    rhs = []
-    flipped = []
-    for row, rel, b in zip(problem.rows, problem.relations, problem.rhs):
-        if b < 0:
-            row = tuple(-a for a in row)
-            b = -b
-            rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
-            flipped.append(True)
-        else:
-            flipped.append(False)
-        rows.append(list(row))
-        rels.append(rel)
-        rhs.append(b)
+    # Clear denominators with one common scale for every row, the LCM of
+    # all row and rhs denominators (negated to flip a row with rhs < 0).
+    # One scale, not one per row, multiplies every slack and artificial by
+    # the same factor, so phase 1's sum of artificials and Bland's pivot
+    # path are those of the unscaled problem.
+    lcm = math.lcm(
+        *(a.denominator for row in problem.rows for a in row),
+        *(b.denominator for b in problem.rhs),
+    )
+    scales = [-lcm if b < 0 else lcm for b in problem.rhs]
+    rels = [
+        {"<=": ">=", ">=": "<=", "==": "=="}[rel] if s < 0 else rel
+        for rel, s in zip(problem.relations, scales)
+    ]
 
-    m = len(rows)
-    # column layout: structural | slack/surplus | artificial
-    ncols = nvars
-    slack_cols = []
-    for i, rel in enumerate(rels):
-        if rel == "<=":
-            slack_cols.append((ncols, None))
-            ncols += 1
-        elif rel == ">=":
-            slack_cols.append((ncols, ncols + 1))
-            ncols += 2
-        else:
-            slack_cols.append((None, ncols))
-            ncols += 1
-
+    # column layout: structural | per row, its slack, surplus + artificial,
+    # or artificial | rhs
+    ncols = nvars + sum(2 if rel == ">=" else 1 for rel in rels)
     tab = []
     basis = []
-    unit_cols = []
     artificials = set()
-    for i in range(m):
-        row = [Fraction(0)] * ncols
-        row[:nvars] = rows[i]
-        surplus_or_slack, art = slack_cols[i]
-        if rels[i] == "<=":
-            row[surplus_or_slack] = Fraction(1)
-            basis.append(surplus_or_slack)
-            unit_cols.append(surplus_or_slack)
-        elif rels[i] == ">=":
-            row[surplus_or_slack] = Fraction(-1)
-            row[art] = Fraction(1)
-            basis.append(art)
-            unit_cols.append(art)
-            artificials.add(art)
-        else:
-            row[art] = Fraction(1)
-            basis.append(art)
-            unit_cols.append(art)
-            artificials.add(art)
-        tab.append(row)
-
-    b = list(rhs)
+    col = nvars
+    for row, b, rel, s in zip(problem.rows, problem.rhs, rels, scales):
+        t = _scaled(row, s) + [0] * (ncols - nvars) + _scaled([b], s)
+        if rel == ">=":
+            t[col] = -1
+            col += 1
+        t[col] = 1
+        basis.append(col)
+        if rel != "<=":
+            artificials.add(col)
+        col += 1
+        tab.append(t)
+    tab.append(None)  # reduced-cost row, set by _price
+    unit_cols = list(basis)
+    det = 1
 
     if artificials:
-        costs1 = [Fraction(0)] * ncols
+        costs1 = [0] * ncols
         for a in artificials:
-            costs1[a] = Fraction(-1)
-        status, _ = _simplex(tab, b, basis, costs1, ncols, banned=set())
+            costs1[a] = -1
         # status cannot be 'unbounded': phase-1 objective is bounded above by 0
-        _, z1 = _price(tab, b, basis, costs1, ncols)
-        if z1 < 0:
+        _, det = _simplex(tab, basis, costs1, det, banned=())
+        if tab[-1][-1] > 0:  # the phase-1 optimum c_B . b is negative
             return LpSolution(status="infeasible")
+        # An artificial still basic (at level 0) could grow in phase 2,
+        # which bans artificials only from entering: pivot it out on the
+        # first other column with a nonzero entry in its row.  A row with
+        # no such column is redundant and keeps its artificial at 0.
+        for i, bv in enumerate(basis):
+            if bv in artificials:
+                row = tab[i]
+                for j in range(ncols):
+                    if row[j] and j not in artificials:
+                        det = _pivot(tab, basis, i, j, det)
+                        break
 
-    costs2 = [Fraction(0)] * ncols
-    costs2[:nvars] = obj
-    status, red = _simplex(tab, b, basis, costs2, ncols, banned=artificials)
+    cden = math.lcm(*(c.denominator for c in obj))
+    costs2 = _scaled(obj, cden) + [0] * (ncols - nvars)
+    status, det = _simplex(tab, basis, costs2, det, banned=artificials)
     if status == "unbounded":
         return LpSolution(status="unbounded")
 
     primal = [Fraction(0)] * nvars
     for i, bv in enumerate(basis):
         if bv < nvars:
-            primal[bv] = b[i]
+            primal[bv] = Fraction(tab[i][-1], det)
     value = sum((c * v for c, v in zip(obj, primal)), Fraction(0))
 
-    # y_i = -reduced cost of row i's unit column (slack or artificial, cost 0)
-    dual = []
-    for i in range(m):
-        y = -red[unit_cols[i]]
-        if flipped[i]:
-            y = -y
-        dual.append(y)
+    # y_i = -reduced cost of row i's unit column (slack or artificial, cost
+    # 0).  red holds det * cden times the scaled problem's reduced costs,
+    # whose unit variable in row i is scales[i] times the unscaled one (a
+    # negative scale undoes the flip).
+    red = tab[-1]
+    dual = [Fraction(-red[u] * s, det * cden) for u, s in zip(unit_cols, scales)]
     if not maximize:
         value = -value
         dual = [-y for y in dual]

@@ -612,8 +612,9 @@ def _pm_bad_mask(k: int, c: int, m: int, t: int) -> np.ndarray:
     """
     bad = bytearray(t)
     maxabs = max(abs(k * 1 + c), abs(k * (t - 1) + c), 1)
+    fm = factorint(m)
     for p in primerange(2, math.isqrt(maxabs) + 1):
-        q = p ** (2 + vp(m, p))
+        q = p ** (2 + fm.get(p, 0))
         g = math.gcd(k, q)
         if c % g:
             continue

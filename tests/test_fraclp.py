@@ -1,8 +1,11 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from fhplab._jsonutil import rat_to_json
 from fhplab.fraclp import (
     LpProblem,
     fractional_transversal,
@@ -208,3 +211,122 @@ def test_atom_reduction_invariance():
         == fractional_transversal(doubled).tau_star
     )
     assert intersection_number(base)[0] == intersection_number(doubled)[0]
+
+
+def random_lp(rng):
+    """1-6 variables, 1-7 rows, entries in {-4..4}/{1..6}, mixed relations."""
+    nvars = rng.randint(1, 6)
+    nrows = rng.randint(1, 7)
+
+    def q():
+        return F(rng.randint(-4, 4), rng.randint(1, 6))
+
+    return LpProblem(
+        rng.choice(["max", "min"]),
+        [q() for _ in range(nvars)],
+        [[q() for _ in range(nvars)] for _ in range(nrows)],
+        [rng.choice(["<=", ">=", "=="]) for _ in range(nrows)],
+        [q() for _ in range(nrows)],
+    )
+
+
+def scipy_lp(prob):
+    """(status, value) of prob from scipy's HiGHS, in floats."""
+    from scipy.optimize import linprog
+
+    sign = -1.0 if prob.sense == "max" else 1.0
+    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    for row, rel, b in zip(prob.rows, prob.relations, prob.rhs):
+        row = [float(a) for a in row]
+        if rel == "<=":
+            a_ub.append(row)
+            b_ub.append(float(b))
+        elif rel == ">=":
+            a_ub.append([-a for a in row])
+            b_ub.append(-float(b))
+        else:
+            a_eq.append(row)
+            b_eq.append(float(b))
+    res = linprog(
+        [sign * float(c) for c in prob.objective],
+        A_ub=a_ub or None, b_ub=b_ub or None,
+        A_eq=a_eq or None, b_eq=b_eq or None,
+        bounds=[(0, None)] * len(prob.objective), method="highs",
+    )
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status)
+    return status, (sign * res.fun if res.status == 0 else None)
+
+
+def test_general_lps_match_scipy():
+    for seed in range(2000):
+        prob = random_lp(random.Random(seed))
+        sol = solve_lp(prob)
+        status, value = scipy_lp(prob)
+        if status == "infeasible" and sol.status == "unbounded":
+            # HiGHS may call an unbounded LP infeasible: check feasibility
+            zero = LpProblem(
+                prob.sense, [0] * len(prob.objective),
+                prob.rows, prob.relations, prob.rhs,
+            )
+            assert solve_lp(zero).status == "optimal", seed
+            continue
+        assert sol.status == status, seed
+        if status == "optimal":
+            assert abs(float(sol.value) - value) <= 1e-9 * max(1.0, abs(value)), seed
+
+
+@pytest.mark.parametrize(
+    "prob, value",
+    [
+        # an artificial left basic at level 0 after phase 1 grew in phase 2
+        # ("internal: primal certificate violated")
+        (LpProblem("min", [F(1, 2)], [[F(2)], [F(-1)]], ["<=", "<="],
+                   [F(1, 3), F(-1, 6)]), F(1, 12)),
+        (LpProblem(
+            "min", [F(-1), F(-1, 2), F(4, 5)],
+            [[F(-4, 5), F(0), F(-2)], [F(1, 5), F(-3), F(-3)],
+             [F(3, 4), F(1, 2), F(1, 3)], [F(-4, 3), F(2), F(1, 2)],
+             [F(4), F(0), F(-1)]],
+            ["==", "<=", "<=", ">=", ">="],
+            [F(0), F(1, 3), F(1, 2), F(-1, 2), F(0)],
+        ), F(-1, 2)),
+        # the same fault once reported this bounded LP as unbounded
+        (LpProblem(
+            "max", [F(2, 5), F(1, 3), F(0), F(0)],
+            [[F(1, 5), F(1, 3), F(-2, 3), F(0)],
+             [F(1, 5), F(4, 5), F(1), F(-3, 4)],
+             [F(3, 2), F(-3, 5), F(1, 3), F(-4, 3)],
+             [F(1, 3), F(0), F(-1), F(1, 2)],
+             [F(-1, 2), F(-3, 5), F(1, 6), F(-1, 2)],
+             [F(0), F(-3), F(1), F(1, 2)]],
+            ["<=", ">=", ">=", ">=", "==", "<="],
+            [F(3, 4), F(2, 3), F(1, 2), F(-3), F(0), F(1, 2)],
+        ), F(5, 18)),
+    ],
+)
+def test_basic_artificial_regressions(prob, value):
+    sol = solve_lp(prob)
+    assert sol.status == "optimal"
+    assert sol.value == value
+
+
+def test_family_lp_reports_pinned():
+    """i(F) and tau* with their witnesses, over acceptance check 01's 200
+    families and the benchmark's 24/26/28-member ones, hash to the
+    Fraction-tableau solver's output."""
+    families = [random_family(random.Random(seed)) for seed in range(200)]
+    for n in (24, 26, 28):
+        rng = random.Random(f"lp-sweep-large:{n}")
+        families.append(SetFamily(
+            12, [rng.sample(range(12), rng.randint(3, 8)) for _ in range(n)]
+        ))
+    out = []
+    for fam in families:
+        value, dist = intersection_number(fam)
+        out.append([
+            rat_to_json(value),
+            {str(e): rat_to_json(w) for e, w in sorted(dist.items())},
+            fractional_transversal(fam).to_json_dict(),
+        ])
+    digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+    assert digest == "d1f892d9305c10a8952ea3e7de00c4fab5397cd8a8fd120567ed62df5f04a234"

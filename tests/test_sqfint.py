@@ -6,6 +6,7 @@ import pytest
 import sympy
 
 from fhplab.sqfint import (
+    _pm_bad_mask,
     DensityCertificate,
     GSystem,
     LinearForm,
@@ -221,6 +222,15 @@ class TestWindowCount:
             t = 400
             direct = sum(1 for x in range(1, t) if sys_.holds_at(x))
             assert count_solutions_window(sys_, t) == direct
+
+    @pytest.mark.parametrize("m", [12, 75, 72])
+    def test_pm_bad_mask_matches_in_pm(self, m):
+        # m with prime powers: the excluded modulus at p is p^(2 + v_p(m))
+        t = 3000
+        for k, c in [(1, 0), (1, 7), (2, -1), (3, 5), (5, -4000), (12, 6)]:
+            bad = _pm_bad_mask(k, c, m, t)
+            for a in range(1, t):
+                assert bad[a] == (not in_Pm(k * a + c, m)), (k, c, a)
 
     def test_blocked_system_counts_zero(self):
         sys_ = shift_system([0, 1, 2, 3])
