@@ -45,17 +45,14 @@ class ExperimentConfig:
 
 
 def parse_family(path: str) -> setfam.SetFamily:
-    """Load a family JSON file with line-addressed schema errors."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except FileNotFoundError:
-        raise ValueError(f"{path}: no such file")
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: "
-            f"{exc.msg}"
-        )
+    """Load a family JSON file with line-addressed schema errors.
+
+    A saved fhplab report (e.g. `construct ... --output fam.json`) is
+    read through its envelope: the family is the `report` body.
+    """
+    obj = _load_json(path)
+    if isinstance(obj, dict) and obj.get("tool") == "fhplab" and "report" in obj:
+        obj = obj["report"]
     try:
         family = setfam.SetFamily.from_json_dict(obj)
     except ValueError as exc:

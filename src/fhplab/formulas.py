@@ -1,4 +1,4 @@
-"""Prefix-tree first-order formulas over finite structures.
+"""Prefix-tree first-order formulas over finite structures, evaluated as arrays.
 
 Trees are plain nested lists (JSON-ready).  Terms:
 
@@ -15,15 +15,67 @@ Formulas:
     ["exists", i, f]  ["forall", i, f]
     ["true"]  ["false"]
 
-A structure supplies `universe` (a sequence), `fn(name, args)`,
-`rel(name, args)`, and `const(value)`.  Quantifiers range over the whole
-universe.  Referencing a variable that is neither bound by a quantifier
-nor supplied in the assignment is an error, not a silent default.
+A structure supplies `universe` (a nonempty sequence), `const_index(v)`
+(the universe index of the element a constant names, ValueError when it
+names none) and `tables()`, which returns `(functions, relations)`: dicts
+name -> (arity, numpy array of shape (|U|,) * arity) over universe
+indices.  A function table holds the index of each value, a relation
+table holds bools.  The ring tags name functions of the structure, so
+["+", s, t] is ["func", "+", s, t].  Quantifiers range over the whole
+universe.
+
+`evaluate_formula` first validates the whole tree: malformed nodes, bad
+or unbound variable indices (a variable must be bound by a quantifier or
+supplied in the assignment), unknown names and wrong arities raise
+ValueError before anything is evaluated, whether or not a branch would
+be reached.  It then evaluates the tree once per chunk of assignments
+rather than once per point: each free variable is an index array that
+broadcasts over the chunk, functions and relations are fancy indexing
+into the tables, and exists/forall add a trailing axis of length |U|
+that `any`/`all` reduce.  A chunk holds at most max(1, 2^16 / |U|^d)
+assignments, d the quantifier depth, so no temporary exceeds
+max(2^16, |U|^d) cells.  numpy is imported inside the evaluator, so
+importing this module loads none.
 """
 
 from __future__ import annotations
 
-_RING_FN = {"+": "+", "*": "*", "-": "-", "neg": "neg"}
+_CHUNK_CELLS = 1 << 16
+_RING_FN = ("+", "*", "-", "neg")
+
+
+def evaluate_formula(structure, node, xs, params):
+    """Truth table of node: out[i, j] binds variables 0, 1, ... to xs[j] + params[i].
+
+    xs (N rows of kx indices) and params (M rows of kp indices) are
+    integer arrays of universe indices; the result is an (M, N) bool
+    array.  The tree is validated against kx + kp free variables first.
+    """
+    import numpy as np
+
+    xs = np.asarray(xs)
+    params = np.asarray(params)
+    if xs.ndim != 2 or params.ndim != 2:
+        raise ValueError("assignments must be 2-D arrays of universe indices")
+    kx = xs.shape[1]
+    functions, relations = structure.tables()
+    compiler = _Compiler(structure, functions, relations, np)
+    run = compiler.formula(node, frozenset(range(kx + params.shape[1])))
+
+    size = len(structure.universe)
+    n_rows, n_cols = params.shape[0], xs.shape[0]
+    out = np.empty((n_rows, n_cols), dtype=bool)
+    cells = max(1, _CHUNK_CELLS // size**compiler.depth)
+    cols = max(1, min(n_cols, cells))
+    rows = max(1, cells // cols)
+    for j in range(0, n_cols, cols):
+        x = xs[j : j + cols]
+        for i in range(0, n_rows, rows):
+            p = params[i : i + rows]
+            env = {v: x[None, :, v] for v in range(kx)}
+            env.update((kx + v, p[:, v, None]) for v in range(p.shape[1]))
+            out[i : i + rows, j : j + cols] = run(env, 2)
+    return out
 
 
 def _tag(node):
@@ -34,63 +86,119 @@ def _tag(node):
     return node[0]
 
 
-def evaluate_term(structure, node, env: dict):
-    tag = _tag(node)
-    if tag == "var":
-        i = node[1]
-        if i not in env:
-            raise ValueError(f"unbound variable {i}")
-        return env[i]
-    if tag == "const":
-        return structure.const(node[1])
-    if tag in _RING_FN:
-        args = [evaluate_term(structure, a, env) for a in node[1:]]
-        return structure.fn(tag, args)
-    if tag == "func":
-        args = [evaluate_term(structure, a, env) for a in node[2:]]
-        return structure.fn(node[1], args)
-    raise ValueError(f"unknown term tag {tag!r}")
-
-
-def evaluate_formula(structure, node, env: dict) -> bool:
-    tag = _tag(node)
-    if tag == "true":
-        return True
-    if tag == "false":
-        return False
-    if tag == "=":
-        return evaluate_term(structure, node[1], env) == evaluate_term(
-            structure, node[2], env
+def _expect_len(node, length):
+    if len(node) != length:
+        raise ValueError(
+            f"malformed {node[0]!r} node: expected {length - 1} argument(s), "
+            f"got {len(node) - 1}"
         )
-    if tag == "rel":
-        args = [evaluate_term(structure, a, env) for a in node[2:]]
-        return structure.rel(node[1], args)
-    if tag == "and":
-        return all(evaluate_formula(structure, f, env) for f in node[1:])
-    if tag == "or":
-        return any(evaluate_formula(structure, f, env) for f in node[1:])
-    if tag == "not":
-        return not evaluate_formula(structure, node[1], env)
-    if tag in ("exists", "forall"):
-        i = node[1]
-        sub = node[2]
-        had = i in env
-        old = env.get(i)
-        try:
-            if tag == "exists":
-                for v in structure.universe:
-                    env[i] = v
-                    if evaluate_formula(structure, sub, env):
-                        return True
-                return False
-            for v in structure.universe:
-                env[i] = v
-                if not evaluate_formula(structure, sub, env):
-                    return False
-            return True
-        finally:
-            if had:
-                env[i] = old
-            else:
-                env.pop(i, None)
-    raise ValueError(f"unknown formula tag {tag!r}")
+
+
+def _var_index(node):
+    i = node[1]
+    if not isinstance(i, int) or isinstance(i, bool) or i < 0:
+        raise ValueError(f"bad variable index {i!r}")
+    return i
+
+
+def _lookup(tables, kind, name, nargs):
+    if not isinstance(name, str) or name not in tables:
+        raise ValueError(f"unknown {kind} {name!r}")
+    arity, table = tables[name]
+    if nargs != arity:
+        raise ValueError(f"{kind} {name!r} expects {arity} arguments, got {nargs}")
+    return table
+
+
+class _Compiler:
+    """Validates a tree and turns it into closures.
+
+    A term becomes run(env), a formula run(env, ndim).  env maps variable
+    index -> index array; every array in env has ndim axes (the two
+    assignment axes plus one per enclosing quantifier).  depth records
+    the deepest quantifier nesting seen.
+    """
+
+    def __init__(self, structure, functions, relations, np):
+        self.structure = structure
+        self.functions = functions
+        self.relations = relations
+        self.np = np
+        self.depth = 0
+
+    def term(self, node, scope):
+        tag = _tag(node)
+        if tag == "var":
+            _expect_len(node, 2)
+            i = _var_index(node)
+            if i not in scope:
+                raise ValueError(f"unbound variable {i}")
+            return lambda env: env[i]
+        if tag == "const":
+            _expect_len(node, 2)
+            c = self.structure.const_index(node[1])
+            return lambda env: c
+        if tag in _RING_FN:
+            name, args = tag, node[1:]
+        elif tag == "func":
+            if len(node) < 2:
+                raise ValueError("malformed 'func' node: missing name")
+            name, args = node[1], node[2:]
+        else:
+            raise ValueError(f"unknown term tag {tag!r}")
+        table = _lookup(self.functions, "function", name, len(args))
+        subs = [self.term(a, scope) for a in args]
+        return lambda env: table[tuple(s(env) for s in subs)]
+
+    def formula(self, node, scope, depth=0):
+        np = self.np
+        tag = _tag(node)
+        if tag in ("true", "false"):
+            _expect_len(node, 1)
+            value = np.bool_(tag == "true")
+            return lambda env, ndim: value
+        if tag == "=":
+            _expect_len(node, 3)
+            left = self.term(node[1], scope)
+            right = self.term(node[2], scope)
+            return lambda env, ndim: np.equal(left(env), right(env))
+        if tag == "rel":
+            if len(node) < 2:
+                raise ValueError("malformed 'rel' node: missing name")
+            table = _lookup(self.relations, "relation", node[1], len(node) - 2)
+            subs = [self.term(a, scope) for a in node[2:]]
+            return lambda env, ndim: table[tuple(s(env) for s in subs)]
+        if tag in ("and", "or"):
+            subs = [self.formula(f, scope, depth) for f in node[1:]]
+            op = np.logical_and if tag == "and" else np.logical_or
+            unit = np.bool_(tag == "and")
+
+            def connective(env, ndim):
+                acc = unit
+                for sub in subs:
+                    acc = op(acc, sub(env, ndim))
+                return acc
+
+            return connective
+        if tag == "not":
+            _expect_len(node, 2)
+            sub = self.formula(node[1], scope, depth)
+            return lambda env, ndim: np.logical_not(sub(env, ndim))
+        if tag in ("exists", "forall"):
+            _expect_len(node, 3)
+            i = _var_index(node)
+            self.depth = max(self.depth, depth + 1)
+            body = self.formula(node[2], scope | {i}, depth + 1)
+            reduce = np.any if tag == "exists" else np.all
+            axis = np.arange(len(self.structure.universe))
+
+            def quantifier(env, ndim):
+                inner = {v: a[..., None] for v, a in env.items()}
+                inner[i] = axis.reshape((1,) * ndim + (-1,))
+                value = body(inner, ndim + 1)
+                # a body that reads no variable is 0-d, the same at every
+                # element of the (nonempty) universe
+                return reduce(value, axis=-1) if np.ndim(value) else value
+
+            return quantifier
+        raise ValueError(f"unknown formula tag {tag!r}")

@@ -10,7 +10,6 @@ exactly.  Everything is exhaustive; the caps keep that honest.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -38,12 +37,14 @@ DEFAULT_SIZE_CAP = 250000
 
 
 class FieldStructure:
-    """F_p with explicit +/* tables, axioms re-verified at construction.
+    """F_p with explicit +, *, - and neg tables, axioms re-verified at construction.
 
-    Use FieldStructure.for_prime(p); instances are cached per p.
+    Use FieldStructure.for_prime(p); instances are cached per p.  The
+    tables are uint8 arrays over F_p = {0, ..., p-1}, which is also the
+    universe's index order, so elements are their own indices.
     """
 
-    __slots__ = ("p", "add_table", "mul_table")
+    __slots__ = ("p", "add_table", "mul_table", "_tables")
 
     def __init__(self, p: int):
         if not isprime(p):
@@ -55,8 +56,17 @@ class FieldStructure:
         add = (r[:, None] + r[None, :]) % p
         mul = (r[:, None] * r[None, :]) % p
         _verify_field_axioms(p, add, mul)
-        self.add_table = tuple(tuple(int(v) for v in row) for row in add)
-        self.mul_table = tuple(tuple(int(v) for v in row) for row in mul)
+        self.add_table = add.astype(np.uint8)
+        self.mul_table = mul.astype(np.uint8)
+        sub = ((r[:, None] - r[None, :]) % p).astype(np.uint8)
+        neg = ((-r) % p).astype(np.uint8)
+        functions = {
+            "+": (2, self.add_table),
+            "*": (2, self.mul_table),
+            "-": (2, sub),
+            "neg": (1, neg),
+        }
+        self._tables = (functions, {})
 
     @classmethod
     @lru_cache(maxsize=32)
@@ -67,22 +77,15 @@ class FieldStructure:
     def universe(self):
         return range(self.p)
 
-    def const(self, v) -> int:
-        return int(v) % self.p
+    def const_index(self, v) -> int:
+        try:
+            return int(v) % self.p
+        except (TypeError, ValueError):
+            raise ValueError(f"constant {v!r} is not an integer") from None
 
-    def fn(self, name: str, args) -> int:
-        if name == "+":
-            return self.add_table[args[0]][args[1]]
-        if name == "*":
-            return self.mul_table[args[0]][args[1]]
-        if name == "-":
-            return (args[0] - args[1]) % self.p
-        if name == "neg":
-            return (-args[0]) % self.p
-        raise ValueError(f"unknown function {name!r}")
-
-    def rel(self, name: str, args) -> bool:
-        raise ValueError(f"unknown relation {name!r}")
+    def tables(self):
+        """(functions, relations) for the formula evaluator; F_p has no relations."""
+        return self._tables
 
 
 def _verify_field_axioms(p: int, add: np.ndarray, mul: np.ndarray):
@@ -104,10 +107,15 @@ def _verify_field_axioms(p: int, add: np.ndarray, mul: np.ndarray):
         raise ArithmeticError(f"field axiom verification failed for p={p}")
 
 
+def _grid(p: int, arity: int) -> np.ndarray:
+    """The tuples of F_p^arity in lexicographic order, one per row."""
+    return np.indices((p,) * arity).reshape(arity, -1).T
+
+
 def eval_formula(field: FieldStructure, formula, point: Sequence[int]) -> bool:
     """Truth of the formula with variables 0..len(point)-1 bound to point."""
-    env = {i: field.const(v) for i, v in enumerate(point)}
-    return evaluate_formula(field, formula, env)
+    row = np.array([[field.const_index(v) for v in point]]).reshape(1, len(point))
+    return bool(evaluate_formula(field, formula, row, np.empty((1, 0), int))[0, 0])
 
 
 def definable_family(
@@ -125,7 +133,8 @@ def definable_family(
     (indices 0..y_arity-1) then z, with z fixed to e.  Ground points are
     the tuples of F_p^x_arity in lexicographic order; labels name b.  An
     empty parameter set yields a family with zero members (callers that
-    need members should treat that as a flag).
+    need members should treat that as a flag).  psi is evaluated once
+    over the whole y-grid, phi once over (parameter set) x (x-grid).
     """
     if not 1 <= x_arity <= ARITY_CAP:
         raise ValueError(f"x_arity must be in 1..{ARITY_CAP}")
@@ -135,26 +144,13 @@ def definable_family(
     npoints = p**x_arity
     if npoints > size_cap:
         raise ValueError(f"ground size {npoints} exceeds size_cap {size_cap}")
-    e = tuple(field.const(v) for v in e)
-    params = []
-    for b in itertools.product(range(p), repeat=y_arity):
-        if eval_formula(field, psi, b + e):
-            params.append(b)
-    points = list(itertools.product(range(p), repeat=x_arity))
-    members = []
-    labels = []
-    for b in params:
-        members.append(
-            frozenset(
-                idx
-                for idx, x in enumerate(points)
-                if eval_formula(field, phi, x + b)
-            )
-        )
-        labels.append(f"b={b}")
-    return SetFamily(
-        ground_size=npoints, members=tuple(members), labels=tuple(labels)
-    )
+    e = np.array([[field.const_index(v) for v in e]]).reshape(1, len(e))
+    ygrid = _grid(p, y_arity)
+    params = ygrid[evaluate_formula(field, psi, ygrid, e)[0]]
+    table = evaluate_formula(field, phi, _grid(p, x_arity), params)
+    members = tuple(frozenset(np.flatnonzero(row).tolist()) for row in table)
+    labels = tuple(f"b={tuple(b)}" for b in params.tolist())
+    return SetFamily(ground_size=npoints, members=members, labels=labels)
 
 
 def line_family(field: FieldStructure) -> SetFamily:

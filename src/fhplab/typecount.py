@@ -57,6 +57,8 @@ class FiniteStructure:
     universe: tuple
     relations: dict = field(default_factory=dict)
     functions: dict = field(default_factory=dict)
+    _index: dict = field(init=False, repr=False, compare=False)
+    _tables: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         uni = tuple(self.universe)
@@ -88,27 +90,41 @@ class FiniteStructure:
         object.__setattr__(self, "universe", uni)
         object.__setattr__(self, "relations", rels)
         object.__setattr__(self, "functions", fns)
+        object.__setattr__(self, "_index", {v: i for i, v in enumerate(uni)})
 
-    def const(self, v):
-        if v not in set(self.universe):
-            raise ValueError(f"constant {v!r} not in universe")
-        return v
+    def const_index(self, v) -> int:
+        try:
+            return self._index[v]
+        except (KeyError, TypeError):
+            raise ValueError(f"constant {v!r} not in universe") from None
 
-    def fn(self, name, args):
-        if name not in self.functions:
-            raise ValueError(f"unknown function {name!r}")
-        arity, table = self.functions[name]
-        if len(args) != arity:
-            raise ValueError(f"function {name!r} expects {arity} arguments")
-        return table[tuple(args)]
+    def tables(self):
+        """(functions, relations) as numpy arrays over universe indices.
 
-    def rel(self, name, args) -> bool:
-        if name not in self.relations:
-            raise ValueError(f"unknown relation {name!r}")
-        arity, rows = self.relations[name]
-        if len(args) != arity:
-            raise ValueError(f"relation {name!r} expects {arity} arguments")
-        return tuple(args) in rows
+        Built on first use and kept; the formula evaluator reads them.  A
+        relation becomes a dense bool array of |U|^arity cells.
+        """
+        if self._tables is None:
+            import numpy as np  # only the formula evaluator needs these
+
+            size = len(self.universe)
+            dtype = np.uint8 if size <= 256 else np.intp
+            index = self._index
+            fns = {}
+            for name, (arity, table) in self.functions.items():
+                flat = [
+                    index[table[args]]
+                    for args in itertools.product(self.universe, repeat=arity)
+                ]
+                fns[name] = (arity, np.array(flat, dtype).reshape((size,) * arity))
+            rels = {}
+            for name, (arity, rows) in self.relations.items():
+                cells = np.zeros((size,) * arity, dtype=bool)
+                for row in rows:
+                    cells[tuple(index[v] for v in row)] = True
+                rels[name] = (arity, cells)
+            object.__setattr__(self, "_tables", (fns, rels))
+        return self._tables
 
     def to_json_dict(self) -> dict:
         size = len(self.universe)
@@ -221,17 +237,28 @@ def _x_space(structure: FiniteStructure, x_arity: int):
     return list(itertools.product(structure.universe, repeat=x_arity))
 
 
+def _index_rows(structure, rows, width):
+    """Tuples of universe elements as a (len(rows), width) index array."""
+    import numpy as np
+
+    flat = [structure.const_index(v) for row in rows for v in row]
+    return np.array(flat, dtype=np.intp).reshape(len(rows), width)
+
+
 def _instance_masks(structure, phi, x_arity, params, xspace):
-    masks = {}
-    for a in params:
-        a = tuple(a)
-        m = 0
-        for idx, x in enumerate(xspace):
-            env = dict(enumerate(x + a))
-            if evaluate_formula(structure, phi, env):
-                m |= 1 << idx
-        masks[a] = m
-    return masks
+    """Bitmask of the x-tuples (xspace order) satisfying phi(x; a), per a."""
+    import numpy as np
+
+    params = [tuple(a) for a in params]
+    if not params:
+        return {}
+    size = len(structure.universe)
+    xgrid = np.indices((size,) * x_arity).reshape(x_arity, -1).T
+    table = evaluate_formula(
+        structure, phi, xgrid, _index_rows(structure, params, len(params[0]))
+    )
+    packed = np.packbits(table, axis=1, bitorder="little")
+    return {a: int.from_bytes(row.tobytes(), "little") for a, row in zip(params, packed)}
 
 
 def _decode(mask: int, xspace) -> frozenset:
@@ -293,6 +320,25 @@ def _types_from_masks(phi, x_arity, params, masks, k, xspace, cap):
     return types
 
 
+def _subset_masks(t: PositiveType, m: int) -> list:
+    """Witness masks of t's instance subsets of size min(m, t.size)."""
+    out = []
+    for sub in itertools.combinations(sorted(t.instances), min(m, t.size)):
+        acc = -1
+        for b in sub:
+            acc &= t.inst_masks[b]
+        out.append(acc)
+    return out
+
+
+def _some_disjoint(p_masks, q_masks) -> bool:
+    for mp in p_masks:
+        for mq in q_masks:
+            if not mp & mq:
+                return True
+    return False
+
+
 def m_inconsistent(p: PositiveType, q: PositiveType, m: int) -> bool:
     """Some subsets p0 of p and q0 of q, sizes <= m, share no witness.
 
@@ -304,22 +350,7 @@ def m_inconsistent(p: PositiveType, q: PositiveType, m: int) -> bool:
         raise ValueError("m must be >= 1")
     if p.formula != q.formula or p.x_arity != q.x_arity:
         raise ValueError("types must share the formula and x arity")
-    kp = min(m, p.size)
-    kq = min(m, q.size)
-    q_subs = []
-    for q0 in itertools.combinations(sorted(q.instances), kq):
-        mq = -1
-        for b in q0:
-            mq &= q.inst_masks[b]
-        q_subs.append(mq)
-    for p0 in itertools.combinations(sorted(p.instances), kp):
-        mp = -1
-        for b in p0:
-            mp &= p.inst_masks[b]
-        for mq in q_subs:
-            if not mp & mq:
-                return True
-    return False
+    return _some_disjoint(_subset_masks(p, m), _subset_masks(q, m))
 
 
 def _greedy_clique(adj):
@@ -414,6 +445,8 @@ def f_phi(
     pool = sorted({tuple(a) for a in parameter_pool})
     if l < 1 or l > len(pool):
         raise ValueError(f"l must lie in 1..{len(pool)}")
+    if m < 1:
+        raise ValueError("m must be >= 1")
     xspace = _x_space(structure, x_arity)
     masks = _instance_masks(structure, phi, x_arity, pool, xspace)
 
@@ -440,10 +473,12 @@ def f_phi(
         except TypeBlowupError:
             complete = False
             continue
+        # m_inconsistent on every pair, with each type's subset masks built once
+        subs = [_subset_masks(t, m) for t in types]
         adj = [set() for _ in types]
         for i in range(len(types)):
             for j in range(i + 1, len(types)):
-                if m_inconsistent(types[i], types[j], m):
+                if _some_disjoint(subs[i], subs[j]):
                     adj[i].add(j)
                     adj[j].add(i)
         clique = _max_clique(adj)
@@ -490,7 +525,13 @@ def _delta_indiscernible(structure, sequence, C, delta, budget):
     delta entries are (tree, r, s): the tree's variables cover r sequence
     elements then s parameter tuples from C, concatenated positionally.
     Returns (verdict, evaluations spent); verdict None when out of budget.
+    One evaluator call covers a (tree, C-tuple) block; spent counts what a
+    point-by-point scan of the block would have evaluated: up to and
+    including the first r-tuple that disagrees with the first one.
     """
+    import numpy as np
+
+    no_params = np.empty((1, 0), dtype=np.intp)
     spent = 0
     n = len(sequence)
     for tree, r, s in delta:
@@ -499,21 +540,20 @@ def _delta_indiscernible(structure, sequence, C, delta, budget):
         combos = list(itertools.combinations(range(n), r))
         cpars = list(itertools.product(C, repeat=s)) if s else [()]
         for cp in cpars:
-            ref = None
-            for pos, idx in enumerate(combos):
-                flat = []
-                for i in idx:
-                    flat.extend(sequence[i])
-                for ctup in cp:
-                    flat.extend(ctup)
-                spent += 1
-                if spent > budget:
-                    return None, spent
-                val = evaluate_formula(structure, tree, dict(enumerate(flat)))
-                if pos == 0:
-                    ref = val
-                elif val != ref:
-                    return False, spent
+            tail = tuple(v for ctup in cp for v in ctup)
+            rows = [
+                tuple(v for i in idx for v in sequence[i]) + tail for idx in combos
+            ]
+            vals = evaluate_formula(
+                structure, tree, _index_rows(structure, rows, len(rows[0])), no_params
+            )[0]
+            differ = np.flatnonzero(vals != vals[0])
+            needed = int(differ[0]) + 1 if differ.size else len(vals)
+            if spent + needed > budget:
+                return None, max(spent, budget) + 1
+            spent += needed
+            if differ.size:
+                return False, spent
     return True, spent
 
 

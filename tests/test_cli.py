@@ -154,6 +154,20 @@ class TestConstructRoundTrip:
         assert fam.n == len(body["sets"]) == 6
         assert all(len(m) == 2 for m in body["sets"])
 
+    def test_saved_envelope_feeds_family_readers(self, tmp_path, capsys):
+        # the README pipeline: construct --output, then --family on the file
+        out = str(tmp_path / "fam.json")
+        assert main(["construct", "shattered", "--m", "4", "--output", out]) == 0
+        assert json.loads(open(out).read())["tool"] == "fhplab"
+        assert parse_family(out).n == 12
+        code, rep = run_json(["lp", "--family", out], capsys)
+        assert code == 0
+        assert rep["report"]["transversal"]["status"] == "optimal"
+        code, rep = run_json(
+            ["analyze", "--family", out, "--k", "2", "--alpha", "1/2"], capsys
+        )
+        assert rep["report"]["fhp"]["n"] == 12
+
     def test_block_verify_checks_cons(self, capsys):
         code, rep = run_json(
             ["construct", "block", "--k", "2", "--r", "3", "--m", "4",
@@ -332,6 +346,43 @@ class TestMiscCommands:
         err = capsys.readouterr().err
         assert "zero members" in err
         assert code == 0
+
+
+MALFORMED_PHI = [
+    ["=", ["var", [1]], ["var", 0]],
+    ["exists", [2], ["true"]],
+    ["=", ["var", 0], ["const", None]],
+    ["or", ["true"], ["var", 7]],
+]
+
+
+@pytest.mark.parametrize("phi", MALFORMED_PHI, ids=json.dumps)
+@pytest.mark.parametrize("command", ["ff custom", "count-types"])
+def test_malformed_formula_is_input_error(command, phi, tmp_path, capsys):
+    phi_path = tmp_path / "phi.json"
+    phi_path.write_text(json.dumps(phi))
+    if command == "ff custom":
+        psi_path = tmp_path / "psi.json"
+        psi_path.write_text(json.dumps(["true"]))
+        argv = ["ff", "custom", "--p", "5", "--phi", str(phi_path),
+                "--x-arity", "1", "--psi", str(psi_path), "--y-arity", "1",
+                "--k", "2", "--alpha", "1/2"]
+    else:
+        structure = tmp_path / "structure.json"
+        structure.write_text(json.dumps(
+            {"universe_size": 3, "relations": {"R": {"arity": 1, "bits": "101"}}}
+        ))
+        pool = tmp_path / "pool.json"
+        pool.write_text(json.dumps([[0], [1], [2]]))
+        argv = ["count-types", "--structure", str(structure), "--phi",
+                str(phi_path), "--pool", str(pool), "--m", "1", "--k", "2",
+                "--l", "2"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_console_script_entry():

@@ -58,13 +58,21 @@ def inputs(tmp_path_factory):
     return paths
 
 
-def loaded_modules(argv):
+# imports one module, then prints the top-level names in sys.modules
+IMPORT_DRIVER = """
+import importlib, json, sys
+importlib.import_module(sys.argv[1])
+print(json.dumps(sorted({name.split(".")[0] for name in sys.modules})))
+"""
+
+
+def loaded_modules(argv, driver=DRIVER):
     env = {**os.environ}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-c", DRIVER, *argv],
+        [sys.executable, "-c", driver, *argv],
         capture_output=True,
         text=True,
         env=env,
@@ -86,4 +94,12 @@ def test_readme_command_imports(command, inputs):
 def test_bare_cli_import_is_light():
     modules = loaded_modules(["--version"])
     assert "sympy" not in modules
+    assert "numpy" not in modules
+
+
+@pytest.mark.parametrize("module", ["fhplab.formulas", "fhplab.typecount"])
+def test_formula_modules_import_without_numpy(module):
+    # numpy loads only when a formula is evaluated
+    modules = loaded_modules([module], driver=IMPORT_DRIVER)
+    assert "fhplab" in modules
     assert "numpy" not in modules

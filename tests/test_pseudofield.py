@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,8 @@ from fhplab.pseudofield import (
     line_family,
 )
 from fhplab.setfam import cons_k, max_intersecting
+
+from formula_walker import evaluate_formula as walk_formula
 
 
 LINE_PHI = ["=", ["var", 1],
@@ -111,6 +115,81 @@ class TestDefinableFamily:
         line = lab["b=(3, 2)"]
         want = {x * 7 + (3 * x + 2) % 7 for x in range(7)}
         assert line == want
+
+
+V = [["var", i] for i in range(5)]
+
+
+def walker_family(field, phi, x_arity, psi, y_arity, e=()):
+    """definable_family rebuilt point by point with the reference walker."""
+    p = field.p
+    params = [
+        b for b in itertools.product(range(p), repeat=y_arity)
+        if walk_formula(field, psi, dict(enumerate(b + tuple(v % p for v in e))))
+    ]
+    points = list(itertools.product(range(p), repeat=x_arity))
+    members = [
+        frozenset(i for i, x in enumerate(points)
+                  if walk_formula(field, phi, dict(enumerate(x + b))))
+        for b in params
+    ]
+    return members, [f"b={b}" for b in params]
+
+
+def field_families():
+    """Every family the field-families benchmark can draw, plus check 10's."""
+    F = FieldStructure.for_prime
+    out = [line_family(F(q)) for q in (7, 11, 13, 17, 19, 23, 31)]
+    for c in range(1, 13):
+        quad = ["=", ["+", ["*", V[0], V[0]], ["*", ["const", c], ["*", V[1], V[1]]]],
+                ["+", ["*", V[2], V[0]], V[3]]]
+        out.append(definable_family(F(13), quad, 2, ["true"], 2))
+    for c in range(1, 31):
+        quad = ["=", ["+", ["*", V[0], V[0]], ["*", ["const", c], ["*", V[1], V[1]]]], V[2]]
+        out.append(definable_family(F(31), quad, 2, ["true"], 1))
+    for s in range(31):
+        ex = ["exists", 2, ["=", ["*", V[2], V[2]], ["+", V[0], ["+", V[1], ["const", s]]]]]
+        out.append(definable_family(F(31), ex, 1, ["true"], 1))
+    for c in range(1, 13):
+        ex = ["exists", 3, ["=", ["*", V[3], V[3]],
+                            ["+", V[0], ["*", ["const", c], ["*", V[2], V[1]]]]]]
+        out.append(definable_family(F(13), ex, 2, ["true"], 1))
+    return out
+
+
+# SHA-256 of the families above as built by the point-by-point walker
+FIELD_FAMILIES_SHA256 = "c7d0f2ecc0bdce30aeb8d335df69fcab3cab01b22799450da12911cd80cbd316"
+
+
+class TestAgainstWalker:
+    def test_pinned_member_digest(self):
+        h = hashlib.sha256()
+        families = field_families()
+        for fam in families:
+            doc = [fam.ground_size, list(fam.labels), [sorted(m) for m in fam.members]]
+            h.update(json.dumps(doc).encode())
+        assert len(families) == 92
+        assert h.hexdigest() == FIELD_FAMILIES_SHA256
+
+    @pytest.mark.parametrize("p, phi, xa, psi, ya, e", [
+        (5, LINE_PHI, 2, ["true"], 2, ()),
+        (7, ["exists", 2, ["=", ["*", V[2], V[2]], ["+", V[0], V[1]]]], 1,
+         ["not", ["=", V[0], ["const", 0]]], 1, ()),
+        (5, ["forall", 3, ["or", ["=", V[3], V[0]],
+                           ["not", ["=", ["*", V[3], V[1]], V[2]]]]], 2,
+         ["exists", 2, ["=", ["*", V[2], V[2]], ["-", V[0], V[1]]]], 1, (3,)),
+        (3, ["and", ["=", V[0], V[3]], ["exists", 0, ["=", V[0], ["neg", V[4]]]]], 3,
+         ["or", ["=", V[0], V[2]], ["forall", 1, ["=", V[1], V[1]]]], 2, (-1,)),
+        (2, ["false"], 1, ["true"], 3, ()),
+        (5, ["true"], 1, ["false"], 1, ()),
+    ])
+    def test_members_and_labels_match(self, p, phi, xa, psi, ya, e):
+        field = FieldStructure.for_prime(p)
+        fam = definable_family(field, phi, xa, psi, ya, e)
+        members, labels = walker_family(field, phi, xa, psi, ya, e)
+        assert list(fam.members) == members
+        assert list(fam.labels) == labels
+        assert fam.ground_size == p**xa
 
 
 class TestLineFamily:

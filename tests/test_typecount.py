@@ -5,7 +5,6 @@ import random
 import pytest
 
 from fhplab.constructs import build_tp2_grid
-from fhplab.formulas import evaluate_formula
 from fhplab.setfam import SetFamily
 from fhplab.typecount import (
     FiniteStructure,
@@ -18,8 +17,10 @@ from fhplab.typecount import (
     power_saving_probe,
     structure_from_family,
 )
+from fhplab.typecount import _delta_indiscernible
 
 from conftest import oracle_find_kdd, oracle_max_inconsistent
+from formula_walker import evaluate_formula as walk_formula
 
 
 EQ_PHI = ["=", ["var", 0], ["var", 1]]
@@ -45,8 +46,17 @@ class TestFiniteStructure:
         s = FiniteStructure(
             (0, 1), {"R": (2, frozenset({(0, 1)}))}, {}
         )
-        assert s.rel("R", (0, 1))
-        assert not s.rel("R", (1, 0))
+        _, relations = s.tables()
+        arity, table = relations["R"]
+        assert arity == 2
+        assert table[0, 1]
+        assert not table[1, 0]
+        # tables are over universe indices, whatever the elements are
+        s = FiniteStructure((7, 3), {"R": (2, frozenset({(7, 3)}))}, {})
+        assert s.tables()[1]["R"][1].tolist() == [[False, True], [False, False]]
+        assert s.const_index(3) == 1
+        with pytest.raises(ValueError, match="not in universe"):
+            s.const_index(0)
 
     def test_function_totality_checked(self):
         with pytest.raises(ValueError):
@@ -58,7 +68,11 @@ class TestFiniteStructure:
         s = FiniteStructure(
             (0, 1), {}, {"f": (1, {(0,): 1, (1,): 0})}
         )
-        assert s.fn("f", (0,)) == 1
+        functions, _ = s.tables()
+        assert functions["f"][0] == 1
+        assert functions["f"][1].tolist() == [1, 0]
+        s = FiniteStructure((5, 9), {}, {"f": (1, {(5,): 9, (9,): 9})})
+        assert s.tables()[0]["f"][1].tolist() == [1, 1]
 
     def test_json_round_trip(self, grid):
         s, _, _ = grid
@@ -98,7 +112,7 @@ class TestEnumerateTypes:
             for w in t.witnesses:
                 for b in t.instances:
                     env = dict(enumerate(tuple(w) + tuple(b)))
-                    assert evaluate_formula(s, phi, env)
+                    assert walk_formula(s, phi, env)
 
     def test_blowup_cap(self):
         s = equality_structure(12)
@@ -290,6 +304,59 @@ class TestDividing:
             s, phi, 1, t, B=pool, C=[], delta=TAUT_DELTA, n=3, k=2
         )
         assert rep.status == "none"
+
+
+def scalar_delta_indiscernible(structure, sequence, C, delta, budget):
+    """The point-by-point scan _delta_indiscernible must agree with."""
+    spent = 0
+    n = len(sequence)
+    for tree, r, s in delta:
+        if r > n:
+            continue
+        combos = list(itertools.combinations(range(n), r))
+        cpars = list(itertools.product(C, repeat=s)) if s else [()]
+        for cp in cpars:
+            ref = None
+            for pos, idx in enumerate(combos):
+                flat = [v for i in idx for v in sequence[i]]
+                flat += [v for ctup in cp for v in ctup]
+                spent += 1
+                if spent > budget:
+                    return None, spent
+                val = walk_formula(structure, tree, dict(enumerate(flat)))
+                if pos == 0:
+                    ref = val
+                elif val != ref:
+                    return False, spent
+    return True, spent
+
+
+class TestDeltaIndiscernible:
+    def test_matches_scalar_scan_and_budget(self):
+        rng = random.Random(11)
+        size = 5
+        rels = {"R": (2, {(a, b) for a in range(size) for b in range(size)
+                          if rng.random() < 0.5}),
+                "P": (1, {(a,) for a in range(size) if a % 2})}
+        s = FiniteStructure(tuple(range(size)), rels, {})
+        trees = [
+            (["rel", "R", ["var", 0], ["var", 1]], 2, 0),
+            (["rel", "P", ["var", 0]], 1, 0),
+            (["rel", "R", ["var", 0], ["var", 1]], 1, 1),
+            (["exists", 3, ["and", ["rel", "R", ["var", 0], ["var", 3]],
+                            ["rel", "R", ["var", 3], ["var", 2]]]], 2, 1),
+            (["=", ["var", 0], ["var", 0]], 3, 0),
+        ]
+        C = [(0,), (3,)]
+        checked = 0
+        for _ in range(300):
+            seq = tuple((a,) for a in rng.sample(range(size), rng.randint(2, 4)))
+            delta = rng.sample(trees, rng.randint(1, len(trees)))
+            budget = rng.randint(-2, 40)
+            want = scalar_delta_indiscernible(s, seq, C, delta, budget)
+            assert _delta_indiscernible(s, seq, C, delta, budget) == want
+            checked += want[0] is None
+        assert checked > 10  # the budget cut-off was exercised
 
 
 class TestFindKddd:
