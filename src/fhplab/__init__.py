@@ -6,7 +6,6 @@ deterministic counterexample generators, square-free integer arithmetic,
 finite-field counting experiments, and finitary type counting.
 """
 
-from ._backend import BACKEND
 from .setfam import (
     ConsReport,
     FhpReport,
@@ -25,7 +24,6 @@ from .setfam import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "ConsReport",
     "FhpReport",
     "RationalWeights",

@@ -1,31 +1,77 @@
-"""Kernel backend selection, done once at import.
+"""Bitmask counting kernels: intersecting k-subsets and element depths.
 
-The compiled extension is preferred when present.  Set FHPLAB_BACKEND=python
-to force the pure fallback (useful for benchmarks and equivalence tests), or
-FHPLAB_BACKEND=cython to fail loudly when the extension is missing.
+Member sets are bitmasks (arbitrary-size ints) over a ground set of
+`ground_size` elements.  `count_intersecting_k` walks the members in index
+order and keeps the running AND of the members chosen so far.  A branch
+dies as soon as that AND is empty, since no superset can revive it.  It
+stops as soon as the AND is a single point e: the chosen members can only
+be completed by members that contain e, so the rest of the branch is the
+binomial C(#later members containing e, still needed), read off e's column
+(the members that contain e, as a bitmask over member indices).  Two
+distinct lines of a plane meet in at most one point, so on line families
+every branch ends in closed form after its second member.  The columns are
+built on the first one-point hit, so families whose branches never narrow
+to one point pay nothing for them.
 """
 
-import os
+from math import comb
 
-_requested = os.environ.get("FHPLAB_BACKEND", "").strip().lower()
 
-if _requested == "python":
-    from . import _kernels_py as _impl
+def _columns(masks, ground_size):
+    """Per ground element, the bitmask of member indices that contain it."""
+    cols = [0] * ground_size
+    for i, m in enumerate(masks):
+        bit = 1 << i
+        while m:
+            low = m & -m
+            cols[low.bit_length() - 1] |= bit
+            m ^= low
+    return cols
 
-    BACKEND = "python"
-else:
-    try:
-        from . import _kernels as _impl
 
-        BACKEND = "cython"
-    except ImportError:
-        if _requested == "cython":
-            raise
-        from . import _kernels_py as _impl
+def count_intersecting_k(masks, ground_size, k):
+    """Number of k-element index subsets (k >= 1) whose masks share a bit."""
+    n = len(masks)
+    cols = []
 
-        BACKEND = "python"
+    def count(start, need, acc):
+        # need-subsets of masks[start:] that meet acc in a common bit
+        total = 0
+        if need == 1:
+            for m in masks[start:]:
+                if acc & m:
+                    total += 1
+            return total
+        for i in range(start, n - need + 1):
+            a = acc & masks[i]
+            if not a:
+                continue
+            if a & (a - 1):
+                total += count(i + 1, need - 1, a)
+                continue
+            if not cols:
+                cols.extend(_columns(masks, ground_size))
+            later = (cols[a.bit_length() - 1] >> (i + 1)).bit_count()
+            total += comb(later, need - 1)
+        return total
 
-count_intersecting_pairs = _impl.count_intersecting_pairs
-count_intersecting_triples = _impl.count_intersecting_triples
-count_intersecting_k = _impl.count_intersecting_k
-depth_counts = _impl.depth_counts
+    return count(0, k, (1 << ground_size) - 1)
+
+
+def count_intersecting_pairs(masks, ground_size):
+    return count_intersecting_k(masks, ground_size, 2)
+
+
+def count_intersecting_triples(masks, ground_size):
+    return count_intersecting_k(masks, ground_size, 3)
+
+
+def depth_counts(masks, ground_size):
+    """Per ground element, the number of masks whose bit is set."""
+    counts = [0] * ground_size
+    for m in masks:
+        while m:
+            low = m & -m
+            counts[low.bit_length() - 1] += 1
+            m ^= low
+    return counts

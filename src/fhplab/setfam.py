@@ -5,16 +5,25 @@ ground set {0, ..., ground_size-1}.  Repeats are allowed; every counting
 notion is indexed by member position, so two identical sets at different
 indices are distinct members.  All fractions are exact rationals; verdicts
 never touch floating point.
+
+The counting searches (`cons_k` through `_backend.count_intersecting_k`,
+the rainbow search in `colorful_check`, the multiset search in
+`measure_fhp_check`) keep the running intersection of the members chosen so
+far.  A branch dies when it is empty.  It stops when it is a single point
+e, because every completion then consists of members that contain e, and
+those are counted in closed form from e's depth: a binomial for `cons_k`,
+a product of the remaining parts' depths for the rainbow count, a power of
+the remaining weight for the measure.  Lines over F_q meet pairwise in at
+most one point, so on them every branch stops after two members.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import NamedTuple, Optional, Sequence
 
 from . import _backend as backend
@@ -430,24 +439,33 @@ def colorful_check(families: Sequence[SetFamily], alpha) -> ColorfulReport:
     for f in fams:
         total *= f.n
 
+    depths = [backend.depth_counts(f.masks, ground) for f in fams]
+    # tails[level][e]: rainbow completions through e after part `level`
+    tails = [[1] * ground]
+    for dep in reversed(depths[1:]):
+        tails.append([t * c for t, c in zip(tails[-1], dep)])
+    tails.reverse()
     mask_rows = [f.masks for f in fams]
-    count = 0
 
-    def rec(level: int, acc: int):
-        nonlocal count
-        if level == d:
-            count += 1
-            return
+    def rec(level: int, acc: int) -> int:
+        hits = 0
+        if level == d - 1:
+            for m in mask_rows[level]:
+                if acc & m:
+                    hits += 1
+            return hits
         for m in mask_rows[level]:
             a = acc & m
-            if a:
-                rec(level + 1, a)
+            if not a:
+                continue
+            if a & (a - 1):
+                hits += rec(level + 1, a)
+            else:
+                hits += tails[level][a.bit_length() - 1]
+        return hits
 
-    rec(0, (1 << ground) - 1)
-
-    betas = tuple(
-        Fraction(max_intersecting(f).size, f.n) for f in fams
-    )
+    count = rec(0, (1 << ground) - 1)
+    betas = tuple(Fraction(max(dep), f.n) for dep, f in zip(depths, fams))
     fraction = Fraction(count, total)
     return ColorfulReport(
         d=d,
@@ -470,6 +488,16 @@ def measure_fhp_check(
     Ordered tuples include the diagonal; a tuple is consistent iff the
     member sets at its support have a common element.  Also reports the
     maximum weighted depth max_a mu({i : a in S_i}).
+
+    The weights are scaled once to integers W_i over their common
+    denominator D, and both sums are divided by D^d and D at the end.  The
+    search takes the support in index order, each index with a
+    multiplicity, so it meets each multiset of indices at most once; an
+    ordered tuple is counted through its multinomial coefficient.  A branch
+    dies when its running intersection is empty, and it stops when the
+    intersection is a single point e: the r positions still open go to
+    later indices that contain e, which weigh (sum of their W_i)^r in total
+    by the multinomial theorem.
     """
     alpha = Fraction(alpha)
     if d < 1:
@@ -479,35 +507,46 @@ def measure_fhp_check(
         if idx >= family.n:
             raise ValueError(f"weight index {idx} beyond family size {family.n}")
     support = sorted(w)
-    masks = family.masks
-    total = Fraction(0)
-    for combo in itertools.combinations_with_replacement(support, d):
-        inter = -1
-        for i in set(combo):
-            inter &= masks[i]
-            if not inter:
-                break
-        if not inter:
-            continue
-        mult = Counter(combo)
-        arrangements = factorial(d)
-        wprod = Fraction(1)
-        for i, c in mult.items():
-            arrangements //= factorial(c)
-            wprod *= w[i] ** c
-        total += arrangements * wprod
+    scale = lcm(*(x.denominator for x in w.values()))
+    ws = [w[i].numerator * (scale // w[i].denominator) for i in support]
+    masks = [family.masks[i] for i in support]
+    fact = [factorial(c) for c in range(d + 1)]
 
-    depth: dict = {}
-    for i in support:
+    def later_weight(e: int, j: int) -> int:
+        return sum(wp for wp, m in zip(ws[j + 1:], masks[j + 1:]) if m >> e & 1)
+
+    def rec(start: int, left: int, acc: int, den: int, prod: int) -> int:
+        # den and prod: product of c! and of W_i^c over the chosen indices
+        total = 0
+        for j in range(start, len(masks)):
+            a = acc & masks[j]
+            if not a:
+                continue
+            power = 1
+            for c in range(1, left + 1):
+                power *= ws[j]
+                r = left - c
+                if r == 0:
+                    total += fact[d] // (den * fact[c]) * prod * power
+                elif a & (a - 1):
+                    total += rec(j + 1, r, a, den * fact[c], prod * power)
+                else:
+                    e_weight = later_weight(a.bit_length() - 1, j)
+                    coef = fact[d] // (den * fact[c] * fact[r])
+                    total += coef * prod * power * e_weight**r
+        return total
+
+    tuple_measure = Fraction(rec(0, d, -1, 1, 1), scale**d)
+    depth = [0] * family.ground_size
+    for i, wi in zip(support, ws):
         for e in family.members[i]:
-            depth[e] = depth.get(e, Fraction(0)) + w[i]
-    weighted_depth = max(depth.values(), default=Fraction(0))
+            depth[e] += wi
     return MeasureReport(
         d=d,
         alpha=alpha,
-        tuple_measure=total,
-        weighted_depth=weighted_depth,
-        holds=total >= alpha,
+        tuple_measure=tuple_measure,
+        weighted_depth=Fraction(max(depth), scale),
+        holds=tuple_measure >= alpha,
     )
 
 

@@ -6,6 +6,11 @@ cuts the ground set into.  Families whose pi* grows strictly slower than n^d
 are exactly the ones covered by the fractional Helly machinery for
 dimension d, which is why the report carries a log-log growth-rate estimate
 next to the exact combinatorial quantities.
+
+The VC search extends each shattered set s by every larger element at once:
+one pass over the members groups them by their trace on s, and s + (e,) is
+shattered iff every trace class has members with and without e.  The dual
+shatter count refines the ground into cells, one split per member.
 """
 
 from __future__ import annotations
@@ -84,6 +89,58 @@ def is_shattered(family: SetFamily, subset) -> bool:
     return False
 
 
+def _extensions(masks, s: tuple) -> int:
+    """Bitmask of the elements e with s + (e,) shattered, s itself shattered.
+
+    One pass groups the members by their trace on s.  s + (e,) is shattered
+    iff every trace class has a member with e and a member without it, that
+    is iff bit e lies in OR_c & ~AND_c for every class c.
+    """
+    smask = 0
+    for e in s:
+        smask |= 1 << e
+    classes: dict = {}
+    for m in masks:
+        t = m & smask
+        c = classes.get(t)
+        if c is None:
+            classes[t] = [m, m]
+        else:
+            c[0] |= m
+            c[1] &= m
+    if not classes:
+        return 0
+    good = -1
+    for union, common in classes.values():
+        good &= union & ~common
+    return good
+
+
+def _shattered_levels(family: SetFamily, cap: int):
+    """Yield the shattered sets of size 1, 2, ..., cap, one level at a time.
+
+    Each level is a list of sorted tuples in lexicographic order; the walk
+    ends early at the first empty level.  A set is only extended by elements
+    above its largest one, so each shattered set is found once, from its
+    largest-but-one prefix.
+    """
+    masks = family.masks
+    level = [()]
+    for _ in range(cap):
+        nxt = []
+        for s in level:
+            start = s[-1] + 1 if s else 0
+            good = _extensions(masks, s) >> start << start
+            while good:
+                low = good & -good
+                nxt.append(s + (low.bit_length() - 1,))
+                good ^= low
+        if not nxt:
+            return
+        level = nxt
+        yield level
+
+
 def vc_dimension(
     family: SetFamily,
     cap: int,
@@ -98,20 +155,9 @@ def vc_dimension(
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    level = [()]
     best = ()
     d = 0
-    while d < cap:
-        nxt = []
-        for s in level:
-            start = s[-1] + 1 if s else 0
-            for e in range(start, family.ground_size):
-                cand = s + (e,)
-                if is_shattered(family, cand):
-                    nxt.append(cand)
-        if not nxt:
-            break
-        level = nxt
+    for level in _shattered_levels(family, cap):
         best = level[0]
         d += 1
     exact = d if (d < cap or cap >= family.ground_size) else None
@@ -134,14 +180,15 @@ def vc_dimension(
 
 
 def _atom_count(masks, ground_size: int) -> int:
-    patterns = set()
-    for e in range(ground_size):
-        pat = 0
-        for i, m in enumerate(masks):
-            if m >> e & 1:
-                pat |= 1 << i
-        patterns.add(pat)
-    return len(patterns)
+    """Number of distinct membership patterns over the ground elements.
+
+    Refines the ground into cells, splitting every cell by every member;
+    each nonempty cell is one realized pattern.
+    """
+    cells = [(1 << ground_size) - 1]
+    for m in masks:
+        cells = [p for c in cells for p in (c & m, c & ~m) if p]
+    return len(cells)
 
 
 def dual_shatter(

@@ -8,6 +8,7 @@ exhaustion, so agreement is meaningful.
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,27 @@ def oracle_cons_count(family, k):
         if inter:
             hits += 1
     return hits
+
+
+def oracle_tuple_measure(family, weights, d):
+    """Mass of consistent ordered d-tuples, one term per index multiset.
+
+    Each multiset weighs its number of orderings times the product of its
+    weights, in Fractions.
+    """
+    w = weights.weights
+    total = Fraction(0)
+    for combo in itertools.combinations_with_replacement(sorted(w), d):
+        common = set.intersection(*(set(family.members[i]) for i in combo))
+        if not common:
+            continue
+        arrangements = math.factorial(d)
+        wprod = Fraction(1)
+        for i, c in Counter(combo).items():
+            arrangements //= math.factorial(c)
+            wprod *= w[i] ** c
+        total += arrangements * wprod
+    return total
 
 
 def oracle_pk(family, p, k):
