@@ -1,25 +1,48 @@
-"""Rational-safe JSON helpers shared by the report types and the CLI."""
+"""The one JSON encoder for fhplab's reports.
 
+`to_json(value)` turns a report value into plain JSON data:
+
+- a `Fraction` becomes `{"num": numerator, "den": denominator}`, so a
+  rational is never rounded;
+- a set or frozenset becomes a sorted list;
+- a tuple or list becomes a list;
+- a dict gets string keys and keeps its own order;
+- a dataclass becomes `"schema"` followed by its fields in declaration
+  order.  A type whose JSON differs from its fields defines
+  `to_json_dict()`, which returns the shape with raw values; `to_json`
+  then encodes those values in turn;
+- anything else (int, str, bool, None) is kept as it is.
+
+Report types build their values in a deterministic order, so one report
+always encodes to the same bytes.
+"""
+
+import dataclasses
 from fractions import Fraction
 
 SCHEMA_VERSION = 1
 
 
-def rat_to_json(q):
-    q = Fraction(q)
+def rat_to_json(q: Fraction) -> dict:
     return {"num": q.numerator, "den": q.denominator}
 
 
-def rat_from_json(obj):
-    if isinstance(obj, dict):
-        return Fraction(obj["num"], obj["den"])
-    if isinstance(obj, int):
-        return Fraction(obj)
-    if isinstance(obj, str):
-        return Fraction(obj)
-    raise ValueError(f"cannot read rational from {obj!r}")
-
-
-def parse_rational(text):
-    """Parse '2/3', '2', or '0.5' into an exact Fraction."""
-    return Fraction(text)
+def to_json(value):
+    """Plain JSON data for a report value; see the module docstring."""
+    if isinstance(value, Fraction):
+        return rat_to_json(value)
+    if isinstance(value, (set, frozenset)):
+        return [to_json(v) for v in sorted(value)]
+    if isinstance(value, (tuple, list)):
+        return [to_json(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): to_json(v) for k, v in value.items()}
+    shape = getattr(value, "to_json_dict", None)
+    if shape is not None:
+        return to_json(shape())
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        out = {"schema": SCHEMA_VERSION}
+        for f in dataclasses.fields(value):
+            out[f.name] = to_json(getattr(value, f.name))
+        return out
+    return value

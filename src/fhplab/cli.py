@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from ._jsonutil import SCHEMA_VERSION, parse_rational, rat_to_json
+from ._jsonutil import SCHEMA_VERSION, to_json
 # pseudofield and sqfint load numpy, so only the ff and sqf handlers import
 # them: every other command starts without numpy.
 from . import constructs, fraclp, setfam, typecount, vc
@@ -50,16 +50,46 @@ def parse_family(path: str) -> setfam.SetFamily:
     A saved fhplab report (e.g. `construct ... --output fam.json`) is
     read through its envelope: the family is the `report` body.
     """
-    obj = _load_json(path)
-    if isinstance(obj, dict) and obj.get("tool") == "fhplab" and "report" in obj:
-        obj = obj["report"]
-    try:
-        family = setfam.SetFamily.from_json_dict(obj)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}")
+    family = _read_document(path, _family_from_document)
     if family.n == 0:
         print(f"warning: {path}: family has zero members", file=sys.stderr)
     return family
+
+
+def _family_from_document(obj) -> setfam.SetFamily:
+    if isinstance(obj, dict) and obj.get("tool") == "fhplab" and "report" in obj:
+        obj = obj["report"]
+    return setfam.SetFamily.from_json_dict(obj)
+
+
+def _pool_from_document(obj) -> list:
+    if not isinstance(obj, list) or not all(
+        isinstance(a, list) and all(isinstance(v, int) for v in a) for a in obj
+    ):
+        raise ValueError("parameter pool must be a list of integer lists")
+    if not obj:
+        raise ValueError("parameter pool is empty")
+    if len({len(a) for a in obj}) > 1:
+        raise ValueError("parameter pool tuples must have one length")
+    return [tuple(a) for a in obj]
+
+
+def _read_document(path: str, reader):
+    """Build an object from the JSON document at path with reader.
+
+    A document of the wrong shape (a missing key, a value of the wrong
+    type) raises ValueError naming the path, which run() reports as an
+    input error.
+    """
+    obj = _load_json(path)
+    try:
+        return reader(obj)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
+    except (LookupError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: malformed document ({exc})") from None
+    except (ValueError, ArithmeticError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _load_json(path: str):
@@ -102,9 +132,8 @@ def _caps_from_env() -> dict:
 def _handle_analyze(cfg: ExperimentConfig):
     opt = cfg.options
     family = parse_family(opt.family)
-    alpha = parse_rational(opt.alpha)
-    report = setfam.check_fhp_instance(family, opt.k, alpha)
-    out = {"fhp": report.to_json_dict()}
+    report = setfam.check_fhp_instance(family, opt.k, Fraction(opt.alpha))
+    out = {"fhp": report}
     ok = report.hypothesis_holds
     if opt.pk is not None:
         pk = setfam.check_pk_property(family, opt.pk, opt.k)
@@ -112,11 +141,9 @@ def _handle_analyze(cfg: ExperimentConfig):
             "p": opt.pk,
             "k": opt.k,
             "holds": pk.holds,
-            "counterexample": list(pk.counterexample) if pk.counterexample else None,
+            "counterexample": pk.counterexample,
         }
-        out["wfhp_bound"] = rat_to_json(
-            setfam.wfhp_counting_bound(family.n, opt.pk, opt.k)
-        )
+        out["wfhp_bound"] = setfam.wfhp_counting_bound(family.n, opt.pk, opt.k)
         ok = ok and pk.holds
     return out, (0 if ok else 1)
 
@@ -126,11 +153,7 @@ def _handle_lp(cfg: ExperimentConfig):
     family = parse_family(opt.family)
     value, dist = fraclp.intersection_number(family)
     tr = fraclp.fractional_transversal(family, integer_cap=opt.integer_cap)
-    out = {
-        "intersection_number": rat_to_json(value),
-        "distribution": {str(e): rat_to_json(w) for e, w in sorted(dist.items())},
-        "transversal": tr.to_json_dict(),
-    }
+    out = {"intersection_number": value, "distribution": dist, "transversal": tr}
     return out, (0 if tr.status == "optimal" else 1)
 
 
@@ -139,7 +162,7 @@ def _handle_vc(cfg: ExperimentConfig):
     family = parse_family(opt.family)
     sizes = _int_list(opt.dual_sizes) if opt.dual_sizes else None
     report = vc.vc_dimension(family, opt.cap, dual_sizes=sizes, seed=cfg.seed)
-    return {"vc": report.to_json_dict()}, 0
+    return {"vc": report}, 0
 
 
 def _build_construction(cfg: ExperimentConfig):
@@ -149,8 +172,8 @@ def _build_construction(cfg: ExperimentConfig):
     if name == "block":
         params = constructs.BlockParams(
             k=opt.k,
-            alpha=parse_rational(opt.alpha),
-            gamma=parse_rational(opt.gamma),
+            alpha=Fraction(opt.alpha),
+            gamma=Fraction(opt.gamma),
             p_prime=opt.pprime,
             k_prime=opt.kprime,
             r=opt.r,
@@ -161,8 +184,8 @@ def _build_construction(cfg: ExperimentConfig):
             "k": opt.k,
             "r": opt.r,
             "m": opt.m,
-            "alpha": rat_to_json(params.alpha),
-            "gamma": rat_to_json(params.gamma),
+            "alpha": params.alpha,
+            "gamma": params.gamma,
             "p_prime": opt.pprime,
             "k_prime": opt.kprime,
         }
@@ -234,8 +257,8 @@ def _handle_construct(cfg: ExperimentConfig):
         }
         if res is not None:
             out["result"] = {
-                "parts": [sorted(p) for p in res.parts],
-                "indices": list(res.indices),
+                "parts": res.parts,
+                "indices": res.indices,
                 "trial": res.trial,
                 "target": res.target,
             }
@@ -257,7 +280,7 @@ def _load_system(opt):
     if getattr(opt, "shifts", None):
         return sqfint.shift_system(_int_list(opt.shifts), m=opt.modulus)
     if getattr(opt, "system", None):
-        return sqfint.GSystem.from_json_dict(_load_json(opt.system))
+        return _read_document(opt.system, sqfint.GSystem.from_json_dict)
     raise ValueError("provide --shifts or --system")
 
 
@@ -271,7 +294,7 @@ def _handle_sqf(cfg: ExperimentConfig):
         count = sqfint.count_solutions_window(sys_, opt.window)
         out = {
             "action": "count",
-            "system": sys_.to_json_dict(),
+            "system": sys_,
             "window": opt.window,
             "count": count,
         }
@@ -280,8 +303,8 @@ def _handle_sqf(cfg: ExperimentConfig):
                 sys_.formula, opt.tail_prime, constants=sys_.c
             )
             bound = cert.epsilon_lower * opt.window - cert.error_term(opt.window)
-            out["certificate"] = cert.to_json_dict()
-            out["lower_bound"] = rat_to_json(bound)
+            out["certificate"] = cert
+            out["lower_bound"] = bound
             out["bound_holds"] = Fraction(count) >= bound
         return out, 0
     if action == "psat":
@@ -289,19 +312,19 @@ def _handle_sqf(cfg: ExperimentConfig):
         sat, witness = sqfint.p_satisfiable(sys_, opt.p)
         out = {
             "action": "psat",
-            "system": sys_.to_json_dict(),
+            "system": sys_,
             "p": opt.p,
             "satisfiable": sat,
-            "witness": list(witness) if witness else None,
+            "witness": witness,
         }
         return out, (0 if sat else 1)
     if action == "density":
-        formula = sqfint.SpecialFormula.from_json_dict(_load_json(opt.formula))
+        formula = _read_document(opt.formula, sqfint.SpecialFormula.from_json_dict)
         constants = _int_list(opt.constants) if opt.constants else None
         cert = sqfint.density_certificate(
             formula, opt.tail_prime, constants=constants
         )
-        return {"action": "density", "certificate": cert.to_json_dict()}, 0
+        return {"action": "density", "certificate": cert}, 0
     if action == "dickson":
         forms = []
         for chunk in opt.forms.split(";"):
@@ -312,23 +335,23 @@ def _handle_sqf(cfg: ExperimentConfig):
         )
         out = {
             "action": "dickson",
-            "forms": [list(f) for f in forms],
+            "forms": forms,
             "admissible": admissible,
             "obstruction": obstruction,
         }
         return out, (0 if admissible else 1)
     if action == "experiment":
-        formula = sqfint.SpecialFormula.from_json_dict(_load_json(opt.formula))
+        formula = _read_document(opt.formula, sqfint.SpecialFormula.from_json_dict)
         params = []
         for chunk in opt.params.split(";"):
             cs = _int_list(chunk)
             s = formula.positive_slots
             params.append((tuple(cs[:s]), tuple(cs[s:])))
         rep = sqfint.sqf_fhp_experiment(
-            formula, params, opt.k, parse_rational(opt.alpha), opt.window
+            formula, params, opt.k, Fraction(opt.alpha), opt.window
         )
         return (
-            {"action": "experiment", "report": rep.to_json_dict()},
+            {"action": "experiment", "report": rep},
             0 if rep.fhp.hypothesis_holds else 1,
         )
     raise ValueError(f"unknown sqf action {action!r}")
@@ -340,13 +363,13 @@ def _handle_ff(cfg: ExperimentConfig):
     opt = cfg.options
     if opt.action == "fit":
         fit = pseudofield.dim_meas_fit(
-            opt.count, opt.q, opt.n, C=parse_rational(opt.C)
+            opt.count, opt.q, opt.n, C=Fraction(opt.C)
         )
-        return {"action": "fit", "fit": fit.to_json_dict()}, 0
+        return {"action": "fit", "fit": fit}, 0
     field_ = pseudofield.FieldStructure.for_prime(opt.p)
     if opt.action == "lines":
         family = pseudofield.line_family(field_)
-        alpha = parse_rational(opt.alpha)
+        alpha = Fraction(opt.alpha)
         rep = pseudofield.FfReport(
             q=field_.p,
             k=opt.k,
@@ -354,7 +377,7 @@ def _handle_ff(cfg: ExperimentConfig):
             fhp=setfam.check_fhp_instance(family, opt.k, alpha),
         )
         return (
-            {"action": "lines", "report": rep.to_json_dict()},
+            {"action": "lines", "report": rep},
             0 if rep.fhp.hypothesis_holds else 1,
         )
     if opt.action == "custom":
@@ -369,10 +392,10 @@ def _handle_ff(cfg: ExperimentConfig):
             opt.y_arity,
             e,
             opt.k,
-            parse_rational(opt.alpha),
+            Fraction(opt.alpha),
         )
         return (
-            {"action": "custom", "report": rep.to_json_dict()},
+            {"action": "custom", "report": rep},
             0 if rep.fhp.hypothesis_holds else 1,
         )
     raise ValueError(f"unknown ff action {opt.action!r}")
@@ -386,11 +409,11 @@ def _handle_count_types(cfg: ExperimentConfig):
         structure, phi, pool = typecount.structure_from_family(family)
         x_arity = 1
     else:
-        structure = typecount.FiniteStructure.from_json_dict(
-            _load_json(opt.structure)
+        structure = _read_document(
+            opt.structure, typecount.FiniteStructure.from_json_dict
         )
         phi = _load_json(opt.phi)
-        pool = [tuple(a) for a in _load_json(opt.pool)]
+        pool = _read_document(opt.pool, _pool_from_document)
         x_arity = opt.x_arity
     if opt.l_values:
         report = typecount.power_saving_probe(
@@ -404,7 +427,7 @@ def _handle_count_types(cfg: ExperimentConfig):
             opt.d,
             seed=cfg.seed,
         )
-        return {"power_saving": report.to_json_dict()}, 0
+        return {"power_saving": report}, 0
     report = typecount.f_phi(
         structure,
         phi,
@@ -417,7 +440,7 @@ def _handle_count_types(cfg: ExperimentConfig):
         seed=cfg.seed,
         type_cap=type_cap,
     )
-    return {"count": report.to_json_dict()}, 0
+    return {"count": report}, 0
 
 
 _HANDLERS = {
@@ -507,7 +530,7 @@ def run(config: ExperimentConfig) -> int:
     if config.timing:
         report["runtime_seconds"] = round(time.monotonic() - started, 6)
     try:
-        _emit(_render(report, config.fmt), config.output)
+        _emit(_render(to_json(report), config.fmt), config.output)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

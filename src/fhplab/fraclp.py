@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from ._jsonutil import SCHEMA_VERSION, rat_to_json
+from ._jsonutil import SCHEMA_VERSION
 from .setfam import SetFamily
 
 _REL = ("<=", ">=", "==")
@@ -75,14 +75,6 @@ class LpSolution:
     primal: Optional[tuple] = None
     dual: Optional[tuple] = None
 
-    def to_json_dict(self) -> dict:
-        out = {"schema": SCHEMA_VERSION, "status": self.status}
-        if self.status == "optimal":
-            out["value"] = rat_to_json(self.value)
-            out["primal"] = [rat_to_json(v) for v in self.primal]
-            out["dual"] = [rat_to_json(v) for v in self.dual]
-        return out
-
 
 @dataclass(frozen=True)
 class TransversalResult:
@@ -93,13 +85,14 @@ class TransversalResult:
     integer_witness: Optional[frozenset] = None
 
     def to_json_dict(self) -> dict:
+        # status first; tau_star and the integer pair only when present
         out = {"schema": SCHEMA_VERSION, "status": self.status}
         if self.tau_star is not None:
-            out["tau_star"] = rat_to_json(self.tau_star)
-        out["weights"] = {str(e): rat_to_json(w) for e, w in sorted(self.weights.items())}
+            out["tau_star"] = self.tau_star
+        out["weights"] = self.weights
         if self.integer_tau is not None:
             out["integer_tau"] = self.integer_tau
-            out["integer_witness"] = sorted(self.integer_witness)
+            out["integer_witness"] = self.integer_witness
         return out
 
 

@@ -17,7 +17,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ._jsonutil import SCHEMA_VERSION, rat_to_json
 from ._primes import isprime
 from .formulas import evaluate_formula
 from .setfam import (
@@ -174,16 +173,6 @@ class DimMeasFit:
     ok: bool
     ambiguous: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "d": self.d,
-            "mu": rat_to_json(self.mu),
-            "residual": rat_to_json(self.residual),
-            "ok": self.ok,
-            "ambiguous": self.ambiguous,
-        }
-
 
 def _walk_fit(count: int, q: int, d: int, bound2: Fraction, den_cap: int, mu_cap: int):
     """Stern-Brocot walk toward count/q^d.
@@ -279,15 +268,6 @@ class FfReport:
     alpha: Fraction
     fhp: FhpReport
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "q": self.q,
-            "k": self.k,
-            "alpha": rat_to_json(self.alpha),
-            "fhp": self.fhp.to_json_dict(),
-        }
-
 
 def ff_fhp_experiment(
     field: FieldStructure,
@@ -315,15 +295,6 @@ class ColorfulFfReport:
     alpha: Fraction
     colorful: ColorfulReport
     measures: tuple
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "q": self.q,
-            "alpha": rat_to_json(self.alpha),
-            "colorful": self.colorful.to_json_dict(),
-            "measures": [m.to_json_dict() for m in self.measures],
-        }
 
 
 def colorful_ff_experiment(

@@ -27,7 +27,7 @@ from math import comb, factorial, lcm
 from typing import NamedTuple, Optional, Sequence
 
 from . import _backend as backend
-from ._jsonutil import SCHEMA_VERSION, rat_from_json, rat_to_json
+from ._jsonutil import SCHEMA_VERSION
 
 
 @dataclass(frozen=True)
@@ -146,13 +146,6 @@ class RationalWeights:
             raise ValueError("uniform weights need at least one index")
         return cls({i: Fraction(1, n) for i in range(n)})
 
-    def to_json_dict(self) -> dict:
-        return {str(i): rat_to_json(w) for i, w in sorted(self.weights.items())}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "RationalWeights":
-        return cls({int(i): rat_from_json(w) for i, w in obj.items()})
-
 
 @dataclass(frozen=True)
 class ConsReport:
@@ -169,11 +162,12 @@ class ConsReport:
         object.__setattr__(self, "fraction", Fraction(self.cons_count, self.total))
 
     def to_json_dict(self) -> dict:
+        # the one report without a schema tag
         return {
             "k": self.k,
             "cons_count": self.cons_count,
             "total": self.total,
-            "fraction": rat_to_json(self.fraction),
+            "fraction": self.fraction,
         }
 
 
@@ -202,20 +196,6 @@ class FhpReport:
     hypothesis_holds: bool
     empty_members: tuple = ()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "n": self.n,
-            "k": self.k,
-            "alpha": rat_to_json(self.alpha),
-            "cons": self.cons.to_json_dict(),
-            "best_beta": rat_to_json(self.best_beta),
-            "witness_element": self.witness_element,
-            "witness_indices": sorted(self.witness_indices),
-            "hypothesis_holds": self.hypothesis_holds,
-            "empty_members": list(self.empty_members),
-        }
-
 
 class PkResult(NamedTuple):
     holds: bool
@@ -237,20 +217,6 @@ class ColorfulReport:
     # reference constant from the convex colorful bound, carried as metadata
     beta_reference: Fraction
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "d": self.d,
-            "alpha": rat_to_json(self.alpha),
-            "rainbow_count": self.rainbow_count,
-            "total": self.total,
-            "fraction": rat_to_json(self.fraction),
-            "per_family_beta": [rat_to_json(b) for b in self.per_family_beta],
-            "best_beta": rat_to_json(self.best_beta),
-            "holds": self.holds,
-            "beta_reference": rat_to_json(self.beta_reference),
-        }
-
 
 @dataclass(frozen=True)
 class MeasureReport:
@@ -261,16 +227,6 @@ class MeasureReport:
     tuple_measure: Fraction
     weighted_depth: Fraction
     holds: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "d": self.d,
-            "alpha": rat_to_json(self.alpha),
-            "tuple_measure": rat_to_json(self.tuple_measure),
-            "weighted_depth": rat_to_json(self.weighted_depth),
-            "holds": self.holds,
-        }
 
 
 def k_subsets_colex(n: int, k: int):

@@ -29,7 +29,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._jsonutil import SCHEMA_VERSION, rat_to_json
+from ._jsonutil import SCHEMA_VERSION
 from ._primes import factorint, isprime, primerange
 from .setfam import FhpReport, SetFamily, check_fhp_instance
 
@@ -272,6 +272,9 @@ class SpecialFormula:
     p_conditions: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("lead_k", "modulus_m", "positive_slots", "negative_slots"):
+            if not isinstance(getattr(self, name), int):
+                raise ValueError(f"{name} must be an integer")
         if self.lead_k == 0:
             raise ValueError("lead_k must be nonzero")
         if self.modulus_m < 1:
@@ -469,10 +472,11 @@ class DensityCertificate:
         return total
 
     def to_json_dict(self) -> dict:
+        # lead_k and constants only feed error_term; they are not reported
         return {
             "schema": SCHEMA_VERSION,
-            "epsilon_lower": rat_to_json(self.epsilon_lower),
-            "epsilon_upper": rat_to_json(self.epsilon_upper),
+            "epsilon_lower": self.epsilon_lower,
+            "epsilon_upper": self.epsilon_upper,
             "B": self.B,
             "D": self.D,
             "tail_prime": self.tail_prime,
@@ -703,15 +707,16 @@ class SqfExperimentReport:
     all_empty: bool
 
     def to_json_dict(self) -> dict:
+        # window first; theoretical_beta last, and only when defined
         out = {
             "schema": SCHEMA_VERSION,
             "window": self.window,
-            "fhp": self.fhp.to_json_dict(),
-            "empty_members": list(self.empty_members),
+            "fhp": self.fhp,
+            "empty_members": self.empty_members,
             "all_empty": self.all_empty,
         }
         if self.theoretical_beta is not None:
-            out["theoretical_beta"] = rat_to_json(self.theoretical_beta)
+            out["theoretical_beta"] = self.theoretical_beta
         return out
 
 

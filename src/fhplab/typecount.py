@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from ._jsonutil import SCHEMA_VERSION, rat_to_json
+from ._jsonutil import SCHEMA_VERSION
 from .formulas import evaluate_formula
 from .setfam import SetFamily
+from .vc import density_fit
 
 X_CAP = 50000
 TYPE_CAP = 5000
@@ -408,6 +409,7 @@ class CountReport:
     seed: Optional[int] = None
 
     def to_json_dict(self) -> dict:
+        # the witness family is reported by its type sizes
         return {
             "schema": SCHEMA_VERSION,
             "m": self.m,
@@ -418,7 +420,7 @@ class CountReport:
             "mode": self.mode,
             "greedy_value": self.greedy_value,
             "witness_sizes": [t.size for t in self.witness_family],
-            "parameter_set": [list(a) for a in self.parameter_set],
+            "parameter_set": self.parameter_set,
             "seed": self.seed,
         }
 
@@ -509,14 +511,6 @@ class DividingReport:
     status: str
     instance: Optional[tuple] = None
     sequence: Optional[tuple] = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "status": self.status,
-            "instance": list(self.instance) if self.instance else None,
-            "sequence": [list(b) for b in self.sequence] if self.sequence else None,
-        }
 
 
 def _delta_indiscernible(structure, sequence, C, delta, budget):
@@ -689,17 +683,6 @@ class PowerSavingReport:
     below_threshold: bool
     exact: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "l_values": list(self.l_values),
-            "counts": list(self.counts),
-            "exponent_estimate": rat_to_json(self.exponent_estimate),
-            "threshold": rat_to_json(self.threshold),
-            "below_threshold": self.below_threshold,
-            "exact": self.exact,
-        }
-
 
 def power_saving_probe(
     structure: FiniteStructure,
@@ -717,8 +700,6 @@ def power_saving_probe(
     Compares the log-log slope against k - 1/d^(k-1); an estimate, not a
     limit statement.  Needs at least three l values with positive counts.
     """
-    import numpy as np  # imported here: the only numpy user in this module
-
     ls = list(l_values)
     if len(ls) < 3:
         raise ValueError("need at least three l values")
@@ -735,10 +716,7 @@ def power_saving_probe(
     pts = [(l, c) for l, c in zip(ls, counts) if c >= 1]
     if len(pts) < 3:
         raise ValueError("need at least three l values with positive counts")
-    xs = np.log([float(l) for l, _ in pts])
-    ys = np.log([float(c) for _, c in pts])
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    estimate = Fraction(slope).limit_denominator(1000)
+    estimate = density_fit(dict(pts))
     threshold = Fraction(k) - Fraction(1, d ** (k - 1))
     return PowerSavingReport(
         l_values=tuple(ls),

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from ._jsonutil import SCHEMA_VERSION, rat_to_json
+from ._jsonutil import SCHEMA_VERSION
 from .setfam import SetFamily
 
 # exhaustive subfamily enumeration only below this many candidate subfamilies
@@ -50,17 +50,18 @@ class ShatterReport:
     dual_mode: Optional[str] = None
 
     def to_json_dict(self) -> dict:
+        # the dual shatter keys only when dual sizes were requested
         out = {
             "schema": SCHEMA_VERSION,
             "vc_lower": self.vc_lower,
             "vc_exact": self.vc_exact,
-            "witness": sorted(self.witness),
+            "witness": self.witness,
         }
         if self.dual_values:
-            out["dual_values"] = {str(n): v for n, v in sorted(self.dual_values.items())}
+            out["dual_values"] = self.dual_values
             out["dual_mode"] = self.dual_mode
         if self.density_fit is not None:
-            out["density_fit"] = rat_to_json(self.density_fit)
+            out["density_fit"] = self.density_fit
         return out
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from fhplab._jsonutil import rat_to_json
+from fhplab._jsonutil import rat_to_json, to_json
 from fhplab.fraclp import (
     LpProblem,
     fractional_transversal,
@@ -326,7 +326,7 @@ def test_family_lp_reports_pinned():
         out.append([
             rat_to_json(value),
             {str(e): rat_to_json(w) for e, w in sorted(dist.items())},
-            fractional_transversal(fam).to_json_dict(),
+            to_json(fractional_transversal(fam)),
         ])
     digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
     assert digest == "d1f892d9305c10a8952ea3e7de00c4fab5397cd8a8fd120567ed62df5f04a234"
