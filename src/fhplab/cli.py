@@ -222,23 +222,15 @@ def _verify_construction(name: str, opt, fam: setfam.SetFamily) -> bool:
             and setfam.max_intersecting(fam).size == 2
         )
     if name == "caps":
-        masks = fam.masks
+        # rows pairwise disjoint, and every branch (one member per row) meets
         W, D = opt.w, opt.depth
-        for i in range(D):
-            row = masks[i * W : (i + 1) * W]
-            for a in range(W):
-                for b in range(a + 1, W):
-                    if row[a] & row[b]:
-                        return False
-        import itertools
-
-        for branch in itertools.product(range(W), repeat=D):
-            acc = -1
-            for i, j in enumerate(branch):
-                acc &= masks[i * W + j]
-            if not acc:
-                return False
-        return True
+        rows = [
+            setfam.SetFamily(fam.ground_size, fam.members[i * W : (i + 1) * W])
+            for i in range(D)
+        ]
+        if W > 1 and any(setfam.cons_k(row, 2).cons_count for row in rows):
+            return False
+        return setfam.colorful_check(rows, 0).rainbow_count == W**D
     if name == "shattered":
         want = 2 ** (opt.m - 2)
         return all(len(s) == want for s in fam.members)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from ._backend import _columns
 from ._jsonutil import SCHEMA_VERSION
 from .setfam import SetFamily
 
@@ -310,22 +311,17 @@ def _verify_certificates(problem: LpProblem, sol: LpSolution):
 def _atoms(family: SetFamily):
     """Venn atoms: ground elements grouped by membership pattern.
 
-    Elements in no member are dropped (they can never help either LP).
-    Returns (reps, patterns) with reps[i] the smallest element of atom i and
-    patterns[i] the frozenset of member indices containing it.  Atomization
-    preserves all intersection patterns of the family.
+    An element's pattern is its kernel column, the bitmask of the member
+    indices that contain it.  Elements in no member are dropped (they can
+    never help either LP).  Returns (reps, patterns) with reps ascending,
+    reps[i] the smallest element of atom i and patterns[i] its column.
+    Atomization preserves all intersection patterns of the family.
     """
-    by_pattern: dict = {}
-    for e in range(family.ground_size):
-        pat = frozenset(i for i, m in enumerate(family.masks) if m >> e & 1)
-        if not pat:
-            continue
-        if pat not in by_pattern:
-            by_pattern[pat] = e
-    items = sorted(by_pattern.items(), key=lambda kv: kv[1])
-    reps = [e for _, e in items]
-    patterns = [pat for pat, _ in items]
-    return reps, patterns
+    first: dict = {}
+    for e, col in enumerate(_columns(family.masks, family.ground_size)):
+        if col and col not in first:
+            first[col] = e
+    return list(first.values()), list(first)
 
 
 def intersection_number(family: SetFamily):
@@ -348,7 +344,7 @@ def intersection_number(family: SetFamily):
     rels = []
     rhs = []
     for i in range(family.n):
-        row = [Fraction(1) if i in pat else Fraction(0) for pat in patterns]
+        row = [Fraction(pat >> i & 1) for pat in patterns]
         row.append(Fraction(-1))
         rows.append(tuple(row))
         rels.append(">=")
@@ -384,7 +380,7 @@ def fractional_transversal(
     rows = []
     for i in range(family.n):
         rows.append(
-            tuple(Fraction(1) if i in pat else Fraction(0) for pat in patterns)
+            tuple(Fraction(pat >> i & 1) for pat in patterns)
         )
     sol = solve_lp(
         LpProblem(
@@ -429,11 +425,9 @@ def min_transversal_exact(family: SetFamily, cap: int):
     member_reps = []
     for i in range(family.n):
         member_reps.append(
-            tuple(reps[a] for a in range(len(reps)) if i in patterns[a])
+            tuple(e for e, pat in zip(reps, patterns) if pat >> i & 1)
         )
-    covers = {
-        reps[a]: frozenset(patterns[a]) for a in range(len(reps))
-    }
+    covers = dict(zip(reps, patterns))
 
     def exists(budget, members_left, chosen):
         if not members_left:
@@ -445,7 +439,7 @@ def min_transversal_exact(family: SetFamily, cap: int):
             if e in chosen:
                 continue
             chosen.append(e)
-            rest = frozenset(i for i in members_left if i not in covers[e])
+            rest = frozenset(i for i in members_left if not covers[e] >> i & 1)
             found = exists(budget - 1, rest, chosen)
             chosen.pop()
             if found is not None:

@@ -81,178 +81,107 @@ def in_Pm(a: int, m: int) -> bool:
     return True
 
 
-class LinearForm:
-    """Integer-linear form over declared variables plus a constant.
+# p-conditions are plain JSON trees, one node shape per op:
+#
+#   {"op": "notinU", "form": {"coeffs": {var: int}, "const": int}, "level": int}
+#   {"op": "and" | "or", "items": [node, ...]}
+#   {"op": "not", "item": node}
+#   {"op": "true"}
+#
+# A notinU node says  const + sum(coeff * var)  is not in U_{p, level}.
+# SpecialFormula reads each tree once into this canonical shape (keys in this
+# order, zero coefficients dropped, the rest sorted by name, const present),
+# so equal conditions are equal trees and to_json writes them back as read.
+_NODE_KEYS = {
+    "notinU": {"op", "form", "level"},
+    "and": {"op", "items"},
+    "or": {"op", "items"},
+    "not": {"op", "item"},
+    "true": {"op"},
+}
 
-    Variables are named 'x' (the unknown), 'z0', 'z1', ... (positive
-    slots), 'zp0', 'zp1', ... (negative slots).
-    """
 
-    __slots__ = ("coeffs", "const")
+def _read_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
-    def __init__(self, coeffs: dict, const: int = 0):
-        items = []
-        for var, co in sorted(dict(coeffs).items()):
-            co = int(co)
-            if co:
-                items.append((str(var), co))
-        self.coeffs = tuple(items)
-        self.const = int(const)
 
-    def variables(self):
-        return {var for var, _ in self.coeffs}
-
-    def evaluate(self, assign: dict) -> int:
-        total = self.const
-        for var, co in self.coeffs:
-            total += co * assign[var]
-        return total
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LinearForm)
-            and self.coeffs == other.coeffs
-            and self.const == other.const
+def _read_cond(node, allowed: set) -> dict:
+    """The canonical copy of a condition tree over the variables allowed."""
+    if not isinstance(node, dict):
+        raise ValueError(f"condition node must be an object, got {node!r}")
+    op = node.get("op")
+    if not isinstance(op, str) or op not in _NODE_KEYS:
+        raise ValueError(f"unknown condition op {op!r}")
+    missing = _NODE_KEYS[op] - set(node)
+    extra = set(node) - _NODE_KEYS[op]
+    if missing or extra:
+        raise ValueError(
+            f"condition {op!r} needs keys {sorted(_NODE_KEYS[op])}, "
+            f"got {sorted(map(str, node))}"
         )
-
-    def __hash__(self):
-        return hash((self.coeffs, self.const))
-
-    def __repr__(self):
-        parts = [f"{co}*{var}" for var, co in self.coeffs]
-        parts.append(str(self.const))
-        return " + ".join(parts)
-
-    def to_json_dict(self) -> dict:
-        return {"coeffs": {var: co for var, co in self.coeffs}, "const": self.const}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "LinearForm":
-        return cls(obj.get("coeffs", {}), obj.get("const", 0))
-
-
-class PCond:
-    """Base of the per-prime condition AST (U-avoidance atoms + booleans)."""
-
-    __slots__ = ()
-
-    def atoms(self):
-        raise NotImplementedError
-
-    def evaluate(self, assign: dict, p: int) -> bool:
-        raise NotImplementedError
-
-
-class NotInU(PCond):
-    """Atom: form(x, z, z') not in U_{p, level}."""
-
-    __slots__ = ("form", "level")
-
-    def __init__(self, form: LinearForm, level: int):
-        self.form = form
-        self.level = int(level)
-
-    def atoms(self):
-        yield self
-
-    def evaluate(self, assign, p):
-        if self.level <= 0:
-            return False
-        return self.form.evaluate(assign) % p**self.level != 0
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, NotInU)
-            and self.form == other.form
-            and self.level == other.level
-        )
-
-    def __hash__(self):
-        return hash((self.form, self.level))
-
-
-class PAnd(PCond):
-    __slots__ = ("items",)
-
-    def __init__(self, *items):
-        self.items = tuple(items)
-
-    def atoms(self):
-        for it in self.items:
-            yield from it.atoms()
-
-    def evaluate(self, assign, p):
-        return all(it.evaluate(assign, p) for it in self.items)
-
-
-class POr(PCond):
-    __slots__ = ("items",)
-
-    def __init__(self, *items):
-        self.items = tuple(items)
-
-    def atoms(self):
-        for it in self.items:
-            yield from it.atoms()
-
-    def evaluate(self, assign, p):
-        return any(it.evaluate(assign, p) for it in self.items)
-
-
-class PNot(PCond):
-    __slots__ = ("item",)
-
-    def __init__(self, item):
-        self.item = item
-
-    def atoms(self):
-        yield from self.item.atoms()
-
-    def evaluate(self, assign, p):
-        return not self.item.evaluate(assign, p)
-
-
-class PTrue(PCond):
-    __slots__ = ()
-
-    def atoms(self):
-        return iter(())
-
-    def evaluate(self, assign, p):
-        return True
-
-
-def cond_to_json(cond: PCond) -> dict:
-    if isinstance(cond, NotInU):
-        return {
-            "op": "notinU",
-            "form": cond.form.to_json_dict(),
-            "level": cond.level,
-        }
-    if isinstance(cond, PAnd):
-        return {"op": "and", "items": [cond_to_json(i) for i in cond.items]}
-    if isinstance(cond, POr):
-        return {"op": "or", "items": [cond_to_json(i) for i in cond.items]}
-    if isinstance(cond, PNot):
-        return {"op": "not", "item": cond_to_json(cond.item)}
-    if isinstance(cond, PTrue):
-        return {"op": "true"}
-    raise TypeError(f"not a condition node: {cond!r}")
-
-
-def cond_from_json(obj: dict) -> PCond:
-    op = obj.get("op")
-    if op == "notinU":
-        return NotInU(LinearForm.from_json_dict(obj["form"]), obj["level"])
-    if op == "and":
-        return PAnd(*(cond_from_json(i) for i in obj["items"]))
-    if op == "or":
-        return POr(*(cond_from_json(i) for i in obj["items"]))
+    if op in ("and", "or"):
+        if not isinstance(node["items"], list):
+            raise ValueError(f"condition {op!r}: items must be a list")
+        return {"op": op, "items": [_read_cond(i, allowed) for i in node["items"]]}
     if op == "not":
-        return PNot(cond_from_json(obj["item"]))
+        return {"op": op, "item": _read_cond(node["item"], allowed)}
     if op == "true":
-        return PTrue()
-    raise ValueError(f"unknown condition op {op!r}")
+        return {"op": op}
+    form = node["form"]
+    if not isinstance(form, dict) or not set(form) <= {"coeffs", "const"}:
+        raise ValueError(f"form must be an object with coeffs and const, got {form!r}")
+    coeffs = form.get("coeffs", {})
+    if not isinstance(coeffs, dict):
+        raise ValueError(f"coeffs must be an object, got {coeffs!r}")
+    terms = {}
+    for var, co in sorted(coeffs.items()):
+        if _read_int(co, f"coefficient of {var}"):
+            terms[var] = co
+    bad = set(terms) - allowed
+    if bad:
+        raise ValueError(f"references undeclared variable(s) {sorted(bad)}")
+    return {
+        "op": op,
+        "form": {"coeffs": terms, "const": _read_int(form.get("const", 0), "const")},
+        "level": _read_int(node["level"], "level"),
+    }
+
+
+def _atoms(cond: dict):
+    """The notinU nodes of a condition tree."""
+    if cond["op"] == "notinU":
+        yield cond
+    elif cond["op"] == "not":
+        yield from _atoms(cond["item"])
+    else:
+        for item in cond.get("items", ()):
+            yield from _atoms(item)
+
+
+def _cond_holds(cond: dict, p: int, assign: dict) -> bool:
+    """Truth of a canonical condition tree at the prime p under assign.
+
+    A notinU node at level <= 0 is false, since U_{p,0} is all of Z.
+    """
+    op = cond["op"]
+    if op == "notinU":
+        level = cond["level"]
+        if level <= 0:
+            return False
+        form = cond["form"]
+        value = form["const"]
+        for var, co in form["coeffs"].items():
+            value += co * assign[var]
+        return value % p**level != 0
+    if op == "and":
+        return all(_cond_holds(i, p, assign) for i in cond["items"])
+    if op == "or":
+        return any(_cond_holds(i, p, assign) for i in cond["items"])
+    if op == "not":
+        return not _cond_holds(cond["item"], p, assign)
+    return True
 
 
 @dataclass(frozen=True)
@@ -261,8 +190,8 @@ class SpecialFormula:
 
     positive_slots counts variables z_i with k*x + z_i required in P_m;
     negative_slots counts z'_j with k*x + z'_j required outside P_m.
-    p_conditions maps a prime to a boolean combination of U-avoidance atoms
-    over the declared variables.
+    p_conditions maps a prime to a condition tree (above) over the declared
+    variables x, z0, z1, ..., zp0, zp1, ...; the keys end up sorted ints.
     """
 
     lead_k: int
@@ -273,8 +202,7 @@ class SpecialFormula:
 
     def __post_init__(self):
         for name in ("lead_k", "modulus_m", "positive_slots", "negative_slots"):
-            if not isinstance(getattr(self, name), int):
-                raise ValueError(f"{name} must be an integer")
+            _read_int(getattr(self, name), name)
         if self.lead_k == 0:
             raise ValueError("lead_k must be nonzero")
         if self.modulus_m < 1:
@@ -284,37 +212,29 @@ class SpecialFormula:
         allowed = {"x"}
         allowed.update(f"z{i}" for i in range(self.positive_slots))
         allowed.update(f"zp{j}" for j in range(self.negative_slots))
-        conds = dict(self.p_conditions)
-        for p, cond in conds.items():
-            if not isprime(p):
-                raise ValueError(f"condition key {p} is not prime")
-            for atom in cond.atoms():
-                bad = atom.form.variables() - allowed
-                if bad:
-                    raise ValueError(
-                        f"condition at p={p} references undeclared "
-                        f"variable(s) {sorted(bad)}"
-                    )
-        object.__setattr__(self, "p_conditions", conds)
+        if not isinstance(self.p_conditions, dict):
+            raise ValueError("p_conditions must be an object")
+        conds = {}
+        for p, cond in self.p_conditions.items():
+            # JSON object keys are strings; library callers may pass ints
+            if isinstance(p, str) and p.isdecimal():
+                p = int(p)
+            if isinstance(p, bool) or not isinstance(p, int) or not isprime(p):
+                raise ValueError(f"condition key {p!r} is not prime")
+            if p in conds:
+                raise ValueError(f"condition key {p} appears twice")
+            try:
+                conds[p] = _read_cond(cond, allowed)
+            except ValueError as exc:
+                raise ValueError(f"condition at p={p}: {exc}") from None
+        object.__setattr__(self, "p_conditions", dict(sorted(conds.items())))
 
     def theta_level(self, p: int) -> int:
         """Largest U-level referenced by the condition at p (0 if none)."""
         cond = self.p_conditions.get(p)
         if cond is None:
             return 0
-        return max((atom.level for atom in cond.atoms()), default=0)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "lead_k": self.lead_k,
-            "modulus_m": self.modulus_m,
-            "positive_slots": self.positive_slots,
-            "negative_slots": self.negative_slots,
-            "p_conditions": {
-                str(p): cond_to_json(c) for p, c in sorted(self.p_conditions.items())
-            },
-        }
+        return max((atom["level"] for atom in _atoms(cond)), default=0)
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SpecialFormula":
@@ -323,10 +243,7 @@ class SpecialFormula:
             modulus_m=obj["modulus_m"],
             positive_slots=obj["positive_slots"],
             negative_slots=obj.get("negative_slots", 0),
-            p_conditions={
-                int(p): cond_from_json(c)
-                for p, c in obj.get("p_conditions", {}).items()
-            },
+            p_conditions=obj.get("p_conditions", {}),
         )
 
 
@@ -339,8 +256,8 @@ class GSystem:
     c_prime: tuple = ()
 
     def __post_init__(self):
-        c = tuple(int(v) for v in self.c)
-        cp = tuple(int(v) for v in self.c_prime)
+        c = tuple(_read_int(v, "c entry") for v in self.c)
+        cp = tuple(_read_int(v, "c_prime entry") for v in self.c_prime)
         if len(c) != self.formula.positive_slots:
             raise ValueError("c length must equal positive_slots")
         if len(cp) != self.formula.negative_slots:
@@ -372,15 +289,14 @@ class GSystem:
             if in_Pm(k * x + cj, m):
                 return False
         assign = self.assignment(x)
-        for p, cond in f.p_conditions.items():
-            if not cond.evaluate(assign, p):
-                return False
-        return True
+        return all(
+            _cond_holds(cond, p, assign) for p, cond in f.p_conditions.items()
+        )
 
     def to_json_dict(self) -> dict:
         return {
             "schema": SCHEMA_VERSION,
-            "formula": self.formula.to_json_dict(),
+            "formula": self.formula,
             "c": list(self.c),
             "c_prime": list(self.c_prime),
             "nontrivial": self.nontrivial,
@@ -423,12 +339,10 @@ def p_satisfiable(sys: GSystem, p: int) -> Tuple[bool, Optional[Tuple[int, int]]
     L = max(max(levels), 1)
     mod = p**L
     slot_mod = p**slot_level
-    cond = f.p_conditions.get(p)
+    cond = f.p_conditions.get(p, {"op": "true"})
     for r in range(mod):
-        ok = all((f.lead_k * r + ci) % slot_mod != 0 for ci in sys.c)
-        if ok and cond is not None:
-            ok = cond.evaluate(sys.assignment(r), p)
-        if ok:
+        slots_ok = all((f.lead_k * r + ci) % slot_mod != 0 for ci in sys.c)
+        if slots_ok and _cond_holds(cond, p, sys.assignment(r)):
             return True, (r, mod)
     return False, None
 
@@ -656,21 +570,16 @@ def _solution_mask(sys: GSystem, t: int) -> np.ndarray:
     for j, cj in enumerate(sys.c_prime):
         _check_form_range(k, cj, t, f"zp{j}")
         good &= _pm_bad_mask(k, cj, m, t)
-    for p, cond in sorted(f.p_conditions.items()):
-        L = max(f.theta_level(p), 1)
-        M = p**L
-        if M <= 2_000_000:
-            table = np.fromiter(
-                (cond.evaluate(sys.assignment(r), p) for r in range(M)),
-                dtype=bool,
-                count=M,
-            )
-            good &= table[np.arange(t) % M]
-        else:
-            idxs = np.nonzero(good)[0]
-            for a in idxs:
-                if not cond.evaluate(sys.assignment(int(a)), p):
-                    good[a] = False
+    for p, cond in f.p_conditions.items():
+        # truth depends only on a mod p^L: evaluate the residues the window
+        # reaches, and repeat them (np.resize) when p^L < t
+        n = min(p ** max(f.theta_level(p), 1), t)
+        table = np.fromiter(
+            (_cond_holds(cond, p, sys.assignment(r)) for r in range(n)),
+            dtype=bool,
+            count=n,
+        )
+        good &= np.resize(table, t)
     return good
 
 
@@ -739,35 +648,28 @@ def theoretical_beta(
         modulus_m=formula.modulus_m,
         positive_slots=k,
         negative_slots=0,
-        p_conditions=_rename_negative(formula.p_conditions, s),
+        p_conditions={
+            p: _rename_negative(cond, s) for p, cond in formula.p_conditions.items()
+        },
     )
     cert = density_certificate(positivized, tail_prime)
     delta = cert.epsilon_lower / 2
     return Fraction(alpha) * gamma * delta / (s * sp * k**s)
 
 
-def _rename_negative(p_conditions: dict, s: int) -> dict:
-    """Map zp{j} variables to z{s+j} so all slots read as positive."""
-    out = {}
-    for p, cond in p_conditions.items():
-        out[p] = _rename_cond(cond, s)
-    return out
-
-
-def _rename_cond(cond: PCond, s: int) -> PCond:
-    if isinstance(cond, NotInU):
-        coeffs = {}
-        for var, co in cond.form.coeffs:
-            if var.startswith("zp"):
-                var = f"z{s + int(var[2:])}"
-            coeffs[var] = co
-        return NotInU(LinearForm(coeffs, cond.form.const), cond.level)
-    if isinstance(cond, PAnd):
-        return PAnd(*(_rename_cond(i, s) for i in cond.items))
-    if isinstance(cond, POr):
-        return POr(*(_rename_cond(i, s) for i in cond.items))
-    if isinstance(cond, PNot):
-        return PNot(_rename_cond(cond.item, s))
+def _rename_negative(cond: dict, s: int) -> dict:
+    """cond with each zp{j} read as z{s+j}, so all slots are positive."""
+    op = cond["op"]
+    if op == "notinU":
+        coeffs = {
+            (f"z{s + int(var[2:])}" if var.startswith("zp") else var): co
+            for var, co in cond["form"]["coeffs"].items()
+        }
+        return {**cond, "form": {**cond["form"], "coeffs": coeffs}}
+    if op == "not":
+        return {"op": op, "item": _rename_negative(cond["item"], s)}
+    if op in ("and", "or"):
+        return {"op": op, "items": [_rename_negative(i, s) for i in cond["items"]]}
     return cond
 
 

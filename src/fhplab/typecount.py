@@ -152,6 +152,9 @@ class FiniteStructure:
         size = obj["universe_size"]
         if not isinstance(size, int) or size < 1:
             raise ValueError("'universe_size' must be a positive integer")
+        if size > X_CAP:
+            # the witness space has |U|^x_arity >= |U| tuples: never searchable
+            raise ValueError(f"universe_size {size} exceeds cap {X_CAP}")
         relations = {}
         for name, spec in obj.get("relations", {}).items():
             arity = spec["arity"]

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -5,7 +6,8 @@ import sys
 
 import pytest
 
-from fhplab.cli import main, parse_family
+from fhplab import constructs, setfam
+from fhplab.cli import _verify_construction, main, parse_family
 
 
 def family_file(tmp_path, members, ground, name="fam.json"):
@@ -176,6 +178,32 @@ class TestConstructRoundTrip:
         )
         assert code == 0
         assert rep["report"]["verified"] is True
+
+    def test_caps_verify_single_column(self, capsys):
+        # W = 1: no row has two members, and the one branch is the chain
+        code, rep = run_json(
+            ["construct", "caps", "--w", "1", "--depth", "3", "--verify"],
+            capsys,
+        )
+        assert code == 0
+        assert rep["report"]["verified"] is True
+        assert len(rep["report"]["sets"]) == 3
+
+    def test_caps_verify_rejects_broken_families(self):
+        opt = argparse.Namespace(w=2, depth=2)
+        fam = constructs.build_caps_family(2, 2)
+        assert _verify_construction("caps", opt, fam)
+        members = list(fam.members)
+        # rows overlap: F[0,1] also holds an element of F[0,0]
+        overlap = members[:1] + [members[1] | members[0]] + members[2:]
+        assert not _verify_construction(
+            "caps", opt, setfam.SetFamily(fam.ground_size, overlap)
+        )
+        # one branch misses: F[1,1] loses every element under F[0,0]
+        missing = members[:3] + [members[3] - members[0]]
+        assert not _verify_construction(
+            "caps", opt, setfam.SetFamily(fam.ground_size, missing)
+        )
 
     def test_block_default_alpha_valid(self, capsys):
         # default alpha must sit below the k=2, r=3 product bound of 2/3

@@ -18,7 +18,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fhplab._jsonutil import to_json
 from fhplab.cli import main
+from fhplab.sqfint import GSystem
 
 STRUCTURE = {
     "universe_size": 2,
@@ -89,6 +91,34 @@ def test_malformed_document_is_input_error(flag, doc, fixed):
     assert fixed["doc"] in err
 
 
+BAD_NUMBERS = {"formula": {
+    "lead_k": 1, "modulus_m": 1, "positive_slots": 1,
+    "p_conditions": {"3": {"op": "notinU", "form": {"coeffs": {"x": 1.5},
+                                                    "const": "2"},
+                           "level": 1.9}}},
+    "c": [0]}
+
+
+@pytest.mark.parametrize(
+    "flag, doc",
+    [
+        # a condition's numbers are integers, never truncated or parsed
+        ("--system", BAD_NUMBERS),
+        # a universe above X_CAP is refused before it is built
+        ("--structure", {"universe_size": 2000000}),
+    ],
+    ids=["float-condition", "huge-universe"],
+)
+def test_document_over_its_grammar_is_input_error(flag, doc, fixed):
+    with open(fixed["doc"], "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    code, out, err = _run(_argv(flag, fixed["doc"], fixed))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+
+
 @pytest.mark.parametrize("flag", ["--family", "--structure", "--phi", "--pool"])
 def test_valid_documents_run(flag, fixed):
     """The fixed documents are valid, so the fuzz reaches each reader's
@@ -125,6 +155,26 @@ DOCUMENTS = st.recursive(
 )
 FLAGS = ["--family", "--system", "--formula", "--structure", "--pool",
          "--phi", "--phi (ff custom)"]
+# condition trees: the node shapes of the tree grammar, with fuzzed leaves
+FORMS = st.fixed_dictionaries({}, optional={
+    "coeffs": st.dictionaries(st.sampled_from(["x", "z0", "zp0", "z5"]),
+                              SCALARS, max_size=3),
+    "const": SCALARS,
+})
+ATOMS = (
+    st.fixed_dictionaries({"op": st.just("notinU"), "form": FORMS,
+                           "level": SCALARS})
+    | st.just({"op": "true"})
+    | DOCUMENTS
+)
+TREES = st.recursive(
+    ATOMS,
+    lambda inner: st.fixed_dictionaries({
+        "op": st.sampled_from(["and", "or"]),
+        "items": st.lists(inner, max_size=3)})
+    | st.fixed_dictionaries({"op": st.just("not"), "item": inner}),
+    max_leaves=6,
+)
 
 
 @settings(
@@ -140,3 +190,26 @@ def test_fuzzed_document_exits_cleanly(flag, doc, fixed):
     assert code in (0, 1, 2)
     if code == 2:
         assert err.splitlines()[-1].startswith("error: ")
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(p=st.sampled_from(["2", "3", "5", "4", "x"]), tree=TREES)
+def test_fuzzed_condition_tree_exits_cleanly(p, tree, fixed):
+    """A fuzzed tree inside an otherwise valid --system document: a report
+    whose system reads back to itself, or an input error."""
+    doc = {"formula": {"lead_k": 1, "modulus_m": 1, "positive_slots": 1,
+                       "negative_slots": 1, "p_conditions": {p: tree}},
+           "c": [0], "c_prime": [1]}
+    with open(fixed["doc"], "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    code, out, err = _run(_argv("--system", fixed["doc"], fixed))
+    assert code in (0, 2)
+    if code == 2:
+        assert err.splitlines()[-1].startswith("error: ")
+        return
+    system = json.loads(out)["report"]["system"]
+    assert to_json(GSystem.from_json_dict(system)) == system

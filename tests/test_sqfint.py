@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -5,15 +6,12 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from fhplab._jsonutil import to_json
 from fhplab.sqfint import (
     _pm_bad_mask,
     DensityCertificate,
     GSystem,
-    LinearForm,
-    NotInU,
     SpecialFormula,
-    cond_from_json,
-    cond_to_json,
     count_solutions_window,
     density_certificate,
     dickson_admissible,
@@ -30,6 +28,45 @@ from fhplab.sqfint import (
 
 def sf_is_squarefree(a):
     return a != 0 and all(e < 2 for e in sympy.factorint(abs(a)).values())
+
+
+def notinU(coeffs, const=0, level=1):
+    """A notinU condition node, as a document writes it."""
+    return {"op": "notinU", "form": {"coeffs": coeffs, "const": const},
+            "level": level}
+
+
+def walk(node, p, assign):
+    """Test-side condition walker on in_Upl: the oracle of the evaluator."""
+    op = node["op"]
+    if op == "notinU":
+        form = node["form"]
+        value = form.get("const", 0) + sum(
+            co * assign[v] for v, co in form.get("coeffs", {}).items()
+        )
+        return not in_Upl(value, p, node["level"])
+    if op == "and":
+        return all(walk(i, p, assign) for i in node["items"])
+    if op == "or":
+        return any(walk(i, p, assign) for i in node["items"])
+    if op == "not":
+        return not walk(node["item"], p, assign)
+    assert op == "true"
+    return True
+
+
+def random_tree(rng, variables, depth=3):
+    roll = rng.random()
+    if depth == 0 or roll < 0.4:
+        if rng.random() < 0.1:
+            return {"op": "true"}
+        coeffs = {v: rng.randint(-3, 3) for v in rng.sample(variables, 2)}
+        return notinU(coeffs, rng.randint(-5, 5), rng.randint(0, 4))
+    if roll < 0.6:
+        return {"op": "not", "item": random_tree(rng, variables, depth - 1)}
+    items = [random_tree(rng, variables, depth - 1)
+             for _ in range(rng.randint(0, 3))]
+    return {"op": rng.choice(["and", "or"]), "items": items}
 
 
 class TestValuations:
@@ -68,38 +105,113 @@ class TestValuations:
 
 
 class TestLinearForm:
+    """The form of a notinU node: const + sum(coeff * var), in canonical
+    order."""
+
     def test_evaluate(self):
-        f = LinearForm({"x": 2, "z0": -1}, 5)
-        assert f.evaluate({"x": 3, "z0": 4}) == 7
+        # 2x - z0 + 5 at x = 3, z0 = 4 is 7: in U_{7,1}, outside U_{5,1}
+        for p, holds in ((5, True), (7, False)):
+            f = SpecialFormula(
+                lead_k=1, modulus_m=1, positive_slots=1,
+                p_conditions={p: notinU({"x": 2, "z0": -1}, 5)},
+            )
+            assert GSystem(f, (4,), ()).holds_at(3) is holds
 
     def test_zero_coeffs_dropped(self):
-        assert LinearForm({"x": 0}, 1) == LinearForm({}, 1)
+        f = SpecialFormula(
+            lead_k=1, modulus_m=1, positive_slots=1,
+            p_conditions={2: notinU({"x": 0, "z0": 1}, 1),
+                          3: {"op": "notinU", "form": {"coeffs": {"x": 0}},
+                              "level": 1}},
+        )
+        assert f.p_conditions == {
+            2: notinU({"z0": 1}, 1),
+            3: notinU({}, 0),
+        }
+        # a zero coefficient may name any variable: it is dropped first
+        SpecialFormula(lead_k=1, modulus_m=1, positive_slots=0,
+                       p_conditions={2: notinU({"z9": 0})})
 
     def test_json_round_trip(self):
-        f = LinearForm({"x": 1, "zp0": 3}, -2)
-        assert LinearForm.from_json_dict(f.to_json_dict()) == f
+        # coefficients come back sorted by name, keys in grammar order
+        f = SpecialFormula(
+            lead_k=1, modulus_m=1, positive_slots=1, negative_slots=1,
+            p_conditions={3: {"level": 2, "form": {"const": -2, "coeffs": {
+                "zp0": 3, "x": 1, "z0": -1}}, "op": "notinU"}},
+        )
+        tree = to_json(f)["p_conditions"]["3"]
+        assert list(tree) == ["op", "form", "level"]
+        assert list(tree["form"]) == ["coeffs", "const"]
+        assert list(tree["form"]["coeffs"]) == ["x", "z0", "zp0"]
+        assert SpecialFormula.from_json_dict(to_json(f)) == f
+
+
+class TestConditionReader:
+    @pytest.mark.parametrize("cond", [
+        notinU({"x": 1.5}),
+        notinU({"x": 1}, const="2"),
+        notinU({"x": 1}, level=1.9),
+        notinU({"x": True}),
+        notinU({"x": 1}, level=None),
+        {"op": "notinU", "form": {"coeffs": {"x": 1}}},
+        {"op": "notinU", "level": 1},
+        {"op": "notinU", "form": {"coeffs": {"x": 1}, "k": 1}, "level": 1},
+        {"op": "notinU", "form": [1], "level": 1},
+        {"op": "notinU", "form": {"coeffs": [["x", 1]]}, "level": 1},
+        {"op": "true", "note": "extra key"},
+        {"op": "and", "items": {"op": "true"}},
+        {"op": "not"},
+        {"op": "xor", "items": []},
+        {"items": []},
+        [],
+        "true",
+    ])
+    def test_malformed_condition_rejected(self, cond):
+        with pytest.raises(ValueError):
+            SpecialFormula(lead_k=1, modulus_m=1, positive_slots=0,
+                           p_conditions={3: cond})
+
+    @pytest.mark.parametrize("key", ["x", "3.0", "", True, 2.0, -3])
+    def test_bad_prime_key_rejected(self, key):
+        with pytest.raises(ValueError):
+            SpecialFormula(lead_k=1, modulus_m=1, positive_slots=0,
+                           p_conditions={key: {"op": "true"}})
+
+    def test_string_and_int_keys_read_alike(self):
+        with pytest.raises(ValueError, match="twice"):
+            SpecialFormula(lead_k=1, modulus_m=1, positive_slots=0,
+                           p_conditions={3: {"op": "true"},
+                                         "3": {"op": "true"}})
+        f = SpecialFormula(lead_k=1, modulus_m=1, positive_slots=0,
+                           p_conditions={"5": {"op": "true"},
+                                         2: {"op": "true"}})
+        assert list(f.p_conditions) == [2, 5]
+
+    def test_float_slot_constant_rejected(self):
+        f = SpecialFormula(lead_k=1, modulus_m=1, positive_slots=1)
+        with pytest.raises(ValueError):
+            GSystem(f, (1.5,), ())
 
 
 class TestFormulaAndSystem:
     def test_undeclared_variable_rejected(self):
-        cond = NotInU(LinearForm({"z5": 1}), 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="undeclared"):
             SpecialFormula(
                 lead_k=1,
                 modulus_m=1,
                 positive_slots=1,
                 negative_slots=0,
-                p_conditions={2: cond},
+                p_conditions={2: notinU({"z5": 1})},
             )
 
     def test_nonprime_condition_key_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not prime"):
             SpecialFormula(
                 lead_k=1,
                 modulus_m=1,
                 positive_slots=0,
                 negative_slots=0,
-                p_conditions={4: NotInU(LinearForm({"x": 1}), 1)},
+                p_conditions={4: notinU({"x": 1})},
             )
 
     def test_zero_lead_rejected(self):
@@ -136,22 +248,27 @@ class TestFormulaAndSystem:
             GSystem(f, (1,), ())
 
     def test_json_round_trip(self):
-        cond = NotInU(LinearForm({"x": 1}, 1), 1)
         f = SpecialFormula(
             lead_k=2,
             modulus_m=3,
             positive_slots=1,
             negative_slots=1,
-            p_conditions={5: cond},
+            p_conditions={5: notinU({"x": 1}, 1), 2: {"op": "true"}},
         )
         sys_ = GSystem(f, (4,), (9,))
-        back = GSystem.from_json_dict(sys_.to_json_dict())
-        assert back.c == sys_.c and back.c_prime == sys_.c_prime
+        back = GSystem.from_json_dict(to_json(sys_))
+        assert back == sys_
         assert back.formula.p_conditions == f.p_conditions
+        assert list(to_json(sys_)["formula"]["p_conditions"]) == ["2", "5"]
 
     def test_cond_json_round_trip(self):
-        cond = NotInU(LinearForm({"x": 1, "z0": 2}, -1), 3)
-        assert cond_from_json(cond_to_json(cond)) == cond
+        cond = notinU({"z0": 2, "x": 1}, -1, 3)
+        f = SpecialFormula(lead_k=1, modulus_m=1, positive_slots=1,
+                           p_conditions={3: cond})
+        canonical = notinU({"x": 1, "z0": 2}, -1, 3)
+        assert f.p_conditions[3] == canonical
+        back = SpecialFormula.from_json_dict(json.loads(json.dumps(to_json(f))))
+        assert back.p_conditions[3] == canonical
 
 
 class TestPSatisfiable:
@@ -176,7 +293,7 @@ class TestPSatisfiable:
 
     def test_theta_condition_respected(self):
         # require x not3divisible on top of square-freeness
-        cond = NotInU(LinearForm({"x": 1}), 1)
+        cond = notinU({"x": 1}, 0, 1)
         f = SpecialFormula(
             lead_k=1,
             modulus_m=1,
@@ -192,7 +309,7 @@ class TestPSatisfiable:
     def test_unsatisfiable_theta(self):
         # x in U_{2,1} and x+1 in P1 forces contradiction? no — use
         # directly contradictory theta: x not in U_{2,0} is always false
-        cond = NotInU(LinearForm({"x": 1}), 0)
+        cond = notinU({"x": 1}, 0, 0)
         f = SpecialFormula(
             lead_k=1,
             modulus_m=1,
@@ -254,6 +371,50 @@ class TestWindowCount:
         sys_ = shift_system([3], lead_k=2**60)
         with pytest.raises(OverflowError, match="x \\+ 3"):
             count_solutions_window(sys_, 100)
+
+    def test_random_trees_match_walker(self):
+        # and/or/not/true trees, levels 0-4, over x, z* and zp*: windows
+        # both shorter and longer than p^L
+        rng = random.Random(2024)
+        variables = ["x", "z0", "z1", "zp0"]
+        checked = 0
+        for _ in range(40):
+            p = rng.choice([2, 3, 5])
+            f = SpecialFormula(
+                lead_k=rng.choice([1, 2, -1]), modulus_m=1, positive_slots=2,
+                negative_slots=1, p_conditions={p: random_tree(rng, variables)},
+            )
+            sys_ = GSystem(f, (rng.randint(-9, 9), rng.randint(-9, 9)),
+                           (rng.randint(-9, 9),))
+            L = max(f.theta_level(p), 1)
+            for t in (max(p**L // 2, 2), 2 * p**L + 3):
+                direct = 0
+                for x in range(1, t):
+                    assign = sys_.assignment(x)
+                    k = f.lead_k
+                    direct += (
+                        all(in_Pm(k * x + c, 1) for c in sys_.c)
+                        and not any(in_Pm(k * x + c, 1) for c in sys_.c_prime)
+                        and walk(f.p_conditions[p], p, assign)
+                    )
+                assert count_solutions_window(sys_, t) == direct
+                checked += direct > 0
+        assert checked > 10
+
+    def test_condition_evaluates_only_window_residues(self, monkeypatch):
+        # one level-13 condition at p = 3: 3^13 residues, a window of 30
+        f = SpecialFormula(lead_k=1, modulus_m=1, positive_slots=1,
+                           p_conditions={3: notinU({"x": 1}, 1, 13)})
+        sys_ = GSystem(f, (0,), ())
+        calls = []
+        real = GSystem.assignment
+        monkeypatch.setattr(
+            GSystem, "assignment",
+            lambda self, x: calls.append(x) or real(self, x),
+        )
+        got = count_solutions_window(sys_, 30)
+        assert len(calls) <= 30
+        assert got == sum(1 for x in range(1, 30) if in_Pm(x, 1))
 
     def test_negative_lead(self):
         # -x + 20 in P1 over 0<x<20
@@ -444,6 +605,26 @@ class TestTheoreticalBeta:
         )
         beta = theoretical_beta(f, Fraction(1, 2), tail_prime=500)
         assert beta is not None and beta > 0
+
+    def test_negative_slot_condition_positivized(self):
+        # zp0 in a condition reads as z2 in the positivized formula
+        cond = {"op": "or", "items": [notinU({"zp0": 1, "x": 1}, 1, 2),
+                                      {"op": "not", "item": notinU({"z1": 2})}]}
+        f = SpecialFormula(lead_k=1, modulus_m=1, positive_slots=2,
+                           negative_slots=1, p_conditions={3: cond})
+        by_hand = SpecialFormula(
+            lead_k=1, modulus_m=1, positive_slots=3,
+            p_conditions={3: {"op": "or", "items": [
+                notinU({"x": 1, "z2": 1}, 1, 2),
+                {"op": "not", "item": notinU({"z1": 2})}]}},
+        )
+        alpha, tail = Fraction(1, 3), 300
+        delta = density_certificate(by_hand, tail).epsilon_lower / 2
+        want = alpha * Fraction(math.factorial(3), 3**3) * delta / (2 * 1 * 3**2)
+        assert theoretical_beta(f, alpha, tail_prime=tail) == want
+        plain = SpecialFormula(lead_k=1, modulus_m=1, positive_slots=2,
+                               negative_slots=1)
+        assert theoretical_beta(plain, alpha, tail_prime=tail) != want
 
     def test_scales_linearly_in_alpha(self):
         f = SpecialFormula(
