@@ -151,8 +151,7 @@ def _handle_analyze(cfg: ExperimentConfig):
 def _handle_lp(cfg: ExperimentConfig):
     opt = cfg.options
     family = parse_family(opt.family)
-    value, dist = fraclp.intersection_number(family)
-    tr = fraclp.fractional_transversal(family, integer_cap=opt.integer_cap)
+    value, dist, tr = fraclp._family_lp(family, integer_cap=opt.integer_cap)
     out = {"intersection_number": value, "distribution": dist, "transversal": tr}
     return out, (0 if tr.status == "optimal" else 1)
 

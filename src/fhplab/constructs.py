@@ -16,9 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .setfam import SetFamily
-
-DEFAULT_SIZE_CAP = 250000
+from .setfam import DEFAULT_SIZE_CAP, SetFamily
 
 
 @dataclass(frozen=True)
@@ -64,13 +62,6 @@ class BlockParams:
             raise ValueError(f"m must be >= ceil(p_prime/gamma) = {m_floor}")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "gamma", gamma)
-
-    @property
-    def intersecting_fraction_bound(self) -> Fraction:
-        prod = Fraction(1)
-        for j in range(self.k):
-            prod *= 1 - Fraction(j, self.r)
-        return prod
 
 
 def build_block_counterexample(

@@ -7,12 +7,18 @@ previous one (Bareiss 1968, Edmonds 1967).  Instances here are small (at
 most a few hundred variables), so termination and bit-exact primal/dual
 certificates matter more than speed.  Variables are implicitly nonnegative.
 
-The two LPs of interest are dual to each other on a finite ground set:
+Both LP quantities of a family come from one LP over its Venn atoms a,
+the fractional matching (packing) LP, and its dual, the covering LP:
 
-    i(F)  = max t   s.t.  sum_{x in S} p_x >= t for all S,  sum p_x = 1
-    tau*  = min sum phi(x)   s.t.  sum_{x in S} phi(x) >= 1 for all S
+    tau* = max sum_F y_F  s.t.  sum_{F containing a} y_F <= 1 for all a
+         = min sum_a w_a  s.t.  sum_{a in F} w_a >= 1 for all F
 
-and i(F) * tau*(F) = 1 whenever all members are nonempty.
+The packing rows are 0/1 with right-hand side 1, so the slack basis is
+feasible and phase 1 never runs; the certified dual values of one solve
+are the transversal weights w (tau* = nu*, Fueredi 1988).  Kelley's
+max-min LP, i(F) = max over distributions mu of min_F mu(F), is the
+covering LP rescaled by mu = w / tau*, so i(F) * tau*(F) = 1 whenever
+all members are nonempty.
 """
 
 from __future__ import annotations
@@ -313,7 +319,7 @@ def _atoms(family: SetFamily):
 
     An element's pattern is its kernel column, the bitmask of the member
     indices that contain it.  Elements in no member are dropped (they can
-    never help either LP).  Returns (reps, patterns) with reps ascending,
+    never help a cover).  Returns (reps, patterns) with reps ascending,
     reps[i] the smallest element of atom i and patterns[i] its column.
     Atomization preserves all intersection patterns of the family.
     """
@@ -324,41 +330,45 @@ def _atoms(family: SetFamily):
     return list(first.values()), list(first)
 
 
+def _family_lp(family: SetFamily, integer_cap: Optional[int] = None):
+    """(i(F), its distribution, the transversal) from one packing LP solve.
+
+    Edge cases as in intersection_number.  The transversal weights are the
+    LP's certified dual values, one per atom, keyed by the atom's smallest
+    element; zero weights are dropped.
+    """
+    if family.n == 0:
+        raise ValueError("family has no members")
+    if family.empty_members:
+        infeasible = TransversalResult(tau_star=None, weights={}, status="infeasible")
+        return Fraction(0), {0: Fraction(1)}, infeasible
+    reps, patterns = _atoms(family)
+    n, na = family.n, len(reps)
+    rows = tuple(tuple(pat >> i & 1 for i in range(n)) for pat in patterns)
+    sol = solve_lp(LpProblem("max", (1,) * n, rows, ("<=",) * na, (1,) * na))
+    if sol.status != "optimal":
+        raise ArithmeticError(f"packing LP came back {sol.status}")
+    tau = sol.value
+    weights = {e: w for e, w in zip(reps, sol.dual) if w}
+    hit = None if integer_cap is None else min_transversal_exact(family, integer_cap)
+    integer_tau, integer_witness = hit or (None, None)
+    tr = TransversalResult(
+        tau, weights, integer_tau=integer_tau, integer_witness=integer_witness
+    )
+    return 1 / tau, {e: w / tau for e, w in weights.items()}, tr
+
+
 def intersection_number(family: SetFamily):
     """Kelley-style max-min LP: the best worst-case mass a probability
     distribution on the ground set can give every member.
 
     Returns (value, distribution); the distribution is a witness measure
-    supported on atom representatives.  An empty member forces value 0 and a
-    documented degenerate distribution (point mass on element 0).
+    supported on atom representatives, the transversal weights over tau*.
+    An empty member forces value 0 and a documented degenerate distribution
+    (point mass on element 0).
     """
-    if family.n == 0:
-        raise ValueError("family has no members")
-    if family.empty_members:
-        return Fraction(0), {0: Fraction(1)}
-    reps, patterns = _atoms(family)
-    na = len(reps)
-    # variables: p_0..p_{na-1}, then t
-    objective = [Fraction(0)] * na + [Fraction(1)]
-    rows = []
-    rels = []
-    rhs = []
-    for i in range(family.n):
-        row = [Fraction(pat >> i & 1) for pat in patterns]
-        row.append(Fraction(-1))
-        rows.append(tuple(row))
-        rels.append(">=")
-        rhs.append(Fraction(0))
-    rows.append(tuple([Fraction(1)] * na + [Fraction(0)]))
-    rels.append("==")
-    rhs.append(Fraction(1))
-    sol = solve_lp(
-        LpProblem("max", tuple(objective), tuple(rows), tuple(rels), tuple(rhs))
-    )
-    if sol.status != "optimal":
-        raise ArithmeticError(f"intersection LP came back {sol.status}")
-    dist = {reps[i]: sol.primal[i] for i in range(na) if sol.primal[i]}
-    return sol.value, dist
+    value, dist, _ = _family_lp(family)
+    return value, dist
 
 
 def fractional_transversal(
@@ -372,40 +382,7 @@ def fractional_transversal(
     """
     if family.n == 0:
         return TransversalResult(tau_star=Fraction(0), weights={})
-    if family.empty_members:
-        return TransversalResult(tau_star=None, weights={}, status="infeasible")
-    reps, patterns = _atoms(family)
-    na = len(reps)
-    objective = [Fraction(1)] * na
-    rows = []
-    for i in range(family.n):
-        rows.append(
-            tuple(Fraction(pat >> i & 1) for pat in patterns)
-        )
-    sol = solve_lp(
-        LpProblem(
-            "min",
-            tuple(objective),
-            tuple(rows),
-            tuple([">="] * family.n),
-            tuple([Fraction(1)] * family.n),
-        )
-    )
-    if sol.status != "optimal":
-        raise ArithmeticError(f"transversal LP came back {sol.status}")
-    weights = {reps[i]: sol.primal[i] for i in range(na) if sol.primal[i]}
-    integer_tau = None
-    integer_witness = None
-    if integer_cap is not None:
-        hit = min_transversal_exact(family, integer_cap)
-        if hit is not None:
-            integer_tau, integer_witness = hit
-    return TransversalResult(
-        tau_star=sol.value,
-        weights=weights,
-        integer_tau=integer_tau,
-        integer_witness=integer_witness,
-    )
+    return _family_lp(family, integer_cap)[2]
 
 
 def min_transversal_exact(family: SetFamily, cap: int):

@@ -20,6 +20,7 @@ import numpy as np
 from ._primes import isprime
 from .formulas import evaluate_formula
 from .setfam import (
+    DEFAULT_SIZE_CAP,
     ColorfulReport,
     FhpReport,
     MeasureReport,
@@ -32,7 +33,6 @@ from .setfam import (
 
 FIELD_CAP = 61
 ARITY_CAP = 3
-DEFAULT_SIZE_CAP = 250000
 
 
 class FieldStructure:
@@ -109,12 +109,6 @@ def _verify_field_axioms(p: int, add: np.ndarray, mul: np.ndarray):
 def _grid(p: int, arity: int) -> np.ndarray:
     """The tuples of F_p^arity in lexicographic order, one per row."""
     return np.indices((p,) * arity).reshape(arity, -1).T
-
-
-def eval_formula(field: FieldStructure, formula, point: Sequence[int]) -> bool:
-    """Truth of the formula with variables 0..len(point)-1 bound to point."""
-    row = np.array([[field.const_index(v) for v in point]]).reshape(1, len(point))
-    return bool(evaluate_formula(field, formula, row, np.empty((1, 0), int))[0, 0])
 
 
 def definable_family(

@@ -29,6 +29,10 @@ from typing import NamedTuple, Optional, Sequence
 from . import _backend as backend
 from ._jsonutil import SCHEMA_VERSION
 
+# largest ground size a family builder (constructs, pseudofield) makes
+# unless given its own size_cap
+DEFAULT_SIZE_CAP = 250000
+
 
 @dataclass(frozen=True)
 class SetFamily:

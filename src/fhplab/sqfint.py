@@ -174,7 +174,15 @@ def _cond_holds(cond: dict, p: int, assign: dict) -> bool:
         value = form["const"]
         for var, co in form["coeffs"].items():
             value += co * assign[var]
-        return value % p**level != 0
+        # value % p**level != 0, without building p**level: strip at
+        # most level factors of p
+        if value == 0:
+            return False
+        for _ in range(level):
+            if value % p:
+                return True
+            value //= p
+        return False
     if op == "and":
         return all(_cond_holds(i, p, assign) for i in cond["items"])
     if op == "or":
@@ -572,8 +580,10 @@ def _solution_mask(sys: GSystem, t: int) -> np.ndarray:
         good &= _pm_bad_mask(k, cj, m, t)
     for p, cond in f.p_conditions.items():
         # truth depends only on a mod p^L: evaluate the residues the window
-        # reaches, and repeat them (np.resize) when p^L < t
-        n = min(p ** max(f.theta_level(p), 1), t)
+        # reaches, and repeat them (np.resize) when p^L < t; p^L >= t once
+        # L >= t.bit_length(), and then p^L is never built
+        L = max(f.theta_level(p), 1)
+        n = t if L >= t.bit_length() else min(p**L, t)
         table = np.fromiter(
             (_cond_holds(cond, p, sys.assignment(r)) for r in range(n)),
             dtype=bool,

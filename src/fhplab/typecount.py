@@ -235,6 +235,8 @@ class PositiveType:
 
 
 def _x_space(structure: FiniteStructure, x_arity: int):
+    if x_arity < 1:
+        raise ValueError(f"x_arity must be >= 1, got {x_arity}")
     count = len(structure.universe) ** x_arity
     if count > X_CAP:
         raise ValueError(f"witness space size {count} exceeds cap {X_CAP}")

@@ -22,6 +22,7 @@ from conftest import (
     oracle_max_inconsistent,
     random_family,
 )
+from lp_oracle import intersection_lp
 
 
 def verdict(capsys, num, name, ok, detail):
@@ -45,23 +46,30 @@ def test_01_exact_lp_duality(capsys, seeded_lp_families):
     tau_tri = fraclp.fractional_transversal(triangle).tau_star
     exact = i_tri == Fraction(2, 3) and tau_tri == Fraction(3, 2)
 
+    # i(F) is read as 1/tau* from one packing LP, so the product is 1 by
+    # construction; the separately solved max-min LP is the real check
     dual_ok = 0
+    oracle_ok = 0
     for fam in seeded_lp_families:
         value, _ = fraclp.intersection_number(fam)
         tau = fraclp.fractional_transversal(fam).tau_star
         if value * tau == 1:
             dual_ok += 1
+        if value == intersection_lp(fam)[0]:
+            oracle_ok += 1
     float_ok = all(
         abs(float(fraclp.intersection_number(fam)[0])
             - oracle_intersection_number(fam)) < 1e-7
         for fam in seeded_lp_families[:20]
     )
     elapsed = time.monotonic() - start
-    ok = exact and dual_ok == 200 and float_ok and elapsed < 60
+    ok = (exact and dual_ok == 200 and oracle_ok == 200 and float_ok
+          and elapsed < 60)
     verdict(
         capsys, 1, "exact LP duality",
         ok,
         f"triangle i={i_tri} tau*={tau_tri}; product==1 on {dual_ok}/200; "
+        f"max-min LP agrees on {oracle_ok}/200; "
         f"float oracle 20/20={float_ok}; {elapsed:.2f}s (<60s)",
     )
 

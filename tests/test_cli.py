@@ -133,6 +133,23 @@ class TestCountTypesValidation:
         assert code == 2
         assert "--phi" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("x_arity", ["0", "-1"])
+    def test_x_arity_below_one(self, x_arity, tmp_path, capsys):
+        structure = tmp_path / "structure.json"
+        structure.write_text(json.dumps(
+            {"universe_size": 3, "relations": {"R": {"arity": 1, "bits": "101"}}}
+        ))
+        phi = tmp_path / "phi.json"
+        phi.write_text(json.dumps(["rel", "R", ["var", 0]]))
+        pool = tmp_path / "pool.json"
+        pool.write_text(json.dumps([[0], [1], [2]]))
+        code = main(["count-types", "--structure", str(structure),
+                     "--phi", str(phi), "--pool", str(pool), "--m", "1",
+                     "--k", "2", "--l", "2", "--x-arity", x_arity])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: x_arity must be >= 1, got {x_arity}\n"
+
     def test_l_and_l_values_exclusive(self, triangle_path, capsys):
         code = main(["count-types", "--family", triangle_path,
                      "--m", "1", "--k", "2", "--l", "2",
@@ -411,6 +428,26 @@ def test_malformed_formula_is_input_error(command, phi, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert len(captured.err.splitlines()) == 1
+
+
+def test_sqf_count_huge_level(tmp_path):
+    """A level-10^8 p-condition counts a 30-number window at once; run as
+    a subprocess so a regression fails on the timeout instead of hanging."""
+    doc = tmp_path / "system.json"
+    doc.write_text(json.dumps({
+        "formula": {"lead_k": 1, "modulus_m": 1, "positive_slots": 0,
+                    "p_conditions": {"3": {
+                        "op": "notinU", "form": {"coeffs": {"x": 1}, "const": 1},
+                        "level": 100000000}}},
+        "c": [], "c_prime": [],
+    }))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fhplab.cli", "sqf", "count", "--system",
+         str(doc), "--window", "30"],
+        capture_output=True, text=True, timeout=30, env={**os.environ},
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["report"]["count"] == 29
 
 
 def test_console_script_entry():

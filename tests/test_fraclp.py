@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from fhplab import fraclp
 from fhplab._jsonutil import rat_to_json, to_json
+from fhplab.cli import main
 from fhplab.fraclp import (
     LpProblem,
+    _family_lp,
     fractional_transversal,
     intersection_number,
     min_transversal_exact,
@@ -16,6 +19,7 @@ from fhplab.fraclp import (
 from fhplab.setfam import SetFamily
 
 from conftest import oracle_intersection_number, oracle_min_cover, random_family
+from lp_oracle import intersection_lp, transversal_lp
 
 
 def F(a, b=1):
@@ -310,23 +314,97 @@ def test_basic_artificial_regressions(prob, value):
     assert sol.value == value
 
 
-def test_family_lp_reports_pinned():
-    """i(F) and tau* with their witnesses, over acceptance check 01's 200
-    families and the benchmark's 24/26/28-member ones, hash to the
-    Fraction-tableau solver's output."""
+def lp_sweep_families():
+    """Acceptance check 01's 200 families and the benchmark's 24/26/28-member
+    ones."""
     families = [random_family(random.Random(seed)) for seed in range(200)]
     for n in (24, 26, 28):
         rng = random.Random(f"lp-sweep-large:{n}")
         families.append(SetFamily(
             12, [rng.sample(range(12), rng.randint(3, 8)) for _ in range(n)]
         ))
+    return families
+
+
+def lp_digest(solve):
+    """sha256 of i(F) and tau* with their witnesses over lp_sweep_families,
+    with solve(family) -> (value, distribution, TransversalResult)."""
     out = []
-    for fam in families:
-        value, dist = intersection_number(fam)
+    for fam in lp_sweep_families():
+        value, dist, tr = solve(fam)
         out.append([
             rat_to_json(value),
             {str(e): rat_to_json(w) for e, w in sorted(dist.items())},
-            to_json(fractional_transversal(fam)),
+            to_json(tr),
         ])
-    digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+
+
+def test_family_lp_reports_pinned():
+    """The two-LP oracle's reports hash to the Fraction-tableau solver's
+    output, so solve_lp's phase 1 and Bland pivot path stay as they were."""
+    digest = lp_digest(lambda fam: (*intersection_lp(fam), transversal_lp(fam)))
     assert digest == "d1f892d9305c10a8952ea3e7de00c4fab5397cd8a8fd120567ed62df5f04a234"
+
+
+def test_packing_lp_reports_pinned():
+    """The library's reports, read from one packing LP per family."""
+    digest = lp_digest(
+        lambda fam: (*intersection_number(fam), fractional_transversal(fam))
+    )
+    assert digest == "f47de4125adf5d321366cadee2d692e067d5be135a53f748ab7e7eb4d45f2b7c"
+
+
+def check_against_oracle(fam, value, dist, tr, label):
+    """Exact values equal to the two-LP oracle's, and valid witnesses."""
+    assert value == intersection_lp(fam)[0], label
+    assert tr.tau_star == transversal_lp(fam).tau_star, label
+    assert value * tr.tau_star == 1, label
+    assert all(m > 0 for m in dist.values()) and sum(dist.values()) == 1, label
+    assert all(w > 0 for w in tr.weights.values()), label
+    assert sum(tr.weights.values()) == tr.tau_star, label
+    for s in fam.members:
+        assert sum(m for e, m in dist.items() if e in s) >= value, label
+        assert sum(w for e, w in tr.weights.items() if e in s) >= 1, label
+
+
+def test_public_functions_match_two_lp_oracle():
+    for i, fam in enumerate(lp_sweep_families()):
+        value, dist = intersection_number(fam)
+        check_against_oracle(
+            fam, value, dist, fractional_transversal(fam), f"family {i}"
+        )
+
+
+def test_packing_lp_matches_two_lp_oracle():
+    for seed in range(10_000, 13_000):
+        fam = random_family(random.Random(seed))
+        check_against_oracle(fam, *_family_lp(fam), f"seed {seed}")
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The problems passed to solve_lp, recorded through the module global."""
+    calls = []
+
+    def counting(problem):
+        calls.append(problem)
+        return solve_lp(problem)
+
+    monkeypatch.setattr(fraclp, "solve_lp", counting)
+    return calls
+
+
+def test_each_function_solves_once(triangle, solves):
+    intersection_number(triangle)
+    assert len(solves) == 1
+    fractional_transversal(triangle, integer_cap=3)
+    assert len(solves) == 2
+
+
+def test_lp_command_solves_once(tmp_path, solves, capsys):
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({"ground": 3, "sets": [[0, 1], [1, 2], [0, 2]]}))
+    assert main(["lp", "--family", str(path)]) == 0
+    capsys.readouterr()
+    assert len(solves) == 1

@@ -12,10 +12,10 @@ from fhplab.pseudofield import (
     colorful_ff_experiment,
     definable_family,
     dim_meas_fit,
-    eval_formula,
     ff_fhp_experiment,
     line_family,
 )
+from fhplab.formulas import evaluate_formula
 from fhplab.setfam import cons_k, max_intersecting
 
 from formula_walker import evaluate_formula as walk_formula
@@ -49,22 +49,27 @@ class TestFieldStructure:
             assert f.mul_table[a][b] == (a * b) % 7
 
 
+def holds(field, formula, point):
+    """Truth of formula at one point of F_p^k (elements are their indices)."""
+    return bool(evaluate_formula(field, formula, [point], [[]])[0, 0])
+
+
 class TestEvalFormula:
     def test_parabola_point(self):
         F5 = FieldStructure.for_prime(5)
         phi = ["=", ["var", 1], ["*", ["var", 0], ["var", 0]]]
-        assert eval_formula(F5, phi, (2, 4))
-        assert not eval_formula(F5, phi, (2, 3))
+        assert holds(F5, phi, (2, 4))
+        assert not holds(F5, phi, (2, 3))
 
     def test_nonresidue(self):
         F5 = FieldStructure.for_prime(5)
         phi = ["exists", 1, ["=", ["*", ["var", 1], ["var", 1]], ["var", 0]]]
-        assert not eval_formula(F5, phi, (2,))
-        assert eval_formula(F5, phi, (4,))
+        assert not holds(F5, phi, (2,))
+        assert holds(F5, phi, (4,))
 
     def test_tautology(self):
         F5 = FieldStructure.for_prime(5)
-        assert eval_formula(F5, ["=", ["var", 0], ["var", 0]], (3,))
+        assert holds(F5, ["=", ["var", 0], ["var", 0]], (3,))
 
 
 class TestDefinableFamily:
@@ -239,7 +244,7 @@ class TestDimMeasFit:
                      ["*", ["var", 0], ["*", ["var", 0], ["var", 0]]]]
             cubic_count = sum(
                 1 for x in range(p) for y in range(p)
-                if eval_formula(F, cubic, (x, y))
+                if holds(F, cubic, (x, y))
             )
             hyper_count = p - 1  # xy = 1
             for count, want_mu in (

@@ -416,6 +416,14 @@ class TestWindowCount:
         assert len(calls) <= 30
         assert got == sum(1 for x in range(1, 30) if in_Pm(x, 1))
 
+    @pytest.mark.parametrize("level", [0, 1, 19, 20, 21, 22])
+    def test_deep_valuations_match_walker(self, level):
+        # 3^20 * x + 0: the valuation of every value sits near the level
+        f = SpecialFormula(lead_k=1, modulus_m=1, positive_slots=0,
+                           p_conditions={3: notinU({"x": 3**20}, 0, level)})
+        want = sum(walk(f.p_conditions[3], 3, {"x": x}) for x in range(1, 30))
+        assert count_solutions_window(GSystem(f, (), ()), 30) == want
+
     def test_negative_lead(self):
         # -x + 20 in P1 over 0<x<20
         f = SpecialFormula(
