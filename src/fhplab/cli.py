@@ -1,9 +1,12 @@
 """Command-line front door: batch analyses with reproducible reports.
 
 Every report is a single JSON object (or flattened CSV) that embeds the
-tool version, the seed, and the caps in effect, so a report alone is
-enough to rerun its experiment.  Outputs are byte-deterministic for a
-fixed command line; wall-clock runtime is attached only under --timing.
+tool version and the seed, so a report alone is enough to rerun its
+experiment.  The search caps are module constants (`setfam.SIZE_CAP`,
+`typecount.TYPE_CAP` and their neighbours) that no flag or environment
+variable changes, so the envelope's `caps` is always `{}`.  Outputs are
+byte-deterministic for a fixed command line; wall-clock runtime is
+attached only under --timing.
 
 Exit codes: 0 success, 1 a requested property check failed (FHP
 hypothesis false, LP infeasible, construction verification failed,
@@ -17,7 +20,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -26,22 +28,6 @@ from ._jsonutil import SCHEMA_VERSION, to_json
 # pseudofield and sqfint load numpy, so only the ff and sqf handlers import
 # them: every other command starts without numpy.
 from . import constructs, fraclp, setfam, typecount, vc
-
-ENV_SIZE_CAP = "FHPLAB_SIZE_CAP"
-ENV_TYPE_CAP = "FHPLAB_TYPE_CAP"
-
-
-@dataclass
-class ExperimentConfig:
-    """Everything a subcommand run depends on, resolved and validated."""
-
-    command: str
-    options: argparse.Namespace
-    seed: int
-    caps: dict = field(default_factory=dict)
-    fmt: str = "json"
-    output: Optional[str] = None
-    timing: bool = False
 
 
 def parse_family(path: str) -> setfam.SetFamily:
@@ -112,25 +98,10 @@ def _int_list(text: str):
     return [int(v) for v in text.replace(";", ",").split(",")]
 
 
-def _caps_from_env() -> dict:
-    caps = {}
-    size_cap = os.environ.get(ENV_SIZE_CAP)
-    if size_cap is not None:
-        caps["size_cap"] = int(size_cap)
-    type_cap = os.environ.get(ENV_TYPE_CAP)
-    if type_cap is not None:
-        caps["type_cap"] = int(type_cap)
-    for name, value in caps.items():
-        if value < 1:
-            raise ValueError(f"cap {name} must be positive")
-    return caps
-
-
 # ---------------------------------------------------------------- handlers
 
 
-def _handle_analyze(cfg: ExperimentConfig):
-    opt = cfg.options
+def _handle_analyze(opt):
     family = parse_family(opt.family)
     report = setfam.check_fhp_instance(family, opt.k, Fraction(opt.alpha))
     out = {"fhp": report}
@@ -148,26 +119,22 @@ def _handle_analyze(cfg: ExperimentConfig):
     return out, (0 if ok else 1)
 
 
-def _handle_lp(cfg: ExperimentConfig):
-    opt = cfg.options
+def _handle_lp(opt):
     family = parse_family(opt.family)
     value, dist, tr = fraclp._family_lp(family, integer_cap=opt.integer_cap)
     out = {"intersection_number": value, "distribution": dist, "transversal": tr}
     return out, (0 if tr.status == "optimal" else 1)
 
 
-def _handle_vc(cfg: ExperimentConfig):
-    opt = cfg.options
+def _handle_vc(opt):
     family = parse_family(opt.family)
     sizes = _int_list(opt.dual_sizes) if opt.dual_sizes else None
-    report = vc.vc_dimension(family, opt.cap, dual_sizes=sizes, seed=cfg.seed)
+    report = vc.vc_dimension(family, opt.cap, dual_sizes=sizes, seed=opt.seed)
     return {"vc": report}, 0
 
 
-def _build_construction(cfg: ExperimentConfig):
-    opt = cfg.options
+def _build_construction(opt):
     name = opt.construction
-    size_cap = cfg.caps.get("size_cap", constructs.DEFAULT_SIZE_CAP)
     if name == "block":
         params = constructs.BlockParams(
             k=opt.k,
@@ -178,7 +145,7 @@ def _build_construction(cfg: ExperimentConfig):
             r=opt.r,
             m=opt.m,
         )
-        fam = constructs.build_block_counterexample(params, size_cap=size_cap)
+        fam = constructs.build_block_counterexample(params)
         meta = {
             "k": opt.k,
             "r": opt.r,
@@ -189,16 +156,16 @@ def _build_construction(cfg: ExperimentConfig):
             "k_prime": opt.kprime,
         }
     elif name == "tp2":
-        fam = constructs.build_tp2_grid(opt.k, opt.m, d=opt.d, size_cap=size_cap)
+        fam = constructs.build_tp2_grid(opt.k, opt.m, d=opt.d)
         meta = {"k": opt.k, "m": opt.m, "d": opt.d}
     elif name == "cross":
         fam = constructs.build_two_order_cross(opt.n)
         meta = {"n": opt.n}
     elif name == "caps":
-        fam = constructs.build_caps_family(opt.w, opt.depth, size_cap=size_cap)
+        fam = constructs.build_caps_family(opt.w, opt.depth)
         meta = {"W": opt.w, "D": opt.depth}
     elif name == "shattered":
-        fam = constructs.build_shattered_pairs(opt.m, size_cap=size_cap)
+        fam = constructs.build_shattered_pairs(opt.m)
         meta = {"m": opt.m}
     else:
         raise ValueError(f"unknown construction {name!r}")
@@ -236,11 +203,10 @@ def _verify_construction(name: str, opt, fam: setfam.SetFamily) -> bool:
     return True
 
 
-def _handle_construct(cfg: ExperimentConfig):
-    opt = cfg.options
+def _handle_construct(opt):
     if opt.construction == "furedi":
         family = parse_family(opt.family)
-        res = constructs.furedi_extract(family, opt.trials, cfg.seed)
+        res = constructs.furedi_extract(family, opt.trials, opt.seed)
         out = {
             "construction": "furedi",
             "params": {"trials": opt.trials},
@@ -254,7 +220,7 @@ def _handle_construct(cfg: ExperimentConfig):
                 "target": res.target,
             }
         return out, (0 if res is not None else 1)
-    fam, meta = _build_construction(cfg)
+    fam, meta = _build_construction(opt)
     out = fam.to_json_dict()
     out["construction"] = opt.construction
     out["params"] = meta
@@ -275,10 +241,9 @@ def _load_system(opt):
     raise ValueError("provide --shifts or --system")
 
 
-def _handle_sqf(cfg: ExperimentConfig):
+def _handle_sqf(opt):
     from . import sqfint
 
-    opt = cfg.options
     action = opt.action
     if action == "count":
         sys_ = _load_system(opt)
@@ -348,10 +313,9 @@ def _handle_sqf(cfg: ExperimentConfig):
     raise ValueError(f"unknown sqf action {action!r}")
 
 
-def _handle_ff(cfg: ExperimentConfig):
+def _handle_ff(opt):
     from . import pseudofield
 
-    opt = cfg.options
     if opt.action == "fit":
         fit = pseudofield.dim_meas_fit(
             opt.count, opt.q, opt.n, C=Fraction(opt.C)
@@ -392,9 +356,7 @@ def _handle_ff(cfg: ExperimentConfig):
     raise ValueError(f"unknown ff action {opt.action!r}")
 
 
-def _handle_count_types(cfg: ExperimentConfig):
-    opt = cfg.options
-    type_cap = cfg.caps.get("type_cap", typecount.TYPE_CAP)
+def _handle_count_types(opt):
     if opt.family:
         family = parse_family(opt.family)
         structure, phi, pool = typecount.structure_from_family(family)
@@ -406,7 +368,7 @@ def _handle_count_types(cfg: ExperimentConfig):
         phi = _load_json(opt.phi)
         pool = _read_document(opt.pool, _pool_from_document)
         x_arity = opt.x_arity
-    if opt.l_values:
+    if opt.l_values is not None:
         report = typecount.power_saving_probe(
             structure,
             phi,
@@ -416,7 +378,7 @@ def _handle_count_types(cfg: ExperimentConfig):
             pool,
             _int_list(opt.l_values),
             opt.d,
-            seed=cfg.seed,
+            seed=opt.seed,
         )
         return {"power_saving": report}, 0
     report = typecount.f_phi(
@@ -428,8 +390,7 @@ def _handle_count_types(cfg: ExperimentConfig):
         pool,
         opt.l,
         samples=opt.samples,
-        seed=cfg.seed,
-        type_cap=type_cap,
+        seed=opt.seed,
     )
     return {"count": report}, 0
 
@@ -492,36 +453,31 @@ def _emit(text: str, output: Optional[str]):
         raise
 
 
-def run(config: ExperimentConfig) -> int:
-    """Dispatch a resolved config, emit its report, return the exit code."""
-    handler = _HANDLERS.get(config.command)
+def run(opt: argparse.Namespace) -> int:
+    """Dispatch parsed options, emit their report, return the exit code."""
+    handler = _HANDLERS.get(opt.command)
     if handler is None:
-        print(f"error: unknown command {config.command!r}", file=sys.stderr)
+        print(f"error: unknown command {opt.command!r}", file=sys.stderr)
         return 2
     started = time.monotonic()
     try:
-        body, code = handler(config)
-    except (
-        ValueError,
-        OverflowError,
-        ArithmeticError,
-        typecount.TypeBlowupError,
-    ) as exc:
+        body, code = handler(opt)
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = {
         "schema": SCHEMA_VERSION,
         "tool": "fhplab",
         "version": __version__,
-        "command": config.command,
-        "seed": config.seed,
-        "caps": dict(sorted(config.caps.items())),
+        "command": opt.command,
+        "seed": opt.seed,
+        "caps": {},
         "report": body,
     }
-    if config.timing:
+    if opt.timing:
         report["runtime_seconds"] = round(time.monotonic() - started, 6)
     try:
-        _emit(_render(to_json(report), config.fmt), config.output)
+        _emit(_render(to_json(report), opt.fmt), opt.output)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -684,11 +640,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     opt = parser.parse_args(argv)
-    try:
-        caps = _caps_from_env()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     if opt.command == "count-types":
         if (opt.family is None) == (opt.structure is None):
             print(
@@ -704,16 +655,7 @@ def main(argv=None) -> int:
         if (opt.l is None) == (opt.l_values is None):
             print("error: provide exactly one of --l / --l-values", file=sys.stderr)
             return 2
-    config = ExperimentConfig(
-        command=opt.command,
-        options=opt,
-        seed=opt.seed,
-        caps=caps,
-        fmt=opt.fmt,
-        output=opt.output,
-        timing=opt.timing,
-    )
-    return run(config)
+    return run(opt)
 
 
 if __name__ == "__main__":

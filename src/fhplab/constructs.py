@@ -3,8 +3,9 @@
 Each builder returns a plain SetFamily with human-readable labels;
 nothing downstream trusts the construction, so every structural claim a
 builder makes (intersection counts, disjointness, depth) can be re-checked
-with the setfam operations.  All sizes are capped explicitly; exceeding a
-cap raises instead of truncating.
+with the setfam operations.  Every builder refuses a ground set above
+`setfam.SIZE_CAP` before building anything; it raises instead of
+truncating.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .setfam import DEFAULT_SIZE_CAP, SetFamily
+from .setfam import SetFamily, check_ground_size
 
 
 @dataclass(frozen=True)
@@ -64,9 +65,7 @@ class BlockParams:
         object.__setattr__(self, "gamma", gamma)
 
 
-def build_block_counterexample(
-    params: BlockParams, size_cap: int = DEFAULT_SIZE_CAP
-) -> SetFamily:
+def build_block_counterexample(params: BlockParams) -> SetFamily:
     """Family of r*m sets indexed by (block, slot) over transversal tuples.
 
     Ground points are the k-subsets touching k distinct blocks, one slot
@@ -76,8 +75,7 @@ def build_block_counterexample(
     """
     k, r, m = params.k, params.r, params.m
     npoints = math.comb(r, k) * m**k
-    if npoints > size_cap:
-        raise ValueError(f"ground size {npoints} exceeds size_cap {size_cap}")
+    check_ground_size(npoints)
     point_index = {}
     for blocks in itertools.combinations(range(r), k):
         for slots in itertools.product(range(m), repeat=k):
@@ -98,9 +96,7 @@ def build_block_counterexample(
     )
 
 
-def build_tp2_grid(
-    k: int, m: int, d: int = 2, size_cap: int = DEFAULT_SIZE_CAP
-) -> SetFamily:
+def build_tp2_grid(k: int, m: int, d: int = 2) -> SetFamily:
     """k rows of m sets over the m^k functions [k] -> [m].
 
     Row i, column j is {f : f(i) in the cyclic window of d-1 values at j}.
@@ -115,8 +111,7 @@ def build_tp2_grid(
     if m < d - 1:
         raise ValueError("need m >= d-1 so windows do not wrap onto themselves")
     npoints = m**k
-    if npoints > size_cap:
-        raise ValueError(f"ground size {npoints} exceeds size_cap {size_cap}")
+    check_ground_size(npoints)
     functions = list(itertools.product(range(m), repeat=k))
     members = []
     labels = []
@@ -142,6 +137,7 @@ def build_two_order_cross(n: int) -> SetFamily:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
+    check_ground_size(n * n)
     members = []
     labels = []
     for t in range(n):
@@ -157,9 +153,7 @@ def build_two_order_cross(n: int) -> SetFamily:
     return SetFamily(ground_size=n * n, members=tuple(members), labels=tuple(labels))
 
 
-def build_caps_family(
-    W: int, D: int, size_cap: int = DEFAULT_SIZE_CAP
-) -> SetFamily:
+def build_caps_family(W: int, D: int) -> SetFamily:
     """Prefix-tree family: atoms are nonempty strings over [W], length <= D.
 
     Member F[i,j] holds the strings with character j in position i.  Members
@@ -170,8 +164,7 @@ def build_caps_family(
     if W < 1 or D < 1:
         raise ValueError("W and D must be >= 1")
     natoms = sum(W**L for L in range(1, D + 1))
-    if natoms > size_cap:
-        raise ValueError(f"ground size {natoms} exceeds size_cap {size_cap}")
+    check_ground_size(natoms)
     strings = []
     for L in range(1, D + 1):
         strings.extend(itertools.product(range(W), repeat=L))
@@ -193,7 +186,7 @@ def build_caps_family(
     )
 
 
-def build_shattered_pairs(m: int, size_cap: int = DEFAULT_SIZE_CAP) -> SetFamily:
+def build_shattered_pairs(m: int) -> SetFamily:
     """One member per ordered pair (a,b) of distinct points of an m-set.
 
     Ground elements are the 2^m subsets e, indexed by bitmask; the member
@@ -204,8 +197,7 @@ def build_shattered_pairs(m: int, size_cap: int = DEFAULT_SIZE_CAP) -> SetFamily
     if m < 2:
         raise ValueError("m must be >= 2")
     npoints = 2**m
-    if npoints > size_cap:
-        raise ValueError(f"ground size {npoints} exceeds size_cap {size_cap}")
+    check_ground_size(npoints)
     members = []
     labels = []
     for a, b in itertools.permutations(range(m), 2):

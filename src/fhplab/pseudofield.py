@@ -20,19 +20,22 @@ import numpy as np
 from ._primes import isprime
 from .formulas import evaluate_formula
 from .setfam import (
-    DEFAULT_SIZE_CAP,
     ColorfulReport,
     FhpReport,
     MeasureReport,
     RationalWeights,
     SetFamily,
     check_fhp_instance,
+    check_ground_size,
     colorful_check,
     measure_fhp_check,
 )
 
 FIELD_CAP = 61
 ARITY_CAP = 3
+# dim_meas_fit's measures: denominator and value at most these
+DEN_CAP = 8
+MU_CAP = 8
 
 
 class FieldStructure:
@@ -118,7 +121,6 @@ def definable_family(
     psi,
     y_arity: int,
     e: Sequence[int] = (),
-    size_cap: int = DEFAULT_SIZE_CAP,
 ) -> SetFamily:
     """One member per parameter b with psi(b; e); member = {x : phi(x; b)}.
 
@@ -135,8 +137,7 @@ def definable_family(
         raise ValueError(f"y_arity must be in 1..{ARITY_CAP}")
     p = field.p
     npoints = p**x_arity
-    if npoints > size_cap:
-        raise ValueError(f"ground size {npoints} exceeds size_cap {size_cap}")
+    check_ground_size(npoints)
     e = np.array([[field.const_index(v) for v in e]]).reshape(1, len(e))
     ygrid = _grid(p, y_arity)
     params = ygrid[evaluate_formula(field, psi, ygrid, e)[0]]
@@ -168,7 +169,7 @@ class DimMeasFit:
     ambiguous: bool
 
 
-def _walk_fit(count: int, q: int, d: int, bound2: Fraction, den_cap: int, mu_cap: int):
+def _walk_fit(count: int, q: int, d: int, bound2: Fraction):
     """Stern-Brocot walk toward count/q^d.
 
     Returns (first admissible (residual, mu) or None, best-seen (residual,
@@ -182,10 +183,10 @@ def _walk_fit(count: int, q: int, d: int, bound2: Fraction, den_cap: int, mu_cap
     best = None
     while True:
         mn, md = ln + rn, ld + rd
-        if md > den_cap:
+        if md > DEN_CAP:
             break
         mu = Fraction(mn, md)
-        if mu <= mu_cap:
+        if mu <= MU_CAP:
             resid = abs(count - mu * qd)
             if best is None or (resid, mu) < best:
                 best = (resid, mu)
@@ -197,25 +198,19 @@ def _walk_fit(count: int, q: int, d: int, bound2: Fraction, den_cap: int, mu_cap
         if tau < mu:
             rn, rd = mn, md
         else:
-            if mu > mu_cap:
+            if mu > MU_CAP:
                 break
             ln, ld = mn, md
     return first, best
 
 
-def dim_meas_fit(
-    count: int,
-    q: int,
-    n: int,
-    C=1,
-    den_cap: int = 8,
-    mu_cap: int = 8,
-) -> DimMeasFit:
+def dim_meas_fit(count: int, q: int, n: int, C=1) -> DimMeasFit:
     """Snap a point count to (dimension, measure) against powers of q.
 
     For each d in 0..n the walk finds the simplest rational mu (denominator
-    and value capped) with |count - mu*q^d| <= C*q^(d-1/2); among
-    admissible dimensions the fit minimizing (residual, |mu-1|, d) wins.
+    at most DEN_CAP, value at most MU_CAP) with
+    |count - mu*q^d| <= C*q^(d-1/2); among admissible dimensions the fit
+    minimizing (residual, |mu-1|, d) wins.
     count = 0 returns the conventional (0, 0).
     """
     if count < 0:
@@ -237,7 +232,7 @@ def dim_meas_fit(
     fallback = []
     for d in range(n + 1):
         bound2 = C * C * Fraction(q) ** (2 * d - 1)
-        first, best = _walk_fit(count, q, d, bound2, den_cap, mu_cap)
+        first, best = _walk_fit(count, q, d, bound2)
         if first is not None:
             resid, mu = first
             admissible.append((resid, abs(mu - 1), d, mu))

@@ -30,8 +30,13 @@ from . import _backend as backend
 from ._jsonutil import SCHEMA_VERSION
 
 # largest ground size a family builder (constructs, pseudofield) makes
-# unless given its own size_cap
-DEFAULT_SIZE_CAP = 250000
+SIZE_CAP = 250000
+
+
+def check_ground_size(npoints: int) -> None:
+    """Refuse a family of npoints ground points before it is built."""
+    if npoints > SIZE_CAP:
+        raise ValueError(f"ground size {npoints} exceeds SIZE_CAP {SIZE_CAP}")
 
 
 @dataclass(frozen=True)
@@ -49,15 +54,18 @@ class SetFamily:
     def __post_init__(self):
         if not isinstance(self.ground_size, int) or self.ground_size < 1:
             raise ValueError("ground_size must be a positive integer")
-        frozen = tuple(frozenset(s) for s in self.members)
-        object.__setattr__(self, "members", frozen)
-        for idx, s in enumerate(frozen):
+        frozen = []
+        for idx, s in enumerate(self.members):
+            # checked before frozenset sees them, so an unhashable element
+            # is reported like any other bad element
             for e in s:
                 if not isinstance(e, int) or not 0 <= e < self.ground_size:
                     raise ValueError(
                         f"set {idx}: element {e!r} outside ground range "
                         f"[0, {self.ground_size})"
                     )
+            frozen.append(frozenset(s))
+        object.__setattr__(self, "members", tuple(frozen))
         if self.labels is not None:
             labels = tuple(self.labels)
             if len(labels) != len(frozen):
@@ -106,22 +114,15 @@ class SetFamily:
             raise ValueError("'ground' must be a positive integer")
         if not isinstance(sets, list):
             raise ValueError("'sets' must be a list of lists")
-        members = []
         for idx, s in enumerate(sets):
             if not isinstance(s, list):
                 raise ValueError(f"set {idx}: not a list")
-            for e in s:
-                if not isinstance(e, int) or not 0 <= e < ground:
-                    raise ValueError(
-                        f"set {idx}: element {e!r} outside ground range [0, {ground})"
-                    )
-            members.append(frozenset(s))
         labels = obj.get("labels")
         if labels is not None:
-            if not isinstance(labels, list) or len(labels) != len(members):
+            if not isinstance(labels, list) or len(labels) != len(sets):
                 raise ValueError("'labels' must be a list matching 'sets' in length")
             labels = tuple(labels)
-        return cls(ground_size=ground, members=tuple(members), labels=labels)
+        return cls(ground_size=ground, members=sets, labels=labels)
 
 
 @dataclass(frozen=True)

@@ -27,13 +27,15 @@ from .setfam import SetFamily
 from .vc import density_fit
 
 X_CAP = 50000
+# checked before |U|**x_arity is built; 2**16 already exceeds X_CAP
+X_ARITY_CAP = 16
 TYPE_CAP = 5000
 EXHAUSTIVE_A_LIMIT = 300
 DEFAULT_SAMPLES = 30
 DEFAULT_DIVIDING_BUDGET = 200000
 
 
-class TypeBlowupError(RuntimeError):
+class TypeBlowupError(ValueError):
     """Type enumeration exceeded its cap; carries the partial count."""
 
     def __init__(self, cap: int, partial_count: int):
@@ -237,6 +239,8 @@ class PositiveType:
 def _x_space(structure: FiniteStructure, x_arity: int):
     if x_arity < 1:
         raise ValueError(f"x_arity must be >= 1, got {x_arity}")
+    if x_arity > X_ARITY_CAP:
+        raise ValueError(f"x_arity {x_arity} exceeds X_ARITY_CAP {X_ARITY_CAP}")
     count = len(structure.universe) ** x_arity
     if count > X_CAP:
         raise ValueError(f"witness space size {count} exceeds cap {X_CAP}")
@@ -282,28 +286,27 @@ def enumerate_types(
     x_arity: int,
     A: Sequence[tuple],
     k: int,
-    cap: int = TYPE_CAP,
 ):
     """All satisfiable instance sets of size 1..k over parameters from A.
 
     phi's variables are x (indices 0..x_arity-1) then the parameter tuple.
-    Satisfiability is exhaustive over universe^x_arity.  Exceeding the cap
-    raises TypeBlowupError carrying the partial count.
+    Satisfiability is exhaustive over universe^x_arity.  More than TYPE_CAP
+    types raises TypeBlowupError carrying the partial count.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     params = sorted({tuple(a) for a in A})
     xspace = _x_space(structure, x_arity)
     masks = _instance_masks(structure, phi, x_arity, params, xspace)
-    return _types_from_masks(phi, x_arity, params, masks, k, xspace, cap)
+    return _types_from_masks(phi, x_arity, params, masks, k, xspace)
 
 
-def _types_from_masks(phi, x_arity, params, masks, k, xspace, cap):
+def _types_from_masks(phi, x_arity, params, masks, k, xspace):
     types = []
 
     def rec(start: int, chosen: tuple, mask: int):
-        if len(types) > cap:
-            raise TypeBlowupError(cap, len(types))
+        if len(types) > TYPE_CAP:
+            raise TypeBlowupError(TYPE_CAP, len(types))
         for i in range(start, len(params)):
             a = params[i]
             m2 = mask & masks[a]
@@ -440,20 +443,24 @@ def f_phi(
     l: int,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    type_cap: int = TYPE_CAP,
 ) -> CountReport:
     """max over |A| = l of the largest pairwise-m-inconsistent type family.
 
     Exhaustive over all C(pool, l) parameter sets when that count is at
-    most EXHAUSTIVE_A_LIMIT, otherwise seeded sampling (mode recorded).
-    The inner maximization is an exact max-clique on the m-inconsistency
-    graph of the types.
+    most EXHAUSTIVE_A_LIMIT, otherwise `samples` seeded draws (mode
+    recorded).  The inner maximization is an exact max-clique on the
+    m-inconsistency graph of the types.  When every parameter set has more
+    than TYPE_CAP types, the last set's TypeBlowupError is raised.
     """
     pool = sorted({tuple(a) for a in parameter_pool})
     if l < 1 or l > len(pool):
         raise ValueError(f"l must lie in 1..{len(pool)}")
     if m < 1:
         raise ValueError("m must be >= 1")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     xspace = _x_space(structure, x_arity)
     masks = _instance_masks(structure, phi, x_arity, pool, xspace)
 
@@ -471,14 +478,14 @@ def f_phi(
         used_seed = seed
 
     best = None
-    complete = True
+    blowup = None
     for A in subsets:
         try:
             types = _types_from_masks(
-                phi, x_arity, list(A), {a: masks[a] for a in A}, k, xspace, type_cap
+                phi, x_arity, list(A), {a: masks[a] for a in A}, k, xspace
             )
-        except TypeBlowupError:
-            complete = False
+        except TypeBlowupError as exc:
+            blowup = exc
             continue
         # m_inconsistent on every pair, with each type's subset masks built once
         subs = [_subset_masks(t, m) for t in types]
@@ -493,14 +500,14 @@ def f_phi(
         if best is None or len(clique) > best[0]:
             best = (len(clique), greedy, tuple(types[i] for i in clique), A)
     if best is None:
-        raise TypeBlowupError(type_cap, 0)
+        raise blowup
     value, greedy, witness, A = best
     return CountReport(
         m=m,
         k=k,
         l=l,
         value=value,
-        exact=exhaustive and complete,
+        exact=exhaustive and blowup is None,
         mode=mode,
         greedy_value=greedy,
         witness_family=witness,

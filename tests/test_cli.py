@@ -3,10 +3,11 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
-from fhplab import constructs, setfam
+from fhplab import constructs, setfam, typecount
 from fhplab.cli import _verify_construction, main, parse_family
 
 
@@ -22,6 +23,21 @@ def family_file(tmp_path, members, ground, name="fam.json"):
         )
     )
     return str(path)
+
+
+def structure_files(tmp_path, size):
+    """--structure/--phi/--pool argv for R = the even elements of range(size)."""
+    structure = tmp_path / "structure.json"
+    bits = "".join("1" if v % 2 == 0 else "0" for v in range(size))
+    structure.write_text(json.dumps(
+        {"universe_size": size, "relations": {"R": {"arity": 1, "bits": bits}}}
+    ))
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps(["rel", "R", ["var", 0]]))
+    pool = tmp_path / "pool.json"
+    pool.write_text(json.dumps([[v] for v in range(size)]))
+    return ["--structure", str(structure), "--phi", str(phi),
+            "--pool", str(pool)]
 
 
 @pytest.fixture
@@ -97,6 +113,20 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("element", [[0], 3, -1, "0"], ids=json.dumps)
+    def test_bad_element_is_one_error_line(self, element, tmp_path, capsys):
+        # SetFamily checks each raw element before frozenset sees it, so an
+        # unhashable one reads like any other
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps({"ground": 3, "sets": [[1], [2, element]]}))
+        code = main(["analyze", "--family", str(path), "--k", "2",
+                     "--alpha", "1/2"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: set 1: element {element!r} outside ground "
+            "range [0, 3)\n"
+        )
+
     def test_malformed_json_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"ground": 3,\n "sets": [[0], }')
@@ -105,12 +135,6 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert "line 2" in err
-
-    def test_bad_cap_env_is_two(self, capsys, monkeypatch):
-        monkeypatch.setenv("FHPLAB_SIZE_CAP", "not-a-number")
-        code = main(["construct", "cross", "--n", "2"])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
 
 
 class TestCountTypesValidation:
@@ -135,20 +159,45 @@ class TestCountTypesValidation:
 
     @pytest.mark.parametrize("x_arity", ["0", "-1"])
     def test_x_arity_below_one(self, x_arity, tmp_path, capsys):
-        structure = tmp_path / "structure.json"
-        structure.write_text(json.dumps(
-            {"universe_size": 3, "relations": {"R": {"arity": 1, "bits": "101"}}}
-        ))
-        phi = tmp_path / "phi.json"
-        phi.write_text(json.dumps(["rel", "R", ["var", 0]]))
-        pool = tmp_path / "pool.json"
-        pool.write_text(json.dumps([[0], [1], [2]]))
-        code = main(["count-types", "--structure", str(structure),
-                     "--phi", str(phi), "--pool", str(pool), "--m", "1",
+        code = main(["count-types", *structure_files(tmp_path, 3), "--m", "1",
                      "--k", "2", "--l", "2", "--x-arity", x_arity])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err == f"error: x_arity must be >= 1, got {x_arity}\n"
+
+    @pytest.mark.parametrize("size, x_arity", [(3, "30000000"), (1, "100")])
+    def test_x_arity_above_cap(self, size, x_arity, tmp_path, capsys):
+        # refused before |U|**x_arity or an x_arity-dimensional grid exists
+        started = time.monotonic()
+        code = main(["count-types", *structure_files(tmp_path, size),
+                     "--m", "1", "--k", "2", "--l", "1",
+                     "--x-arity", x_arity])
+        assert time.monotonic() - started < 5
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: x_arity {x_arity} exceeds X_ARITY_CAP 16\n"
+        )
+
+    def test_empty_l_values(self, triangle_path, capsys):
+        code = main(["count-types", "--family", triangle_path,
+                     "--m", "1", "--k", "2", "--l-values", ""])
+        assert code == 2
+        assert capsys.readouterr().err == "error: need at least three l values\n"
+
+    def test_k_below_one(self, triangle_path, capsys):
+        code = main(["count-types", "--family", triangle_path,
+                     "--m", "1", "--k", "0", "--l", "2"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: k must be >= 1\n"
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one(self, samples, tmp_path, capsys):
+        # C(12, 6) = 924 parameter sets: sampled mode
+        path = family_file(tmp_path, [{i} for i in range(12)], 12)
+        code = main(["count-types", "--family", path, "--m", "1", "--k", "1",
+                     "--l", "6", "--samples", samples])
+        assert code == 2
+        assert capsys.readouterr().err == "error: samples must be >= 1\n"
 
     def test_l_and_l_values_exclusive(self, triangle_path, capsys):
         code = main(["count-types", "--family", triangle_path,
@@ -313,26 +362,42 @@ class TestOutputContract:
 
 class TestCapsEnv:
     def test_size_cap_blocks_construction(self, capsys, monkeypatch):
-        monkeypatch.setenv("FHPLAB_SIZE_CAP", "10")
+        monkeypatch.setattr(setfam, "SIZE_CAP", 10)
         code = main(["construct", "tp2", "--k", "2", "--m", "5"])
         assert code == 2
-        assert "error:" in capsys.readouterr().err
-
-    def test_size_cap_recorded_in_envelope(self, capsys, monkeypatch):
-        monkeypatch.setenv("FHPLAB_SIZE_CAP", "500")
-        code, rep = run_json(
-            ["construct", "tp2", "--k", "2", "--m", "3"], capsys
+        assert capsys.readouterr().err == (
+            "error: ground size 25 exceeds SIZE_CAP 10\n"
         )
-        assert code == 0
-        assert rep["caps"] == {"size_cap": 500}
+
+    def test_cross_checks_ground_size(self, capsys):
+        # 501^2 = 251001 points: refused before any member is built
+        code = main(["construct", "cross", "--n", "501"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: ground size 251001 exceeds SIZE_CAP 250000\n"
+        )
 
     def test_type_cap_blocks_count(self, triangle_path, capsys,
                                    monkeypatch):
-        monkeypatch.setenv("FHPLAB_TYPE_CAP", "1")
+        monkeypatch.setattr(typecount, "TYPE_CAP", 1)
         code = main(["count-types", "--family", triangle_path,
                      "--m", "1", "--k", "2", "--l", "3"])
         assert code == 2
-        assert "error:" in capsys.readouterr().err
+        # the enumeration's own partial count, not a made-up 0
+        assert capsys.readouterr().err == (
+            "error: type enumeration exceeded cap 1 (partial count 4)\n"
+        )
+
+    def test_cap_env_vars_ignored(self, capsys, monkeypatch):
+        argv = ["construct", "tp2", "--k", "2", "--m", "3"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        monkeypatch.setenv("FHPLAB_SIZE_CAP", "not-a-number")
+        monkeypatch.setenv("FHPLAB_TYPE_CAP", "-1")
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == plain
+        assert json.loads(out)["caps"] == {}
 
 
 class TestMiscCommands:

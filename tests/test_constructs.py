@@ -15,6 +15,7 @@ from fhplab.constructs import (
     build_two_order_cross,
     furedi_extract,
 )
+from fhplab import setfam
 from fhplab.setfam import (
     SetFamily,
     check_pk_property,
@@ -121,9 +122,10 @@ class TestTp2Grid:
             assert not (trio[0] & trio[1] & trio[2])
         assert any(a & b for a, b in itertools.combinations(row, 2))
 
-    def test_size_cap(self):
-        with pytest.raises(ValueError):
-            build_tp2_grid(8, 8, size_cap=1000)
+    def test_size_cap(self, monkeypatch):
+        monkeypatch.setattr(setfam, "SIZE_CAP", 1000)
+        with pytest.raises(ValueError, match="ground size 1600 exceeds SIZE_CAP 1000"):
+            build_tp2_grid(2, 40)
 
 
 class TestCross:
@@ -176,9 +178,10 @@ class TestCaps:
                 inter &= fam.members[i * W + branch[i]]
             assert inter
 
-    def test_cap_error(self):
-        with pytest.raises(ValueError):
-            build_caps_family(10, 8, size_cap=100)
+    def test_cap_error(self, monkeypatch):
+        monkeypatch.setattr(setfam, "SIZE_CAP", 100)
+        with pytest.raises(ValueError, match="exceeds SIZE_CAP"):
+            build_caps_family(10, 2)
 
 
 class TestShatteredPairs:

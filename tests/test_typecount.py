@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from fhplab import typecount
 from fhplab.constructs import build_tp2_grid
 from fhplab.setfam import SetFamily
 from fhplab.typecount import (
@@ -114,10 +115,11 @@ class TestEnumerateTypes:
                     env = dict(enumerate(tuple(w) + tuple(b)))
                     assert walk_formula(s, phi, env)
 
-    def test_blowup_cap(self):
+    def test_blowup_cap(self, monkeypatch):
+        monkeypatch.setattr(typecount, "TYPE_CAP", 5)
         s = equality_structure(12)
         with pytest.raises(TypeBlowupError) as err:
-            enumerate_types(s, EQ_PHI, 1, eq_pool(12), 2, cap=5)
+            enumerate_types(s, EQ_PHI, 1, eq_pool(12), 2)
         assert err.value.partial_count >= 5
 
 
