@@ -378,6 +378,7 @@ def _handle_count_types(opt):
             pool,
             _int_list(opt.l_values),
             opt.d,
+            samples=opt.samples,
             seed=opt.seed,
         )
         return {"power_saving": report}, 0

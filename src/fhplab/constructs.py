@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .setfam import SetFamily, check_ground_size
+from .setfam import SetFamily, capped_power, check_ground_size
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ def build_block_counterexample(params: BlockParams) -> SetFamily:
     m sets inside one block are pairwise disjoint.
     """
     k, r, m = params.k, params.r, params.m
-    npoints = math.comb(r, k) * m**k
+    npoints = math.comb(r, k) * capped_power(m, k)
     check_ground_size(npoints)
     point_index = {}
     for blocks in itertools.combinations(range(r), k):
@@ -110,8 +110,7 @@ def build_tp2_grid(k: int, m: int, d: int = 2) -> SetFamily:
         raise ValueError("d must be >= 2")
     if m < d - 1:
         raise ValueError("need m >= d-1 so windows do not wrap onto themselves")
-    npoints = m**k
-    check_ground_size(npoints)
+    npoints = capped_power(m, k)
     functions = list(itertools.product(range(m), repeat=k))
     members = []
     labels = []
@@ -163,7 +162,7 @@ def build_caps_family(W: int, D: int) -> SetFamily:
     """
     if W < 1 or D < 1:
         raise ValueError("W and D must be >= 1")
-    natoms = sum(W**L for L in range(1, D + 1))
+    natoms = D if W == 1 else (capped_power(W, D) - 1) * W // (W - 1)
     check_ground_size(natoms)
     strings = []
     for L in range(1, D + 1):
@@ -196,8 +195,7 @@ def build_shattered_pairs(m: int) -> SetFamily:
     """
     if m < 2:
         raise ValueError("m must be >= 2")
-    npoints = 2**m
-    check_ground_size(npoints)
+    npoints = capped_power(2, m)
     members = []
     labels = []
     for a, b in itertools.permutations(range(m), 2):

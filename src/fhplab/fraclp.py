@@ -1,11 +1,12 @@
 """Exact rational linear programming for intersection numbers and transversals.
 
-A dense two-phase tableau simplex with Bland's anti-cycling rule, kept
-fraction-free: every entry is an integer over one common denominator, the
-determinant of the current basis, and each pivot divides exactly by the
-previous one (Bareiss 1968, Edmonds 1967).  Instances here are small (at
-most a few hundred variables), so termination and bit-exact primal/dual
-certificates matter more than speed.  Variables are implicitly nonnegative.
+`solve_lp` solves max c . x subject to Ax <= b, x >= 0, with integer
+entries and b >= 0, from the slack basis, which is then feasible.  It
+runs a dense tableau with Bland's anti-cycling rule, kept fraction-free:
+every entry is an integer over one common denominator, the determinant
+det of the current basis, and each pivot divides exactly by the previous
+one (Bareiss 1968, Edmonds 1967).  The primal and dual certificates of
+the optimum are checked in integers at the scale det.
 
 Both LP quantities of a family come from one LP over its Venn atoms a,
 the fractional matching (packing) LP, and its dual, the covering LP:
@@ -13,68 +14,55 @@ the fractional matching (packing) LP, and its dual, the covering LP:
     tau* = max sum_F y_F  s.t.  sum_{F containing a} y_F <= 1 for all a
          = min sum_a w_a  s.t.  sum_{a in F} w_a >= 1 for all F
 
-The packing rows are 0/1 with right-hand side 1, so the slack basis is
-feasible and phase 1 never runs; the certified dual values of one solve
-are the transversal weights w (tau* = nu*, Fueredi 1988).  Kelley's
-max-min LP, i(F) = max over distributions mu of min_F mu(F), is the
-covering LP rescaled by mu = w / tau*, so i(F) * tau*(F) = 1 whenever
-all members are nonempty.
+The packing rows are 0/1 with right-hand side 1; the certified dual
+values of one solve are the transversal weights w (tau* = nu*, Fueredi
+1988).  Kelley's max-min LP, i(F) = max over distributions mu of
+min_F mu(F), is the covering LP rescaled by mu = w / tau*, so
+i(F) * tau*(F) = 1 whenever all members are nonempty.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from ._backend import _columns
 from ._jsonutil import SCHEMA_VERSION
 from .setfam import SetFamily
 
-_REL = ("<=", ">=", "==")
-
 
 @dataclass(frozen=True)
 class LpProblem:
-    """max/min objective . x subject to rows {<=,>=,==} rhs, x >= 0."""
+    """max objective . x subject to rows . x <= rhs, x >= 0.
 
-    sense: str
-    objective: tuple
-    rows: tuple
-    relations: tuple
-    rhs: tuple
+    All entries are integers and every rhs is >= 0.
+    """
+
+    objective: Sequence[int]
+    rows: Sequence[Sequence[int]]
+    rhs: Sequence[int]
 
     def __post_init__(self):
-        if self.sense not in ("max", "min"):
-            raise ValueError("sense must be 'max' or 'min'")
-        obj = tuple(Fraction(c) for c in self.objective)
-        if not obj:
+        c, A, b = self.objective, self.rows, self.rhs
+        if not c:
             raise ValueError("need at least one variable")
-        rows = tuple(tuple(Fraction(a) for a in row) for row in self.rows)
-        rel = tuple(self.relations)
-        rhs = tuple(Fraction(b) for b in self.rhs)
-        if not (len(rows) == len(rel) == len(rhs)):
-            raise ValueError("rows, relations, rhs must have equal length")
-        for row in rows:
-            if len(row) != len(obj):
-                raise ValueError("row width must match objective length")
-        for r in rel:
-            if r not in _REL:
-                raise ValueError(f"unknown relation {r!r}")
-        object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "relations", rel)
-        object.__setattr__(self, "rhs", rhs)
+        if len(A) != len(b) or any(len(row) != len(c) for row in A):
+            raise ValueError("need one rhs per row and one entry per variable in a row")
+        if not all(isinstance(v, int) for v in itertools.chain(c, b, *A)):
+            raise ValueError("LP entries must be integers")
+        if any(v < 0 for v in b):
+            raise ValueError("rhs must be >= 0")
 
 
 @dataclass(frozen=True)
 class LpSolution:
-    """status is 'optimal', 'infeasible', or 'unbounded'.
+    """status is 'optimal' or 'unbounded'.
 
     When optimal: value is exact, primal is the variable vector, and dual is
-    one multiplier per constraint row satisfying exact feasibility,
-    complementary slackness, and objective equality (checked before return).
+    one multiplier per constraint row satisfying exact feasibility and
+    objective equality (checked before return).
     """
 
     status: str
@@ -103,214 +91,82 @@ class TransversalResult:
         return out
 
 
-def _price(tab, basis, costs, det):
-    """Set the reduced-cost row tab[-1] to det * (c_j - c_B . column j).
-
-    Its last entry, over the rhs column, is -det * (c_B . b).
-    """
-    red = [det * c for c in costs]
-    red.append(0)
-    for row, bv in zip(tab, basis):
-        cb = costs[bv]
-        if cb:
-            red = [r - cb * a for r, a in zip(red, row)]
-    tab[-1] = red
-
-
-def _pivot(tab, basis, prow, pcol, det):
-    """Fraction-free pivot on tab[prow][pcol]; returns the new det.
-
-    Every other row i becomes (p*T[i][j] - T[i][pcol]*T[prow][j]) // det,
-    an exact division (Bareiss), and the pivot row is left as it is.
-    """
-    row_p = tab[prow]
-    piv = row_p[pcol]
-    if piv < 0:
-        # only on a zero-rhs row (an artificial driven out after phase 1):
-        # negating the row first gives the same tableau and keeps det > 0
-        row_p = tab[prow] = [-a for a in row_p]
-        piv = -piv
-    for i, row in enumerate(tab):
-        if i == prow:
-            continue
-        f = row[pcol]
-        if f:
-            tab[i] = [(piv * a - f * b) // det for a, b in zip(row, row_p)]
-        elif piv != det:
-            tab[i] = [piv * a // det for a in row]
-    basis[prow] = pcol
-    return piv
-
-
-def _simplex(tab, basis, costs, det, banned):
-    """Run Bland-rule simplex to optimality; returns (status, det).
-
-    status is 'optimal' or 'unbounded'; tab[-1] holds the final reduced
-    costs.
-    """
-    _price(tab, basis, costs, det)
-    m = len(basis)
-    ncols = len(costs)
-    while True:
-        red = tab[-1]
-        pcol = -1
-        for j in range(ncols):
-            if red[j] > 0 and j not in banned:
-                pcol = j
-                break
-        if pcol < 0:
-            return "optimal", det
-        # ratio test b_i / a_i over a_i > 0, cross-multiplied (all entries
-        # share the denominator det); ties go to the smallest basic index
-        prow = -1
-        for i in range(m):
-            row = tab[i]
-            a = row[pcol]
-            if a > 0:
-                if prow < 0:
-                    prow, best_a, best_b = i, a, row[-1]
-                    continue
-                lhs = row[-1] * best_a
-                rhs = best_b * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[prow]):
-                    prow, best_a, best_b = i, a, row[-1]
-        if prow < 0:
-            return "unbounded", det
-        det = _pivot(tab, basis, prow, pcol, det)
-
-
-def _scaled(values, scale):
-    """The integers scale * v for Fractions v whose denominators divide scale."""
-    return [v.numerator * (scale // v.denominator) for v in values]
-
-
 def solve_lp(problem: LpProblem) -> LpSolution:
     """Exact optimum with primal and dual witnesses; deterministic given input.
 
-    Infeasible and unbounded problems are reported in the status, never as
-    exceptions.
+    An unbounded problem is reported in the status, never as an exception.
     """
     nvars = len(problem.objective)
-    maximize = problem.sense == "max"
-    obj = list(problem.objective) if maximize else [-c for c in problem.objective]
-
-    # Clear denominators with one common scale for every row, the LCM of
-    # all row and rhs denominators (negated to flip a row with rhs < 0).
-    # One scale, not one per row, multiplies every slack and artificial by
-    # the same factor, so phase 1's sum of artificials and Bland's pivot
-    # path are those of the unscaled problem.
-    lcm = math.lcm(
-        *(a.denominator for row in problem.rows for a in row),
-        *(b.denominator for b in problem.rhs),
-    )
-    scales = [-lcm if b < 0 else lcm for b in problem.rhs]
-    rels = [
-        {"<=": ">=", ">=": "<=", "==": "=="}[rel] if s < 0 else rel
-        for rel, s in zip(problem.relations, scales)
-    ]
-
-    # column layout: structural | per row, its slack, surplus + artificial,
-    # or artificial | rhs
-    ncols = nvars + sum(2 if rel == ">=" else 1 for rel in rels)
+    m = len(problem.rows)
+    ncols = nvars + m
+    # column layout: structural | one slack per row | rhs; the last row
+    # holds det * the reduced costs, which are c at the slack basis, and
+    # -det * the objective value over the rhs column
     tab = []
-    basis = []
-    artificials = set()
-    col = nvars
-    for row, b, rel, s in zip(problem.rows, problem.rhs, rels, scales):
-        t = _scaled(row, s) + [0] * (ncols - nvars) + _scaled([b], s)
-        if rel == ">=":
-            t[col] = -1
-            col += 1
-        t[col] = 1
-        basis.append(col)
-        if rel != "<=":
-            artificials.add(col)
-        col += 1
+    for i, (row, b) in enumerate(zip(problem.rows, problem.rhs)):
+        t = [*row, *[0] * m, b]
+        t[nvars + i] = 1
         tab.append(t)
-    tab.append(None)  # reduced-cost row, set by _price
-    unit_cols = list(basis)
+    tab.append([*problem.objective, *[0] * (m + 1)])
+    basis = list(range(nvars, ncols))
     det = 1
+    red = tab[-1]
+    # Bland's rule: the first column with positive reduced cost enters
+    while (pcol := next((j for j in range(ncols) if red[j] > 0), -1)) >= 0:
+        # ratio test: least b_i / a_i over a_i > 0, cross-multiplied (all
+        # entries share the denominator det), ties to the least basic index
+        prow = -1
+        for i, row in enumerate(tab[:m]):
+            a, b = row[pcol], row[-1]
+            if a > 0 and (
+                prow < 0 or (b * a_min, basis[i]) < (b_min * a, basis[prow])
+            ):
+                prow, a_min, b_min = i, a, b
+        if prow < 0:
+            return LpSolution(status="unbounded")
+        # fraction-free pivot on p = a_min: every other row i becomes
+        # (p*T[i][j] - T[i][pcol]*T[prow][j]) // det, an exact division
+        # (Bareiss), the pivot row is left as it is, and det becomes p
+        row_p = tab[prow]
+        for i, row in enumerate(tab):
+            if i == prow:
+                continue
+            f = row[pcol]
+            if f:
+                tab[i] = [(a_min * a - f * b) // det for a, b in zip(row, row_p)]
+            elif a_min != det:
+                tab[i] = [a_min * a // det for a in row]
+        basis[prow] = pcol
+        det = a_min
+        red = tab[-1]
 
-    if artificials:
-        costs1 = [0] * ncols
-        for a in artificials:
-            costs1[a] = -1
-        # status cannot be 'unbounded': phase-1 objective is bounded above by 0
-        _, det = _simplex(tab, basis, costs1, det, banned=())
-        if tab[-1][-1] > 0:  # the phase-1 optimum c_B . b is negative
-            return LpSolution(status="infeasible")
-        # An artificial still basic (at level 0) could grow in phase 2,
-        # which bans artificials only from entering: pivot it out on the
-        # first other column with a nonzero entry in its row.  A row with
-        # no such column is redundant and keeps its artificial at 0.
-        for i, bv in enumerate(basis):
-            if bv in artificials:
-                row = tab[i]
-                for j in range(ncols):
-                    if row[j] and j not in artificials:
-                        det = _pivot(tab, basis, i, j, det)
-                        break
-
-    cden = math.lcm(*(c.denominator for c in obj))
-    costs2 = _scaled(obj, cden) + [0] * (ncols - nvars)
-    status, det = _simplex(tab, basis, costs2, det, banned=artificials)
-    if status == "unbounded":
-        return LpSolution(status="unbounded")
-
-    primal = [Fraction(0)] * nvars
+    # x = X / det, y = Y / det; y_i is minus the reduced cost of slack i
+    X = [0] * nvars
     for i, bv in enumerate(basis):
         if bv < nvars:
-            primal[bv] = Fraction(tab[i][-1], det)
-    value = sum((c * v for c, v in zip(obj, primal)), Fraction(0))
-
-    # y_i = -reduced cost of row i's unit column (slack or artificial, cost
-    # 0).  red holds det * cden times the scaled problem's reduced costs,
-    # whose unit variable in row i is scales[i] times the unscaled one (a
-    # negative scale undoes the flip).
-    red = tab[-1]
-    dual = [Fraction(-red[u] * s, det * cden) for u, s in zip(unit_cols, scales)]
-    if not maximize:
-        value = -value
-        dual = [-y for y in dual]
-
-    sol = LpSolution(
-        status="optimal", value=value, primal=tuple(primal), dual=tuple(dual)
+            X[bv] = tab[i][-1]
+    Y = [-r for r in red[nvars:ncols]]
+    _verify_certificates(problem, X, Y, det)
+    return LpSolution(
+        status="optimal",
+        value=Fraction(sum(c * x for c, x in zip(problem.objective, X)), det),
+        primal=tuple(Fraction(x, det) for x in X),
+        dual=tuple(Fraction(y, det) for y in Y),
     )
-    _verify_certificates(problem, sol)
-    return sol
 
 
-def _verify_certificates(problem: LpProblem, sol: LpSolution):
-    """Exact feasibility + strong duality check; raises on internal error."""
-    x = sol.primal
-    y = sol.dual
-    for row, rel, b in zip(problem.rows, problem.relations, problem.rhs):
-        lhs = sum((a * v for a, v in zip(row, x)), Fraction(0))
-        ok = lhs <= b if rel == "<=" else (lhs >= b if rel == ">=" else lhs == b)
-        if not ok:
-            raise ArithmeticError("internal: primal certificate violated")
-    maximize = problem.sense == "max"
-    ncon = len(problem.rows)
-    for i in range(ncon):
-        rel = problem.relations[i]
-        if rel == "==":
-            continue
-        sign = y[i] >= 0 if (rel == "<=") == maximize else y[i] <= 0
-        if not sign:
-            raise ArithmeticError("internal: dual sign violated")
-    for j in range(len(problem.objective)):
-        coef = sum(
-            (problem.rows[i][j] * y[i] for i in range(ncon)), Fraction(0)
-        )
-        c = problem.objective[j]
-        if maximize:
-            ok = coef >= c
-        else:
-            ok = coef <= c
-        if not ok:
+def _verify_certificates(problem: LpProblem, X, Y, det: int):
+    """Check in integers that x = X/det and y = Y/det are feasible with
+    equal objectives, hence optimal; raise ArithmeticError if not."""
+    A, b, c = problem.rows, problem.rhs, problem.objective
+    if any(sum(a * x for a, x in zip(row, X)) > det * bi for row, bi in zip(A, b)):
+        raise ArithmeticError("internal: primal certificate violated")
+    if any(y < 0 for y in Y):
+        raise ArithmeticError("internal: dual sign violated")
+    for j, cj in enumerate(c):
+        if sum(row[j] * y for row, y in zip(A, Y)) < det * cj:
             raise ArithmeticError("internal: dual feasibility violated")
-    yb = sum((problem.rhs[i] * y[i] for i in range(ncon)), Fraction(0))
-    if yb != sol.value:
+    if sum(cj * x for cj, x in zip(c, X)) != sum(bi * y for bi, y in zip(b, Y)):
         raise ArithmeticError("internal: strong duality violated")
 
 
@@ -345,7 +201,7 @@ def _family_lp(family: SetFamily, integer_cap: Optional[int] = None):
     reps, patterns = _atoms(family)
     n, na = family.n, len(reps)
     rows = tuple(tuple(pat >> i & 1 for i in range(n)) for pat in patterns)
-    sol = solve_lp(LpProblem("max", (1,) * n, rows, ("<=",) * na, (1,) * na))
+    sol = solve_lp(LpProblem((1,) * n, rows, (1,) * na))
     if sol.status != "optimal":
         raise ArithmeticError(f"packing LP came back {sol.status}")
     tau = sol.value

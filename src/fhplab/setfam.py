@@ -19,7 +19,6 @@ most one point, so on them every branch stops after two members.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -37,6 +36,15 @@ def check_ground_size(npoints: int) -> None:
     """Refuse a family of npoints ground points before it is built."""
     if npoints > SIZE_CAP:
         raise ValueError(f"ground size {npoints} exceeds SIZE_CAP {SIZE_CAP}")
+
+
+def capped_power(base: int, exp: int) -> int:
+    """base**exp as a ground size, refused above SIZE_CAP before it is built."""
+    if base > 1 and exp >= SIZE_CAP.bit_length():  # base**exp >= 2**exp
+        raise ValueError(f"ground size {base}**{exp} exceeds SIZE_CAP {SIZE_CAP}")
+    npoints = base**exp
+    check_ground_size(npoints)
+    return npoints
 
 
 @dataclass(frozen=True)
@@ -296,9 +304,12 @@ def check_pk_property(family: SetFamily, p: int, k: int) -> PkResult:
     common element?
 
     A tuple passes iff some ground element appears in at least k of its
-    positions, which is invariant under permuting the tuple; the scan
-    therefore runs over p-multisets in nondecreasing order, and the first
-    failing multiset is exactly the lexicographically first failing tuple.
+    positions, which is invariant under permuting the tuple; the search
+    therefore walks the p-multisets depth-first in nondecreasing
+    lexicographic order, and the first failing multiset is exactly the
+    lexicographically first failing tuple.  A prefix in which some
+    element already reaches depth k passes with every extension, so its
+    subtree is skipped.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -306,22 +317,25 @@ def check_pk_property(family: SetFamily, p: int, k: int) -> PkResult:
         raise ValueError(f"need p >= k, got p={p}, k={k}")
     if family.n == 0:
         raise ValueError("family has no members")
-    members = family.members
-    for combo in itertools.combinations_with_replacement(range(family.n), p):
-        counts: dict = {}
-        ok = False
-        for i in combo:
-            for e in members[i]:
-                c = counts.get(e, 0) + 1
-                if c >= k:
-                    ok = True
-                    break
-                counts[e] = c
-            if ok:
-                break
-        if not ok:
-            return PkResult(False, combo)
-    return PkResult(True, None)
+    masks = family.masks
+    combo = []
+    planes = [[-1] + [0] * (k - 1)]  # planes[j][d]: depth >= d in combo[:j]
+    i = 0
+    while True:
+        if i == family.n:
+            if not combo:
+                return PkResult(True, None)
+            i = combo.pop() + 1
+            planes.pop()
+            continue
+        at, mask = planes[-1], masks[i]
+        if at[k - 1] & mask:
+            i += 1
+        elif len(combo) + 1 == p:
+            return PkResult(False, (*combo, i))
+        else:
+            combo.append(i)
+            planes.append([-1] + [at[d] | at[d - 1] & mask for d in range(1, k)])
 
 
 def sequence_ratio(family: SetFamily, index_sequence: Sequence[int]) -> Fraction:

@@ -41,6 +41,10 @@ INT64_MAX = 2**63 - 1
 EXACT_DIGITS = 4000
 _EXACT_LIMIT = 10**EXACT_DIGITS
 EPSILON_BITS = 64
+# a certificate's head modulus D is reported exactly; Python prints an int
+# of at most this many digits, so a larger D is refused before it is built
+D_DIGITS = 4300
+_D_LIMIT = 10**D_DIGITS
 
 
 def vp(a: int, p: int):
@@ -487,7 +491,11 @@ def density_certificate(
         L = formula.theta_level(p)
         if n >= 1:
             L = max(L, 2 + vp(m, p))
-        D *= p**L
+        # D * p**L >= 2**low_bits, so a long one is refused unbuilt
+        low_bits = D.bit_length() - 1 + L * (p.bit_length() - 1)
+        D = D * p**L if low_bits < _D_LIMIT.bit_length() else _D_LIMIT
+        if D >= _D_LIMIT:
+            raise ValueError(f"head prime {p} at level {L}: D exceeds {D_DIGITS} digits")
     degenerate = B < auto_B
     prod = Fraction(1)
     if n:

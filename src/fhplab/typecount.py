@@ -705,6 +705,7 @@ def power_saving_probe(
     parameter_pool: Sequence[tuple],
     l_values: Sequence[int],
     d: int,
+    samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> PowerSavingReport:
     """Fit the growth exponent of f_phi(m,k,l) over the given l values.
@@ -722,7 +723,7 @@ def power_saving_probe(
     counts = []
     exact = True
     for l in ls:
-        rep = f_phi(structure, phi, x_arity, m, k, parameter_pool, l, seed=seed)
+        rep = f_phi(structure, phi, x_arity, m, k, parameter_pool, l, samples, seed)
         counts.append(rep.value)
         exact = exact and rep.exact
     pts = [(l, c) for l, c in zip(ls, counts) if c >= 1]

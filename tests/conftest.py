@@ -7,13 +7,34 @@ exhaustion, so agreement is meaningful.
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from fhplab.setfam import SetFamily
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def subprocess_env():
+    """os.environ with src/ first on PYTHONPATH, for child interpreters."""
+    env = {**os.environ}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_cli(*argv, timeout=30):
+    """`python -m fhplab.cli argv` in a fresh process, so that a hang
+    fails on the timeout instead of stalling the suite."""
+    return subprocess.run(
+        [sys.executable, "-m", "fhplab.cli", *argv],
+        capture_output=True, text=True, timeout=timeout, env=subprocess_env(),
+    )
 
 
 @pytest.fixture

@@ -1,14 +1,13 @@
 import argparse
 import json
-import os
-import subprocess
-import sys
 import time
 
 import pytest
 
 from fhplab import constructs, setfam, typecount
 from fhplab.cli import _verify_construction, main, parse_family
+
+from conftest import run_cli
 
 
 def family_file(tmp_path, members, ground, name="fam.json"):
@@ -199,6 +198,12 @@ class TestCountTypesValidation:
         assert code == 2
         assert capsys.readouterr().err == "error: samples must be >= 1\n"
 
+    def test_l_values_samples_below_one(self, triangle_path, capsys):
+        code = main(["count-types", "--family", triangle_path, "--m", "1",
+                     "--k", "2", "--l-values", "1,2,3", "--samples", "0"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: samples must be >= 1\n"
+
     def test_l_and_l_values_exclusive(self, triangle_path, capsys):
         code = main(["count-types", "--family", triangle_path,
                      "--m", "1", "--k", "2", "--l", "2",
@@ -377,6 +382,20 @@ class TestCapsEnv:
             "error: ground size 251001 exceeds SIZE_CAP 250000\n"
         )
 
+    @pytest.mark.parametrize("argv, power", [
+        (["tp2", "--k", "3000000", "--m", "3"], "3**3000000"),
+        (["shattered", "--m", "30000000"], "2**30000000"),
+        (["caps", "--w", "2", "--depth", "3000000"], "2**3000000"),
+    ])
+    def test_power_refused_before_built(self, argv, power, capsys):
+        started = time.monotonic()
+        code = main(["construct", *argv])
+        assert time.monotonic() - started < 5
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: ground size {power} exceeds SIZE_CAP 250000\n"
+        )
+
     def test_type_cap_blocks_count(self, triangle_path, capsys,
                                    monkeypatch):
         monkeypatch.setattr(typecount, "TYPE_CAP", 1)
@@ -495,32 +514,54 @@ def test_malformed_formula_is_input_error(command, phi, tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+HUGE_LEVEL_FORMULA = {
+    "lead_k": 1, "modulus_m": 1, "positive_slots": 0,
+    "p_conditions": {"3": {
+        "op": "notinU", "form": {"coeffs": {"x": 1}, "const": 1},
+        "level": 100000000}},
+}
+
+
 def test_sqf_count_huge_level(tmp_path):
     """A level-10^8 p-condition counts a 30-number window at once; run as
     a subprocess so a regression fails on the timeout instead of hanging."""
     doc = tmp_path / "system.json"
-    doc.write_text(json.dumps({
-        "formula": {"lead_k": 1, "modulus_m": 1, "positive_slots": 0,
-                    "p_conditions": {"3": {
-                        "op": "notinU", "form": {"coeffs": {"x": 1}, "const": 1},
-                        "level": 100000000}}},
-        "c": [], "c_prime": [],
-    }))
-    proc = subprocess.run(
-        [sys.executable, "-m", "fhplab.cli", "sqf", "count", "--system",
-         str(doc), "--window", "30"],
-        capture_output=True, text=True, timeout=30, env={**os.environ},
-    )
+    doc.write_text(json.dumps({"formula": HUGE_LEVEL_FORMULA, "c": [], "c_prime": []}))
+    proc = run_cli("sqf", "count", "--system", str(doc), "--window", "30")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["report"]["count"] == 29
 
 
-def test_console_script_entry():
-    proc = subprocess.run(
-        [sys.executable, "-m", "fhplab.cli", "--version"],
-        capture_output=True,
-        text=True,
-        env={**os.environ},
+@pytest.mark.parametrize("action", ["count", "density"])
+def test_sqf_certificate_huge_level_refused(action, tmp_path):
+    """The certificate's head would be D = 3^(10^8): refused, not built."""
+    doc = tmp_path / "doc.json"
+    if action == "count":
+        doc.write_text(json.dumps({"formula": HUGE_LEVEL_FORMULA, "c": [], "c_prime": []}))
+        argv = ["--system", str(doc), "--window", "30"]
+    else:
+        doc.write_text(json.dumps(HUGE_LEVEL_FORMULA))
+        argv = ["--formula", str(doc)]
+    proc = run_cli("sqf", action, *argv, "--tail-prime", "5")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: head prime 3 at level 100000000: D exceeds 4300 digits\n"
     )
+
+
+def test_pk_scan_on_large_cross(tmp_path):
+    """200 pairwise-meeting crosses pass (4, 2) at once: every 2-prefix
+    already has a point of depth 2, so no 4-multiset is visited."""
+    fam = tmp_path / "cross.json"
+    assert run_cli("construct", "cross", "--n", "200", "--output", str(fam)).returncode == 0
+    proc = run_cli("analyze", "--family", str(fam), "--k", "2", "--alpha", "1/2", "--pk", "4")
+    assert proc.returncode == 0, proc.stderr
+    pk = json.loads(proc.stdout)["report"]["pk"]
+    assert pk["holds"] and pk["counterexample"] is None
+
+
+def test_console_script_entry():
+    proc = run_cli("--version")
     assert proc.returncode == 0
     assert "fhplab" in proc.stdout

@@ -19,7 +19,7 @@ from fhplab.fraclp import (
 from fhplab.setfam import SetFamily
 
 from conftest import oracle_intersection_number, oracle_min_cover, random_family
-from lp_oracle import intersection_lp, transversal_lp
+from lp_oracle import intersection_lps, solve_stacked, transversal_lps
 
 
 def F(a, b=1):
@@ -29,69 +29,19 @@ def F(a, b=1):
 class TestSolveLp:
     def test_max_two_vars(self):
         # max 3x+2y st x+y<=4, x<=2  -> x=2,y=2, value 10
-        prob = LpProblem(
-            sense="max",
-            objective=[F(3), F(2)],
-            rows=[[F(1), F(1)], [F(1), F(0)]],
-            relations=["<=", "<="],
-            rhs=[F(4), F(2)],
-        )
+        prob = LpProblem(objective=[3, 2], rows=[[1, 1], [1, 0]], rhs=[4, 2])
         sol = solve_lp(prob)
         assert sol.status == "optimal"
         assert sol.value == 10
         assert sol.primal == (F(2), F(2))
 
-    def test_min_with_equality(self):
-        # min x+y st x+2y=4, x>=1 -> x=4? no: y=(4-x)/2, obj=x+(4-x)/2=2+x/2, min at x=1 -> 5/2
-        prob = LpProblem(
-            sense="min",
-            objective=[F(1), F(1)],
-            rows=[[F(1), F(2)], [F(1), F(0)]],
-            relations=["==", ">="],
-            rhs=[F(4), F(1)],
-        )
-        sol = solve_lp(prob)
-        assert sol.value == F(5, 2)
-
-    def test_infeasible(self):
-        prob = LpProblem(
-            sense="max",
-            objective=[F(1)],
-            rows=[[F(1)], [F(1)]],
-            relations=["<=", ">="],
-            rhs=[F(1), F(2)],
-        )
-        assert solve_lp(prob).status == "infeasible"
-
     def test_unbounded(self):
-        prob = LpProblem(
-            sense="max",
-            objective=[F(1)],
-            rows=[[F(-1)]],
-            relations=["<="],
-            rhs=[F(0)],
-        )
+        prob = LpProblem(objective=[1], rows=[[-1]], rhs=[0])
         assert solve_lp(prob).status == "unbounded"
-
-    def test_negative_rhs_normalized(self):
-        # max x st -x <= -3, x <= 5 -> 5
-        prob = LpProblem(
-            sense="max",
-            objective=[F(1)],
-            rows=[[F(-1)], [F(1)]],
-            relations=["<=", "<="],
-            rhs=[F(-3), F(5)],
-        )
-        sol = solve_lp(prob)
-        assert sol.value == 5
 
     def test_duals_satisfy_strong_duality(self):
         prob = LpProblem(
-            sense="max",
-            objective=[F(3), F(5)],
-            rows=[[F(1), F(0)], [F(0), F(2)], [F(3), F(2)]],
-            relations=["<=", "<=", "<="],
-            rhs=[F(4), F(12), F(18)],
+            objective=[3, 5], rows=[[1, 0], [0, 2], [3, 2]], rhs=[4, 12, 18]
         )
         sol = solve_lp(prob)
         assert sol.value == 36
@@ -99,11 +49,40 @@ class TestSolveLp:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            LpProblem("max", [F(1)], [[F(1), F(2)]], ["<="], [F(1)])
+            LpProblem([1], [[1, 2]], [1])
 
-    def test_bad_relation_rejected(self):
-        with pytest.raises(ValueError):
-            LpProblem("max", [F(1)], [[F(1)]], ["<"], [F(1)])
+    def test_negative_rhs_rejected(self):
+        with pytest.raises(ValueError, match="rhs must be >= 0"):
+            LpProblem([1], [[-1], [1]], [-3, 5])
+
+    def test_non_integer_rejected(self):
+        for objective, rows, rhs in (
+            ([F(1, 2)], [[1]], [1]), ([1], [[0.5]], [1]), ([1], [[1]], [F(1)])
+        ):
+            with pytest.raises(ValueError, match="must be integers"):
+                LpProblem(objective, rows, rhs)
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        # x = (5, 6/5) breaks both rows
+        (lambda X, Y: ([3 * X[0] + 1, X[1]], Y), "primal certificate"),
+        (lambda X, Y: (X, [-Y[0], *Y[1:]]), "dual sign"),
+        (lambda X, Y: (X, [0] * len(Y)), "dual feasibility"),
+        (lambda X, Y: ([0] * len(X), Y), "strong duality"),
+    ],
+)
+def test_tampered_certificate_rejected(tamper, message):
+    """Each of the four integer checks catches its own kind of bad witness."""
+    # max x+y st x+2y<=4, 3x+y<=6 -> x=8/5, y=6/5; duals 2/5, 1/5
+    prob = LpProblem([1, 1], [[1, 2], [3, 1]], [4, 6])
+    sol = solve_lp(prob)
+    assert sol.primal == (F(8, 5), F(6, 5)) and sol.dual == (F(2, 5), F(1, 5))
+    X, Y = [8, 6], [2, 1]  # the witnesses at scale det = 5
+    fraclp._verify_certificates(prob, X, Y, 5)
+    with pytest.raises(ArithmeticError, match=message):
+        fraclp._verify_certificates(prob, *tamper(X, Y), 5)
 
 
 class TestIntersectionNumber:
@@ -218,100 +197,52 @@ def test_atom_reduction_invariance():
 
 
 def random_lp(rng):
-    """1-6 variables, 1-7 rows, entries in {-4..4}/{1..6}, mixed relations."""
+    """1-6 variables, 1-7 rows, A and c in {-4..4}, b in {0..6}."""
     nvars = rng.randint(1, 6)
     nrows = rng.randint(1, 7)
-
-    def q():
-        return F(rng.randint(-4, 4), rng.randint(1, 6))
-
     return LpProblem(
-        rng.choice(["max", "min"]),
-        [q() for _ in range(nvars)],
-        [[q() for _ in range(nvars)] for _ in range(nrows)],
-        [rng.choice(["<=", ">=", "=="]) for _ in range(nrows)],
-        [q() for _ in range(nrows)],
+        [rng.randint(-4, 4) for _ in range(nvars)],
+        [[rng.randint(-4, 4) for _ in range(nvars)] for _ in range(nrows)],
+        [rng.randint(0, 6) for _ in range(nrows)],
     )
 
 
-def scipy_lp(prob):
-    """(status, value) of prob from scipy's HiGHS, in floats."""
-    from scipy.optimize import linprog
+def scipy_lps(probs):
+    """(status, value) of each LP from scipy's HiGHS, in floats.
 
-    sign = -1.0 if prob.sense == "max" else 1.0
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    for row, rel, b in zip(prob.rows, prob.relations, prob.rhs):
-        row = [float(a) for a in row]
-        if rel == "<=":
-            a_ub.append(row)
-            b_ub.append(float(b))
-        elif rel == ">=":
-            a_ub.append([-a for a in row])
-            b_ub.append(-float(b))
-        else:
-            a_eq.append(row)
-            b_eq.append(float(b))
-    res = linprog(
-        [sign * float(c) for c in prob.objective],
-        A_ub=a_ub or None, b_ub=b_ub or None,
-        A_eq=a_eq or None, b_eq=b_eq or None,
-        bounds=[(0, None)] * len(prob.objective), method="highs",
-    )
-    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status)
-    return status, (sign * res.fun if res.status == 0 else None)
+    x = 0 is feasible in every LP, so one is unbounded exactly when it
+    has a ray: d >= 0 with A d <= 0 and c . d > 0.  One stacked solve
+    looks for a ray with d <= 1 in every LP, a second solves the rest.
+    """
+
+    def block(prob, rhs, upper):
+        return {
+            "c": [-c for c in prob.objective],
+            "A_ub": prob.rows,
+            "b_ub": rhs,
+            "bounds": [(0, upper)] * len(prob.objective),
+        }
+
+    def value(prob, x):
+        return sum(c * v for c, v in zip(prob.objective, x))
+
+    rays = solve_stacked([block(p, [0] * len(p.rows), 1) for p in probs])
+    unbounded = [value(p, d) > 1e-9 for p, (d, _) in zip(probs, rays)]
+    bounded = [p for p, u in zip(probs, unbounded) if not u]
+    optima = iter(solve_stacked([block(p, p.rhs, None) for p in bounded]))
+    return [
+        ("unbounded", None) if u else ("optimal", value(p, next(optima)[0]))
+        for p, u in zip(probs, unbounded)
+    ]
 
 
 def test_general_lps_match_scipy():
-    for seed in range(2000):
-        prob = random_lp(random.Random(seed))
+    probs = [random_lp(random.Random(seed)) for seed in range(2000)]
+    for seed, (prob, (status, value)) in enumerate(zip(probs, scipy_lps(probs))):
         sol = solve_lp(prob)
-        status, value = scipy_lp(prob)
-        if status == "infeasible" and sol.status == "unbounded":
-            # HiGHS may call an unbounded LP infeasible: check feasibility
-            zero = LpProblem(
-                prob.sense, [0] * len(prob.objective),
-                prob.rows, prob.relations, prob.rhs,
-            )
-            assert solve_lp(zero).status == "optimal", seed
-            continue
         assert sol.status == status, seed
         if status == "optimal":
             assert abs(float(sol.value) - value) <= 1e-9 * max(1.0, abs(value)), seed
-
-
-@pytest.mark.parametrize(
-    "prob, value",
-    [
-        # an artificial left basic at level 0 after phase 1 grew in phase 2
-        # ("internal: primal certificate violated")
-        (LpProblem("min", [F(1, 2)], [[F(2)], [F(-1)]], ["<=", "<="],
-                   [F(1, 3), F(-1, 6)]), F(1, 12)),
-        (LpProblem(
-            "min", [F(-1), F(-1, 2), F(4, 5)],
-            [[F(-4, 5), F(0), F(-2)], [F(1, 5), F(-3), F(-3)],
-             [F(3, 4), F(1, 2), F(1, 3)], [F(-4, 3), F(2), F(1, 2)],
-             [F(4), F(0), F(-1)]],
-            ["==", "<=", "<=", ">=", ">="],
-            [F(0), F(1, 3), F(1, 2), F(-1, 2), F(0)],
-        ), F(-1, 2)),
-        # the same fault once reported this bounded LP as unbounded
-        (LpProblem(
-            "max", [F(2, 5), F(1, 3), F(0), F(0)],
-            [[F(1, 5), F(1, 3), F(-2, 3), F(0)],
-             [F(1, 5), F(4, 5), F(1), F(-3, 4)],
-             [F(3, 2), F(-3, 5), F(1, 3), F(-4, 3)],
-             [F(1, 3), F(0), F(-1), F(1, 2)],
-             [F(-1, 2), F(-3, 5), F(1, 6), F(-1, 2)],
-             [F(0), F(-3), F(1), F(1, 2)]],
-            ["<=", ">=", ">=", ">=", "==", "<="],
-            [F(3, 4), F(2, 3), F(1, 2), F(-3), F(0), F(1, 2)],
-        ), F(5, 18)),
-    ],
-)
-def test_basic_artificial_regressions(prob, value):
-    sol = solve_lp(prob)
-    assert sol.status == "optimal"
-    assert sol.value == value
 
 
 def lp_sweep_families():
@@ -340,13 +271,6 @@ def lp_digest(solve):
     return hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
 
 
-def test_family_lp_reports_pinned():
-    """The two-LP oracle's reports hash to the Fraction-tableau solver's
-    output, so solve_lp's phase 1 and Bland pivot path stay as they were."""
-    digest = lp_digest(lambda fam: (*intersection_lp(fam), transversal_lp(fam)))
-    assert digest == "d1f892d9305c10a8952ea3e7de00c4fab5397cd8a8fd120567ed62df5f04a234"
-
-
 def test_packing_lp_reports_pinned():
     """The library's reports, read from one packing LP per family."""
     digest = lp_digest(
@@ -355,10 +279,10 @@ def test_packing_lp_reports_pinned():
     assert digest == "f47de4125adf5d321366cadee2d692e067d5be135a53f748ab7e7eb4d45f2b7c"
 
 
-def check_against_oracle(fam, value, dist, tr, label):
-    """Exact values equal to the two-LP oracle's, and valid witnesses."""
-    assert value == intersection_lp(fam)[0], label
-    assert tr.tau_star == transversal_lp(fam).tau_star, label
+def check_against_oracle(fam, value, dist, tr, tau, label):
+    """tau* equal to the covering LP oracle's, i(F) * tau* = 1, and valid
+    witnesses."""
+    assert tr.tau_star == tau, label
     assert value * tr.tau_star == 1, label
     assert all(m > 0 for m in dist.values()) and sum(dist.values()) == 1, label
     assert all(w > 0 for w in tr.weights.values()), label
@@ -369,17 +293,21 @@ def check_against_oracle(fam, value, dist, tr, label):
 
 
 def test_public_functions_match_two_lp_oracle():
-    for i, fam in enumerate(lp_sweep_families()):
+    families = lp_sweep_families()
+    oracle = zip(intersection_lps(families), transversal_lps(families))
+    for i, (fam, ((i_value, _), tr)) in enumerate(zip(families, oracle)):
         value, dist = intersection_number(fam)
+        assert value == i_value, f"family {i}"
         check_against_oracle(
-            fam, value, dist, fractional_transversal(fam), f"family {i}"
+            fam, value, dist, fractional_transversal(fam), tr.tau_star, f"family {i}"
         )
 
 
 def test_packing_lp_matches_two_lp_oracle():
-    for seed in range(10_000, 13_000):
-        fam = random_family(random.Random(seed))
-        check_against_oracle(fam, *_family_lp(fam), f"seed {seed}")
+    seeds = range(10_000, 13_000)
+    families = [random_family(random.Random(seed)) for seed in seeds]
+    for seed, fam, tr in zip(seeds, families, transversal_lps(families)):
+        check_against_oracle(fam, *_family_lp(fam), tr.tau_star, f"seed {seed}")
 
 
 @pytest.fixture

@@ -6,13 +6,12 @@ not times, so they do not depend on the machine.
 """
 
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+from conftest import subprocess_env
 
 # runs one command, then prints the top-level names in sys.modules
 DRIVER = """
@@ -67,15 +66,11 @@ print(json.dumps(sorted({name.split(".")[0] for name in sys.modules})))
 
 
 def loaded_modules(argv, driver=DRIVER):
-    env = {**os.environ}
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (SRC, env.get("PYTHONPATH")) if p
-    )
     proc = subprocess.run(
         [sys.executable, "-c", driver, *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=subprocess_env(),
     )
     assert "Traceback" not in proc.stderr, proc.stderr
     return set(json.loads(proc.stdout.strip().splitlines()[-1]))

@@ -139,16 +139,16 @@ class TestPkProperty:
         with pytest.raises(ValueError):
             check_pk_property(triangle, 1, 2)
 
-    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("seed", range(40))
     def test_matches_oracle(self, seed):
+        # every 1 <= k <= p <= 4, empty members included: the depth-first
+        # walk prunes at every prefix length, the root too
         rng = random.Random(100 + seed)
-        fam = random_family(rng, ground_max=6, n_max=5)
-        p = rng.randint(2, 4)
-        k = rng.randint(1, p)
-        mine = check_pk_property(fam, p, k)
-        ref_holds, ref_tuple = oracle_pk(fam, p, k)
-        assert mine.holds == ref_holds
-        assert mine.counterexample == ref_tuple
+        fam = random_family(rng, ground_max=6, n_max=6, min_size=0)
+        for p in range(1, 5):
+            for k in range(1, p + 1):
+                mine = check_pk_property(fam, p, k)
+                assert (mine.holds, mine.counterexample) == oracle_pk(fam, p, k), (p, k)
 
 
 def test_sequence_ratio_triangle(triangle):

@@ -505,6 +505,21 @@ class TestDensityCertificate:
         ) * Fraction(1, 10**3)
         assert not cert.degenerate
 
+    @pytest.mark.parametrize("level, refused", [(14284, False), (14285, True)])
+    def test_head_longer_than_d_digits_refused(self, level, refused):
+        # 2^14284 has 4,300 digits, the most Python prints; 2^14285 has one more
+        f = SpecialFormula.from_json_dict({
+            "lead_k": 1, "modulus_m": 1, "positive_slots": 0,
+            "p_conditions": {"2": {
+                "op": "notinU", "form": {"coeffs": {"x": 1}, "const": 1},
+                "level": level}},
+        })
+        if refused:
+            with pytest.raises(ValueError, match="head prime 2 at level 14285"):
+                density_certificate(f, 5)
+        else:
+            assert density_certificate(f, 5).D == 2**level
+
     def test_no_slots_gives_half_over_d(self):
         f = SpecialFormula(
             lead_k=1, modulus_m=1, positive_slots=0, negative_slots=0
