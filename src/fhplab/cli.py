@@ -25,8 +25,8 @@ from typing import Optional
 
 from . import __version__
 from ._jsonutil import SCHEMA_VERSION, to_json
-# pseudofield and sqfint load numpy, so only the ff and sqf handlers import
-# them: every other command starts without numpy.
+# pseudofield loads numpy, so only the ff handler imports it; the formula
+# evaluator loads numpy itself.  Every other command starts without numpy.
 from . import constructs, fraclp, setfam, typecount, vc
 
 
@@ -260,7 +260,7 @@ def _handle_sqf(opt):
             )
             bound = cert.epsilon_lower * opt.window - cert.error_term(opt.window)
             out["certificate"] = cert
-            out["lower_bound"] = bound
+            out["lower_bound"] = cert.printable("lower_bound", bound)
             out["bound_holds"] = Fraction(count) >= bound
         return out, 0
     if action == "psat":

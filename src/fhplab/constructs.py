@@ -50,17 +50,18 @@ class BlockParams:
             raise ValueError("need p_prime >= k_prime >= 2")
         if self.r < self.k:
             raise ValueError("r must be >= k")
+        m_floor = math.ceil(Fraction(self.p_prime) / gamma)
+        if self.m < m_floor:
+            raise ValueError(f"m must be >= ceil(p_prime/gamma) = {m_floor}")
+        # m^k ground points per block tuple: bounds k before the product
+        capped_power(self.m, self.k)
         prod = Fraction(1)
         for j in range(self.k):
             prod *= 1 - Fraction(j, self.r)
         if not prod > alpha:
             raise ValueError(
-                f"r={self.r} too small: prod_(j<k)(1-j/r) = {prod} "
-                f"is not > alpha = {alpha}"
+                f"r={self.r} too small: prod_(j<k)(1-j/r) is not > alpha = {alpha}"
             )
-        m_floor = math.ceil(Fraction(self.p_prime) / gamma)
-        if self.m < m_floor:
-            raise ValueError(f"m must be >= ceil(p_prime/gamma) = {m_floor}")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "gamma", gamma)
 

@@ -21,19 +21,20 @@ silently leaving the validated regime.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
-
 from ._jsonutil import SCHEMA_VERSION
 from ._primes import factorint, isprime, primerange
-from .setfam import FhpReport, SetFamily, check_fhp_instance
+from .setfam import FhpReport, SetFamily, check_fhp_instance, check_ground_size
 
 INT64_MAX = 2**63 - 1
+# largest window (0, t) a system is sieved over
+WINDOW_CAP = 10**7
 # epsilon ends with more digits than this are rounded for the report.  The
 # margin below Python's 4,300-digit int-to-str limit leaves room for the
 # rationals reports derive from them (sqf count's lower_bound,
@@ -378,7 +379,9 @@ class DensityCertificate:
     to 64 significant bits, which keeps the bracket sound and the report
     renderable.  error_term(t) is the explicit ceiling version of
     sum_i(sqrt|c_i| + sqrt|kt + c_i|) + 1.  degenerate marks certificates
-    whose bound carries no information (some factor <= 0).
+    whose bound carries no information (some factor <= 0).  head is the
+    (prime, level) of the largest factor of D, named when an end, or a
+    value derived from one, is too long to print.
     """
 
     epsilon_lower: Fraction
@@ -390,6 +393,7 @@ class DensityCertificate:
     lead_k: int
     constants: tuple
     degenerate: bool
+    head: tuple
 
     def error_term(self, t: int) -> int:
         total = 1
@@ -397,12 +401,22 @@ class DensityCertificate:
             total += _ceil_sqrt(abs(ci)) + _ceil_sqrt(abs(self.lead_k * t + ci))
         return total
 
+    def printable(self, name: str, value: Fraction) -> Fraction:
+        """value, refused when Python cannot print its numerator or
+        denominator (rounding never shortens a dyadic end 1/(2*2^L))."""
+        if max(abs(value.numerator), value.denominator) >= _D_LIMIT:
+            p, L = self.head
+            raise ValueError(
+                f"head prime {p} at level {L}: {name} exceeds {D_DIGITS} digits"
+            )
+        return value
+
     def to_json_dict(self) -> dict:
-        # lead_k and constants only feed error_term; they are not reported
+        # lead_k, constants and head are not reported
         return {
             "schema": SCHEMA_VERSION,
-            "epsilon_lower": self.epsilon_lower,
-            "epsilon_upper": self.epsilon_upper,
+            "epsilon_lower": self.printable("epsilon_lower", self.epsilon_lower),
+            "epsilon_upper": self.printable("epsilon_upper", self.epsilon_upper),
             "B": self.B,
             "D": self.D,
             "tail_prime": self.tail_prime,
@@ -487,6 +501,7 @@ def density_certificate(
         raise ValueError("tail_prime must be >= B")
     m = formula.modulus_m
     D = 1
+    widest = (1, 0, 0)  # (p^L, p, L) of the largest head factor
     for p in primerange(2, B + 1):
         L = formula.theta_level(p)
         if n >= 1:
@@ -496,6 +511,7 @@ def density_certificate(
         D = D * p**L if low_bits < _D_LIMIT.bit_length() else _D_LIMIT
         if D >= _D_LIMIT:
             raise ValueError(f"head prime {p} at level {L}: D exceeds {D_DIGITS} digits")
+        widest = max(widest, (p**L, p, L))
     degenerate = B < auto_B
     prod = Fraction(1)
     if n:
@@ -525,6 +541,7 @@ def density_certificate(
         lead_k=formula.lead_k,
         constants=constants,
         degenerate=degenerate,
+        head=widest[1:],
     )
 
 
@@ -536,15 +553,17 @@ def _check_form_range(k: int, c: int, t: int, label: str):
             )
 
 
-def _pm_bad_mask(k: int, c: int, m: int, t: int) -> np.ndarray:
-    """bad[a] = True iff k*a + c is outside P_m, for a in [0, t).
+def _sieve_outside_pm(mask: bytearray, k: int, c: int, m: int, flag: int):
+    """Write flag into mask[a] wherever k*a + c is outside P_m.
 
     Sieve over primes p <= sqrt(max|value|): the excluded modulus is
     q = p^(2+v_p(m)); solutions of k*a + c = 0 (mod q) form one residue
     class mod q/gcd(k,q) when gcd(k,q) divides c, else none.  The zero
-    value is excluded separately since 0 is never in P_m.
+    value is excluded separately since 0 is never in P_m.  Flags at a = 0
+    are left unspecified: the window is open there.
     """
-    bad = bytearray(t)
+    t = len(mask)
+    fill = bytes([flag])
     maxabs = max(abs(k * 1 + c), abs(k * (t - 1) + c), 1)
     fm = factorint(m)
     for p in primerange(2, math.isqrt(maxabs) + 1):
@@ -554,56 +573,56 @@ def _pm_bad_mask(k: int, c: int, m: int, t: int) -> np.ndarray:
             continue
         q1 = q // g
         if q1 == 1:
-            # k*a + c is always divisible by q: every a is bad
-            bad[:] = b"\x01" * t
-            break
+            # k*a + c is always divisible by q: every a is outside
+            mask[:] = fill * t
+            return
         a0 = (-(c // g) * pow(k // g, -1, q1)) % q1
-        start = a0 if a0 >= 1 else a0 + q1
-        if start < t:
-            count = len(range(start, t, q1))
-            bad[start:t:q1] = b"\x01" * count
-    arr = np.frombuffer(bytes(bad), dtype=np.uint8).astype(bool)
-    if c % k == 0:
-        zero_at = -(c // k)
-        if 1 <= zero_at < t:
-            arr[zero_at] = True
-    return arr
+        if a0 < t:
+            mask[a0::q1] = fill * len(range(a0, t, q1))
+    if c % k == 0 and 0 <= -(c // k) < t:
+        mask[-(c // k)] = flag
 
 
-def _solution_mask(sys: GSystem, t: int) -> np.ndarray:
-    """Boolean array over a in [0, t); True where the system holds, a >= 1."""
+def _and_into(mask: bytearray, flags: bytes):
+    """mask[a] &= flags[a] for every a, on 0/1 flags of one length."""
+    both = int.from_bytes(mask, "big") & int.from_bytes(flags, "big")
+    mask[:] = both.to_bytes(len(mask), "big")
+
+
+def _solution_mask(sys: GSystem, t: int) -> bytearray:
+    """0/1 flags over a in [0, t); 1 where the system holds, a >= 1."""
     if t < 1:
         raise ValueError("t must be >= 1")
+    if t > WINDOW_CAP:
+        raise ValueError(f"window {t} exceeds WINDOW_CAP {WINDOW_CAP}")
     f = sys.formula
     k, m = f.lead_k, f.modulus_m
-    good = np.ones(t, dtype=bool)
-    good[0] = False
+    good = bytearray(b"\x01") * t
+    good[0] = 0
     if t == 1:
         return good
     for i, ci in enumerate(sys.c):
         _check_form_range(k, ci, t, f"z{i}")
-        good &= ~_pm_bad_mask(k, ci, m, t)
+        _sieve_outside_pm(good, k, ci, m, 0)
     for j, cj in enumerate(sys.c_prime):
         _check_form_range(k, cj, t, f"zp{j}")
-        good &= _pm_bad_mask(k, cj, m, t)
+        outside = bytearray(t)
+        _sieve_outside_pm(outside, k, cj, m, 1)
+        _and_into(good, outside)
     for p, cond in f.p_conditions.items():
         # truth depends only on a mod p^L: evaluate the residues the window
-        # reaches, and repeat them (np.resize) when p^L < t; p^L >= t once
+        # reaches, and repeat them when p^L < t; p^L >= t once
         # L >= t.bit_length(), and then p^L is never built
         L = max(f.theta_level(p), 1)
         n = t if L >= t.bit_length() else min(p**L, t)
-        table = np.fromiter(
-            (_cond_holds(cond, p, sys.assignment(r)) for r in range(n)),
-            dtype=bool,
-            count=n,
-        )
-        good &= np.resize(table, t)
+        table = bytes(_cond_holds(cond, p, sys.assignment(r)) for r in range(n))
+        _and_into(good, (table * -(-t // n))[:t])
     return good
 
 
 def count_solutions_window(sys: GSystem, t: int) -> int:
     """|{a : 0 < a < t, the system holds at a}|, exactly."""
-    return int(_solution_mask(sys, t).sum())
+    return _solution_mask(sys, t).count(1)
 
 
 def solution_family(
@@ -614,11 +633,12 @@ def solution_family(
     Element 0 is part of the ground set but never occupied (the window is
     the open interval (0, window)).
     """
+    check_ground_size(window)
     members = []
     labels = []
     for i, sys in enumerate(systems):
         mask = _solution_mask(sys, window)
-        members.append(frozenset(int(a) for a in np.nonzero(mask)[0]))
+        members.append(frozenset(itertools.compress(range(window), mask)))
         labels.append(f"G[{i}]")
     return SetFamily(
         ground_size=window, members=tuple(members), labels=tuple(labels)
@@ -672,7 +692,8 @@ def theoretical_beta(
     )
     cert = density_certificate(positivized, tail_prime)
     delta = cert.epsilon_lower / 2
-    return Fraction(alpha) * gamma * delta / (s * sp * k**s)
+    beta = Fraction(alpha) * gamma * delta / (s * sp * k**s)
+    return cert.printable("theoretical_beta", beta)
 
 
 def _rename_negative(cond: dict, s: int) -> dict:

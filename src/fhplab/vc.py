@@ -238,14 +238,16 @@ def density_fit(dual_values: dict) -> Optional[Fraction]:
     An estimate of the polynomial growth rate; needs at least two distinct
     sizes with positive values, else None.
     """
-    import numpy as np  # imported here: the only numpy user in this module
-
     pts = [(n, v) for n, v in sorted(dual_values.items()) if n >= 1 and v >= 1]
     if len(pts) < 2:
         return None
-    xs = np.log([float(n) for n, _ in pts])
-    ys = np.log([float(v) for _, v in pts])
-    if np.allclose(xs, xs[0]):
+    xs = [math.log(n) for n, _ in pts]
+    ys = [math.log(v) for _, v in pts]
+    # logs within 1e-8 + 1e-5*|x0| of the first one give no slope
+    if all(abs(x - xs[0]) <= 1e-8 + 1e-5 * abs(xs[0]) for x in xs):
         return None
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    return Fraction(slope).limit_denominator(1000)
+    mx = sum(xs) / len(xs)
+    my = sum(ys) / len(ys)
+    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    sxx = sum((x - mx) ** 2 for x in xs)
+    return Fraction(sxy / sxx).limit_denominator(1000)

@@ -386,6 +386,7 @@ class TestCapsEnv:
         (["tp2", "--k", "3000000", "--m", "3"], "3**3000000"),
         (["shattered", "--m", "30000000"], "2**30000000"),
         (["caps", "--w", "2", "--depth", "3000000"], "2**3000000"),
+        (["block", "--k", "3000", "--r", "3000", "--m", "4"], "4**3000"),
     ])
     def test_power_refused_before_built(self, argv, power, capsys):
         started = time.monotonic()
@@ -548,6 +549,64 @@ def test_sqf_certificate_huge_level_refused(action, tmp_path):
     assert proc.stderr == (
         "error: head prime 3 at level 100000000: D exceeds 4300 digits\n"
     )
+
+
+def dyadic_system(level, slots):
+    """slots zero shifts plus one p = 2 condition: D = 2^level, so each
+    epsilon end is about 1/2^level, which rounding cannot shorten."""
+    formula = {
+        "lead_k": 1, "modulus_m": 1, "positive_slots": slots,
+        "p_conditions": {"2": {
+            "op": "notinU", "form": {"coeffs": {"x": 1}, "const": 1},
+            "level": level}},
+    }
+    return {"formula": formula, "c": [0] * slots, "c_prime": []}
+
+
+@pytest.mark.parametrize("action, level, slots, tail, refused", [
+    ("density", 14283, 0, "5", None),
+    ("density", 14284, 0, "5", "epsilon_lower"),
+    ("count", 14213, 3, "7", None),
+    ("count", 14214, 3, "7", "lower_bound"),
+])
+def test_sqf_unprintable_rational_refused(action, level, slots, tail, refused,
+                                          tmp_path):
+    """A rational with more digits than Python prints is refused with the
+    head prime and level named; the longest printable ones still render."""
+    doc = tmp_path / "doc.json"
+    system = dyadic_system(level, slots)
+    if action == "count":
+        doc.write_text(json.dumps(system))
+        argv = ["--system", str(doc), "--window", "30"]
+    else:
+        doc.write_text(json.dumps(system["formula"]))
+        argv = ["--formula", str(doc)]
+    proc = run_cli("sqf", action, *argv, "--tail-prime", tail)
+    if refused is None:
+        assert proc.returncode == 0, proc.stderr
+        return
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"error: head prime 2 at level {level}: {refused} exceeds 4300 digits\n"
+    )
+
+
+def test_sqf_window_capped():
+    proc = run_cli("sqf", "count", "--shifts", "0,2,6", "--window", "1000000000")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: window 1000000000 exceeds WINDOW_CAP 10000000\n"
+
+
+def test_sqf_experiment_checks_ground_size(tmp_path):
+    """The window is the family's ground set: refused above SIZE_CAP before
+    any system is sieved."""
+    doc = tmp_path / "formula.json"
+    doc.write_text(json.dumps({"lead_k": 1, "modulus_m": 1, "positive_slots": 1}))
+    proc = run_cli("sqf", "experiment", "--formula", str(doc), "--params", "0;1;2",
+                   "--k", "2", "--alpha", "1/2", "--window", "400000")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: ground size 400000 exceeds SIZE_CAP 250000\n"
 
 
 def test_pk_scan_on_large_cross(tmp_path):

@@ -8,7 +8,7 @@ import sympy
 
 from fhplab._jsonutil import to_json
 from fhplab.sqfint import (
-    _pm_bad_mask,
+    _sieve_outside_pm,
     DensityCertificate,
     GSystem,
     SpecialFormula,
@@ -342,12 +342,18 @@ class TestWindowCount:
 
     @pytest.mark.parametrize("m", [12, 75, 72])
     def test_pm_bad_mask_matches_in_pm(self, m):
-        # m with prime powers: the excluded modulus at p is p^(2 + v_p(m))
+        # m with prime powers: the excluded modulus at p is p^(2 + v_p(m));
+        # the sieve clears a mask of ones (positive slots) and sets a mask
+        # of zeros (negative slots)
         t = 3000
         for k, c in [(1, 0), (1, 7), (2, -1), (3, 5), (5, -4000), (12, 6)]:
-            bad = _pm_bad_mask(k, c, m, t)
+            inside = bytearray(b"\x01") * t
+            _sieve_outside_pm(inside, k, c, m, 0)
+            outside = bytearray(t)
+            _sieve_outside_pm(outside, k, c, m, 1)
             for a in range(1, t):
-                assert bad[a] == (not in_Pm(k * a + c, m)), (k, c, a)
+                want = in_Pm(k * a + c, m)
+                assert inside[a] == want and outside[a] == (not want), (k, c, a)
 
     def test_blocked_system_counts_zero(self):
         sys_ = shift_system([0, 1, 2, 3])
@@ -388,17 +394,16 @@ class TestWindowCount:
                            (rng.randint(-9, 9),))
             L = max(f.theta_level(p), 1)
             for t in (max(p**L // 2, 2), 2 * p**L + 3):
-                direct = 0
-                for x in range(1, t):
-                    assign = sys_.assignment(x)
-                    k = f.lead_k
-                    direct += (
-                        all(in_Pm(k * x + c, 1) for c in sys_.c)
-                        and not any(in_Pm(k * x + c, 1) for c in sys_.c_prime)
-                        and walk(f.p_conditions[p], p, assign)
-                    )
-                assert count_solutions_window(sys_, t) == direct
-                checked += direct > 0
+                k = f.lead_k
+                direct = {
+                    x for x in range(1, t)
+                    if all(in_Pm(k * x + c, 1) for c in sys_.c)
+                    and not any(in_Pm(k * x + c, 1) for c in sys_.c_prime)
+                    and walk(f.p_conditions[p], p, sys_.assignment(x))
+                }
+                assert count_solutions_window(sys_, t) == len(direct)
+                assert solution_family([sys_], t).members == (direct,)
+                checked += bool(direct)
         assert checked > 10
 
     def test_condition_evaluates_only_window_residues(self, monkeypatch):

@@ -148,6 +148,32 @@ class TestDensityFit:
     def test_needs_two_points(self):
         assert density_fit({3: 7}) is None
 
+    def test_matches_polyfit_seeded(self):
+        # numpy.polyfit is the oracle; sizes up to 10^4 cover every family
+        # whose subfamilies dual_shatter can count
+        import numpy as np
+
+        rng = random.Random(1717)
+        for _ in range(3000):
+            values = {
+                rng.randint(0, 10**rng.randint(1, 4)): rng.randint(0, 10**9)
+                for _ in range(rng.randint(1, 6))
+            }
+            pts = [(n, v) for n, v in sorted(values.items()) if n >= 1 and v >= 1]
+            want = None
+            if len(pts) >= 2:
+                xs = np.log([float(n) for n, _ in pts])
+                ys = np.log([float(v) for _, v in pts])
+                if not np.allclose(xs, xs[0]):
+                    slope = float(np.polyfit(xs, ys, 1)[0])
+                    want = Fraction(slope).limit_denominator(1000)
+            assert density_fit(values) == want, values
+
+    def test_near_equal_sizes_give_none(self):
+        # within numpy.allclose's tolerance of one size: no slope
+        assert density_fit({300000: 5, 300001: 7}) is None
+        assert density_fit({300000: 5, 300100: 7}) is not None
+
 
 def test_report_includes_dual_fit():
     fam = powerset_family(3)
