@@ -89,6 +89,8 @@ def _load_json(path: str):
             f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}"
         )
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _int_list(text: str):
@@ -284,8 +286,15 @@ def _handle_sqf(opt):
     if action == "dickson":
         forms = []
         for chunk in opt.forms.split(";"):
-            a, b = chunk.split(",")
-            forms.append((int(a), int(b)))
+            try:
+                a, b = chunk.split(",")
+                forms.append((int(a), int(b)))
+            except ValueError:
+                raise ValueError(
+                    f"--forms: {chunk!r} is not a pair a,b of integers"
+                ) from None
+        if opt.prime_bound is not None and opt.prime_bound < 2:
+            raise ValueError(f"--prime-bound must be >= 2, got {opt.prime_bound}")
         admissible, obstruction = sqfint.dickson_admissible(
             forms, prime_bound=opt.prime_bound
         )
@@ -367,7 +376,7 @@ def _handle_count_types(opt):
         )
         phi = _load_json(opt.phi)
         pool = _read_document(opt.pool, _pool_from_document)
-        x_arity = opt.x_arity
+        x_arity = 1 if opt.x_arity is None else opt.x_arity
     if opt.l_values is not None:
         report = typecount.power_saving_probe(
             structure,
@@ -626,7 +635,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--structure", default=None, help="FiniteStructure JSON path")
     p.add_argument("--phi", default=None, help="formula JSON (structure mode)")
     p.add_argument("--pool", default=None, help="parameter pool JSON (structure mode)")
-    p.add_argument("--x-arity", type=int, default=1, dest="x_arity")
+    p.add_argument(
+        "--x-arity", type=int, default=None, dest="x_arity",
+        help="x arity (structure mode, default 1)",
+    )
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, default=None)
@@ -651,6 +663,14 @@ def main(argv=None) -> int:
         if opt.structure is not None and (opt.phi is None or opt.pool is None):
             print(
                 "error: --structure mode needs --phi and --pool", file=sys.stderr
+            )
+            return 2
+        if opt.family is not None and (opt.phi, opt.pool, opt.x_arity) != (
+            None, None, None
+        ):
+            print(
+                "error: --family mode takes no --phi, --pool or --x-arity",
+                file=sys.stderr,
             )
             return 2
         if (opt.l is None) == (opt.l_values is None):

@@ -242,20 +242,6 @@ class MeasureReport:
     holds: bool
 
 
-def k_subsets_colex(n: int, k: int):
-    """Yield the k-subsets of range(n) in colexicographic order.
-
-    This is the documented enumeration order wherever subsets are
-    materialized, so reported tuples are reproducible.
-    """
-    if k == 0:
-        yield ()
-        return
-    for top in range(k - 1, n):
-        for rest in k_subsets_colex(top, k - 1):
-            yield rest + (top,)
-
-
 def cons_k(family: SetFamily, k: int) -> ConsReport:
     """Count k-element index subsets whose member sets share a ground element."""
     n = family.n

@@ -94,6 +94,10 @@ def in_Pm(a: int, m: int) -> bool:
 #   {"op": "true"}
 #
 # A notinU node says  const + sum(coeff * var)  is not in U_{p, level}.
+
+# deepest condition tree read: every walk over a tree recurses per level
+COND_DEPTH = 100
+
 # SpecialFormula reads each tree once into this canonical shape (keys in this
 # order, zero coefficients dropped, the rest sorted by name, const present),
 # so equal conditions are equal trees and to_json writes them back as read.
@@ -112,8 +116,10 @@ def _read_int(value, what: str) -> int:
     return value
 
 
-def _read_cond(node, allowed: set) -> dict:
+def _read_cond(node, allowed: set, depth: int = 0) -> dict:
     """The canonical copy of a condition tree over the variables allowed."""
+    if depth > COND_DEPTH:
+        raise ValueError(f"condition tree nested deeper than {COND_DEPTH}")
     if not isinstance(node, dict):
         raise ValueError(f"condition node must be an object, got {node!r}")
     op = node.get("op")
@@ -129,9 +135,12 @@ def _read_cond(node, allowed: set) -> dict:
     if op in ("and", "or"):
         if not isinstance(node["items"], list):
             raise ValueError(f"condition {op!r}: items must be a list")
-        return {"op": op, "items": [_read_cond(i, allowed) for i in node["items"]]}
+        return {
+            "op": op,
+            "items": [_read_cond(i, allowed, depth + 1) for i in node["items"]],
+        }
     if op == "not":
-        return {"op": op, "item": _read_cond(node["item"], allowed)}
+        return {"op": op, "item": _read_cond(node["item"], allowed, depth + 1)}
     if op == "true":
         return {"op": op}
     form = node["form"]

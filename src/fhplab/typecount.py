@@ -29,10 +29,18 @@ from .vc import density_fit
 X_CAP = 50000
 # checked before |U|**x_arity is built; 2**16 already exceeds X_CAP
 X_ARITY_CAP = 16
+# largest relation or function arity; a table has |U|**arity cells
+ARITY_CAP = 16
 TYPE_CAP = 5000
 EXHAUSTIVE_A_LIMIT = 300
 DEFAULT_SAMPLES = 30
 DEFAULT_DIVIDING_BUDGET = 200000
+
+
+def _check_arity(kind: str, name, arity) -> None:
+    """Refuse an arity outside 0..ARITY_CAP before |U|**arity is built."""
+    if not isinstance(arity, int) or not 0 <= arity <= ARITY_CAP:
+        raise ValueError(f"{kind} {name!r}: arity {arity!r} outside 0..{ARITY_CAP}")
 
 
 class TypeBlowupError(ValueError):
@@ -72,6 +80,7 @@ class FiniteStructure:
         uset = set(uni)
         rels = {}
         for name, (arity, rows) in dict(self.relations).items():
+            _check_arity("relation", name, arity)
             rows = frozenset(tuple(r) for r in rows)
             for row in rows:
                 if len(row) != arity:
@@ -82,6 +91,7 @@ class FiniteStructure:
         fns = {}
         for name, (arity, table) in dict(self.functions).items():
             table = {tuple(t): v for t, v in dict(table).items()}
+            _check_arity("function", name, arity)
             if len(uni) ** arity > 10**6:
                 raise ValueError(f"function {name!r}: table too large to validate")
             for args in itertools.product(uni, repeat=arity):
@@ -161,6 +171,7 @@ class FiniteStructure:
         for name, spec in obj.get("relations", {}).items():
             arity = spec["arity"]
             bits = spec["bits"]
+            _check_arity("relation", name, arity)
             if len(bits) != size**arity:
                 raise ValueError(f"relation {name!r}: bits length mismatch")
             rows = set()
@@ -176,11 +187,10 @@ class FiniteStructure:
         for name, spec in obj.get("functions", {}).items():
             arity = spec["arity"]
             flat = spec["table"]
-            table = {}
-            for args, v in zip(
-                itertools.product(range(size), repeat=arity), flat
-            ):
-                table[args] = v
+            _check_arity("function", name, arity)
+            if len(flat) != size**arity:
+                raise ValueError(f"function {name!r}: table length mismatch")
+            table = dict(zip(itertools.product(range(size), repeat=arity), flat))
             functions[name] = (arity, table)
         return cls(
             universe=tuple(range(size)), relations=relations, functions=functions
@@ -212,23 +222,25 @@ def structure_from_family(family: SetFamily):
 class PositiveType:
     """A consistent set of instances phi(x, a), a in A, with its witnesses.
 
-    instances is the frozenset of parameter tuples; witnesses the nonempty
-    frozenset of x-tuples satisfying all instances in the ambient
-    structure.  inst_masks keeps the per-instance witness bitmask over the
-    enumeration's x-tuple order so inconsistency checks between types from
-    the same enumeration stay exact and cheap.
+    instances is the frozenset of parameter tuples.  mask is the nonzero
+    bitmask of the x-tuples satisfying all instances in the ambient
+    structure: bit i stands for the i-th tuple of universe^x_arity in
+    lexicographic order.  inst_masks is the enumeration's table of
+    per-parameter masks in that order, shared by all of its types, so
+    inconsistency checks between types from the same enumeration stay
+    exact and cheap.
     """
 
     formula: object
     x_arity: int
     instances: frozenset
-    witnesses: frozenset
+    mask: int
     inst_masks: dict
 
     def __post_init__(self):
         if not self.instances:
             raise ValueError("a positive type needs at least one instance")
-        if not self.witnesses:
+        if not self.mask:
             raise ValueError("a positive type must have a witness")
 
     @property
@@ -236,7 +248,7 @@ class PositiveType:
         return len(self.instances)
 
 
-def _x_space(structure: FiniteStructure, x_arity: int):
+def _check_x_space(structure: FiniteStructure, x_arity: int):
     if x_arity < 1:
         raise ValueError(f"x_arity must be >= 1, got {x_arity}")
     if x_arity > X_ARITY_CAP:
@@ -244,7 +256,6 @@ def _x_space(structure: FiniteStructure, x_arity: int):
     count = len(structure.universe) ** x_arity
     if count > X_CAP:
         raise ValueError(f"witness space size {count} exceeds cap {X_CAP}")
-    return list(itertools.product(structure.universe, repeat=x_arity))
 
 
 def _index_rows(structure, rows, width):
@@ -255,10 +266,11 @@ def _index_rows(structure, rows, width):
     return np.array(flat, dtype=np.intp).reshape(len(rows), width)
 
 
-def _instance_masks(structure, phi, x_arity, params, xspace):
-    """Bitmask of the x-tuples (xspace order) satisfying phi(x; a), per a."""
+def _instance_masks(structure, phi, x_arity, params):
+    """Bitmask of the x-tuples (lexicographic order) satisfying phi(x; a), per a."""
     import numpy as np
 
+    _check_x_space(structure, x_arity)
     params = [tuple(a) for a in params]
     if not params:
         return {}
@@ -269,15 +281,6 @@ def _instance_masks(structure, phi, x_arity, params, xspace):
     )
     packed = np.packbits(table, axis=1, bitorder="little")
     return {a: int.from_bytes(row.tobytes(), "little") for a, row in zip(params, packed)}
-
-
-def _decode(mask: int, xspace) -> frozenset:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(xspace[low.bit_length() - 1])
-        mask ^= low
-    return frozenset(out)
 
 
 def enumerate_types(
@@ -296,12 +299,13 @@ def enumerate_types(
     if k < 1:
         raise ValueError("k must be >= 1")
     params = sorted({tuple(a) for a in A})
-    xspace = _x_space(structure, x_arity)
-    masks = _instance_masks(structure, phi, x_arity, params, xspace)
-    return _types_from_masks(phi, x_arity, params, masks, k, xspace)
+    masks = _instance_masks(structure, phi, x_arity, params)
+    types = _types_from_masks(params, masks, k)
+    return [PositiveType(phi, x_arity, frozenset(s), w, masks) for s, w in types]
 
 
-def _types_from_masks(phi, x_arity, params, masks, k, xspace):
+def _types_from_masks(params, masks, k):
+    """(instances, witness mask) of each satisfiable params tuple of size 1..k."""
     types = []
 
     def rec(start: int, chosen: tuple, mask: int):
@@ -313,15 +317,7 @@ def _types_from_masks(phi, x_arity, params, masks, k, xspace):
             if not m2:
                 continue
             sel = chosen + (a,)
-            types.append(
-                PositiveType(
-                    formula=phi,
-                    x_arity=x_arity,
-                    instances=frozenset(sel),
-                    witnesses=_decode(m2, xspace),
-                    inst_masks={b: masks[b] for b in sel},
-                )
-            )
+            types.append((sel, m2))
             if len(sel) < k:
                 rec(i + 1, sel, m2)
 
@@ -329,13 +325,13 @@ def _types_from_masks(phi, x_arity, params, masks, k, xspace):
     return types
 
 
-def _subset_masks(t: PositiveType, m: int) -> list:
-    """Witness masks of t's instance subsets of size min(m, t.size)."""
+def _subset_masks(instances, masks, m: int) -> list:
+    """Witness masks of the subsets of size min(m, len(instances))."""
     out = []
-    for sub in itertools.combinations(sorted(t.instances), min(m, t.size)):
+    for sub in itertools.combinations(instances, min(m, len(instances))):
         acc = -1
         for b in sub:
-            acc &= t.inst_masks[b]
+            acc &= masks[b]
         out.append(acc)
     return out
 
@@ -359,40 +355,44 @@ def m_inconsistent(p: PositiveType, q: PositiveType, m: int) -> bool:
         raise ValueError("m must be >= 1")
     if p.formula != q.formula or p.x_arity != q.x_arity:
         raise ValueError("types must share the formula and x arity")
-    return _some_disjoint(_subset_masks(p, m), _subset_masks(q, m))
+    subs = [_subset_masks(sorted(t.instances), t.inst_masks, m) for t in (p, q)]
+    return _some_disjoint(*subs)
 
 
 def _greedy_clique(adj):
-    order = sorted(range(len(adj)), key=lambda v: (-len(adj[v]), v))
+    """Clique by (-degree, vertex) order; adj[v] is v's neighbour bitset."""
+    order = sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count(), v))
     clique = []
-    cand = set(range(len(adj)))
+    cand = (1 << len(adj)) - 1
     for v in order:
-        if v in cand:
+        if cand >> v & 1:
             clique.append(v)
             cand &= adj[v]
     return sorted(clique)
 
 
-def _max_clique(adj):
-    """Exact maximum clique, branch and bound with a greedy seed."""
-    best = _greedy_clique(adj)
+def _max_clique(adj, seed):
+    """Exact maximum clique, branch and bound from the seed clique taking
+    the lowest candidate first; the first larger clique found wins."""
+    best = seed
 
-    def expand(current, candidates):
+    def expand(current, cand):
         nonlocal best
-        if not candidates:
+        if not cand:
             if len(current) > len(best):
                 best = list(current)
             return
-        cand = sorted(candidates)
         while cand:
-            if len(current) + len(cand) <= len(best):
+            if len(current) + cand.bit_count() <= len(best):
                 return
-            v = cand.pop(0)
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
             current.append(v)
-            expand(current, [u for u in cand if u in adj[v]])
+            expand(current, cand & adj[v])
             current.pop()
 
-    expand([], list(range(len(adj))))
+    expand([], (1 << len(adj)) - 1)
     return best
 
 
@@ -461,8 +461,7 @@ def f_phi(
         raise ValueError("k must be >= 1")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    xspace = _x_space(structure, x_arity)
-    masks = _instance_masks(structure, phi, x_arity, pool, xspace)
+    masks = _instance_masks(structure, phi, x_arity, pool)
 
     exhaustive = math.comb(len(pool), l) <= EXHAUSTIVE_A_LIMIT
     if exhaustive:
@@ -481,27 +480,26 @@ def f_phi(
     blowup = None
     for A in subsets:
         try:
-            types = _types_from_masks(
-                phi, x_arity, list(A), {a: masks[a] for a in A}, k, xspace
-            )
+            types = _types_from_masks(A, masks, k)
         except TypeBlowupError as exc:
             blowup = exc
             continue
         # m_inconsistent on every pair, with each type's subset masks built once
-        subs = [_subset_masks(t, m) for t in types]
-        adj = [set() for _ in types]
+        subs = [_subset_masks(sel, masks, m) for sel, _ in types]
+        adj = [0] * len(types)
         for i in range(len(types)):
             for j in range(i + 1, len(types)):
                 if _some_disjoint(subs[i], subs[j]):
-                    adj[i].add(j)
-                    adj[j].add(i)
-        clique = _max_clique(adj)
-        greedy = len(_greedy_clique(adj))
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+        greedy = _greedy_clique(adj)
+        clique = _max_clique(adj, greedy)
         if best is None or len(clique) > best[0]:
-            best = (len(clique), greedy, tuple(types[i] for i in clique), A)
+            best = (len(clique), len(greedy), [types[i] for i in clique], A)
     if best is None:
         raise blowup
     value, greedy, witness, A = best
+    witness = [PositiveType(phi, x_arity, frozenset(s), w, masks) for s, w in witness]
     return CountReport(
         m=m,
         k=k,
@@ -510,7 +508,7 @@ def f_phi(
         exact=exhaustive and blowup is None,
         mode=mode,
         greedy_value=greedy,
-        witness_family=witness,
+        witness_family=tuple(witness),
         parameter_set=A,
         seed=used_seed,
     )
@@ -591,8 +589,7 @@ def internal_dividing_check(
         raise ValueError("k must be >= 2")
     B = sorted({tuple(b) for b in B})
     C = sorted({tuple(c) for c in C})
-    xspace = _x_space(structure, x_arity)
-    masks = _instance_masks(structure, phi, x_arity, B, xspace)
+    masks = _instance_masks(structure, phi, x_arity, B)
     spent = 0
     for b in sorted(p.instances):
         if b not in masks:

@@ -105,6 +105,24 @@ class TestExitCodes:
         assert rep["report"]["admissible"] is False
         assert rep["report"]["obstruction"] == 3
 
+    @pytest.mark.parametrize("argv, message", [
+        # no prime at all would be checked: "admissible" would be vacuous
+        (["--forms", "1,0;1,1", "--prime-bound", "1"],
+         "--prime-bound must be >= 2, got 1"),
+        (["--forms", "1,0;1,1", "--prime-bound", "-5"],
+         "--prime-bound must be >= 2, got -5"),
+        (["--forms", "1"], "--forms: '1' is not a pair a,b of integers"),
+        (["--forms", "1,0;1,2,3"],
+         "--forms: '1,2,3' is not a pair a,b of integers"),
+        (["--forms", "1,x"], "--forms: '1,x' is not a pair a,b of integers"),
+    ])
+    def test_dickson_bad_flags_are_two(self, argv, message, capsys):
+        code = main(["sqf", "dickson", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_missing_file_is_two(self, capsys):
         code = main(["analyze", "--family", "/no/such/file.json",
                      "--k", "2", "--alpha", "1/2"])
@@ -155,6 +173,23 @@ class TestCountTypesValidation:
                      "--m", "1", "--k", "2", "--l", "2"])
         assert code == 2
         assert "--phi" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [
+        ["--phi", "/no/such/phi.json"],
+        ["--pool", "/no/such/pool.json"],
+        ["--x-arity", "3"],
+        ["--x-arity", "1"],
+    ])
+    def test_family_mode_refuses_structure_flags(self, extra, triangle_path,
+                                                 capsys):
+        code = main(["count-types", "--family", triangle_path, *extra,
+                     "--m", "1", "--k", "2", "--l", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --family mode takes no --phi, --pool or --x-arity\n"
+        )
 
     @pytest.mark.parametrize("x_arity", ["0", "-1"])
     def test_x_arity_below_one(self, x_arity, tmp_path, capsys):

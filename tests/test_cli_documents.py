@@ -22,6 +22,8 @@ from fhplab._jsonutil import to_json
 from fhplab.cli import main
 from fhplab.sqfint import GSystem
 
+from conftest import run_cli
+
 STRUCTURE = {
     "universe_size": 2,
     "relations": {"R": {"arity": 2, "bits": "0110"}},
@@ -106,8 +108,11 @@ BAD_NUMBERS = {"formula": {
         ("--system", BAD_NUMBERS),
         # a universe above X_CAP is refused before it is built
         ("--structure", {"universe_size": 2000000}),
+        # one table entry per tuple of universe^arity, no more
+        ("--structure", {**STRUCTURE,
+                         "functions": {"f": {"arity": 1, "table": [1, 0, 1]}}}),
     ],
-    ids=["float-condition", "huge-universe"],
+    ids=["float-condition", "huge-universe", "long-table"],
 )
 def test_document_over_its_grammar_is_input_error(flag, doc, fixed):
     with open(fixed["doc"], "w", encoding="utf-8") as fh:
@@ -117,6 +122,58 @@ def test_document_over_its_grammar_is_input_error(flag, doc, fixed):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "tables, message",
+    [
+        ({"relations": {"R": {"arity": 10**9, "bits": "0"}}},
+         "relation 'R': arity 1000000000 outside 0..16"),
+        # a function arity is tested only where it is refused before an
+        # itertools.product over it, which holds arity references
+        ({"functions": {"f": {"arity": 17, "table": [0]}}},
+         "function 'f': arity 17 outside 0..16"),
+    ],
+    ids=["relation", "function"],
+)
+def test_arity_refused_before_built(tables, message, fixed, tmp_path):
+    """|U|**arity is never built above ARITY_CAP; run as a subprocess so a
+    regression fails on the timeout instead of hanging."""
+    doc = tmp_path / "structure.json"
+    doc.write_text(json.dumps({"universe_size": 3, **tables}))
+    proc = run_cli(*_argv("--structure", str(doc), fixed), timeout=20)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {doc}: {message}\n"
+
+
+def _nested_not(depth):
+    cond = {"op": "true"}
+    for _ in range(depth):
+        cond = {"op": "not", "item": cond}
+    return cond
+
+
+@pytest.mark.parametrize(
+    "flag, text",
+    [
+        # the JSON decoder itself runs out of recursion depth
+        ("--family", '{"ground": 3, "sets": ' + "[" * 5000 + "]" * 5000 + "}"),
+        # decoded, but deeper than COND_DEPTH, which every tree walk recurses
+        ("--system", json.dumps({
+            "formula": {"lead_k": 1, "modulus_m": 1, "positive_slots": 1,
+                        "p_conditions": {"3": _nested_not(600)}},
+            "c": [0]})),
+    ],
+    ids=["nested-lists", "nested-not"],
+)
+def test_deeply_nested_document_is_input_error(flag, text, fixed):
+    with open(fixed["doc"], "w", encoding="utf-8") as fh:
+        fh.write(text)
+    code, out, err = _run(_argv(flag, fixed["doc"], fixed))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {fixed['doc']}: ")
 
 
 @pytest.mark.parametrize("flag", ["--family", "--structure", "--phi", "--pool"])

@@ -15,7 +15,6 @@ from fhplab.setfam import (
     check_pk_property,
     colorful_check,
     cons_k,
-    k_subsets_colex,
     max_intersecting,
     measure_fhp_check,
     min_sequence_ratio,
@@ -74,13 +73,6 @@ class TestWeights:
     def test_uniform(self):
         w = RationalWeights.uniform(4)
         assert all(v == Fraction(1, 4) for v in w.weights.values())
-
-
-def test_colex_order():
-    got = list(k_subsets_colex(4, 2))
-    assert got[:3] == [(0, 1), (0, 2), (1, 2)]
-    assert got[-1] == (2, 3)
-    assert len(got) == 6
 
 
 def test_cons_triangle(triangle):

@@ -1,10 +1,13 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 
 import pytest
 
 from fhplab import typecount
+from fhplab._jsonutil import to_json
 from fhplab.constructs import build_tp2_grid
 from fhplab.setfam import SetFamily
 from fhplab.typecount import (
@@ -109,11 +112,12 @@ class TestEnumerateTypes:
     def test_witnesses_satisfy_instances(self, grid):
         s, phi, pool = grid
         for t in enumerate_types(s, phi, 1, pool, 2):
-            assert t.witnesses
-            for w in t.witnesses:
-                for b in t.instances:
-                    env = dict(enumerate(tuple(w) + tuple(b)))
-                    assert walk_formula(s, phi, env)
+            assert t.mask
+            # x_arity 1: bit i stands for the i-th universe element
+            for i, w in enumerate(s.universe):
+                sat = all(walk_formula(s, phi, dict(enumerate((w,) + b)))
+                          for b in t.instances)
+                assert bool(t.mask >> i & 1) == sat
 
     def test_blowup_cap(self, monkeypatch):
         monkeypatch.setattr(typecount, "TYPE_CAP", 5)
@@ -248,6 +252,108 @@ class TestFPhi:
                     best, oracle_max_inconsistent(clash, len(types))
                 )
             assert rep.value == best
+
+
+def f_phi_cases():
+    """400 seeded (family, m, k, l, samples, seed) cases, m and k <= 3; every
+    fourth draws a pool with more than EXHAUSTIVE_A_LIMIT parameter sets,
+    so it is sampled."""
+    for case in range(400):
+        rng = random.Random(f"f_phi:{case}")
+        sampled = case % 4 == 3
+        g = rng.randint(2, 8)
+        n = rng.randint(11, 13) if sampled else rng.randint(1, 8)
+        fam = SetFamily(g, [rng.sample(range(g), rng.randint(0, (g + 1) // 2))
+                            for _ in range(n)])
+        l = rng.randint(4, n - 4) if sampled else rng.randint(1, n)
+        yield (fam, rng.randint(1, 3), rng.randint(1, 3), l,
+               rng.randint(1, 4), rng.randint(0, 999))
+
+
+def test_f_phi_reports_pinned():
+    """Reports and witness types of f_phi over f_phi_cases, byte for byte."""
+    out = []
+    modes = set()
+    for fam, m, k, l, samples, seed in f_phi_cases():
+        s, phi, pool = structure_from_family(fam)
+        rep = f_phi(s, phi, 1, m, k, pool, l, samples=samples, seed=seed)
+        modes.add(rep.mode)
+        out.append([to_json(rep),
+                    [sorted(t.instances) for t in rep.witness_family]])
+    assert modes == {"exhaustive", "sampled"}
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+    assert digest == "3b67e43fd0819736a20429915c7b0ff48744a66059ef6a79219df0bf9450f60a"
+
+
+def test_types_and_inconsistency_pinned():
+    """Instances, witness sets and the m-inconsistency matrix of
+    enumerate_types over 60 seeded families, byte for byte."""
+    out = []
+    for case in range(60):
+        rng = random.Random(f"types:{case}")
+        g = rng.randint(2, 5)
+        fam = SetFamily(g, [rng.sample(range(g), rng.randint(0, g))
+                            for _ in range(rng.randint(1, 6))])
+        s, phi, pool = structure_from_family(fam)
+        types = enumerate_types(s, phi, 1, pool, rng.randint(1, 3))
+        m = rng.randint(1, 3)
+        out.append([
+            [[sorted(t.instances),
+              [i for i in range(t.mask.bit_length()) if t.mask >> i & 1]]
+             for t in types],
+            [[m_inconsistent(p, q, m) for q in types] for p in types],
+        ])
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+    assert digest == "30465c8760f9183e4273b99e6343a100f6ffff7a18dd0c396db2cdbce3be8363"
+
+
+def set_cliques(adj):
+    """(greedy seed, first maximum clique) of the set-based search: the
+    seed takes vertices by (-degree, index), the branch and bound the
+    lowest candidate first and keeps the first strictly larger clique."""
+    order = sorted(range(len(adj)), key=lambda v: (-len(adj[v]), v))
+    seed, cand = [], set(range(len(adj)))
+    for v in order:
+        if v in cand:
+            seed.append(v)
+            cand &= adj[v]
+    best = sorted(seed)
+
+    def expand(current, cand):
+        nonlocal best
+        if not cand:
+            if len(current) > len(best):
+                best = list(current)
+            return
+        while cand:
+            if len(current) + len(cand) <= len(best):
+                return
+            v = cand.pop(0)
+            current.append(v)
+            expand(current, [u for u in cand if u in adj[v]])
+            current.pop()
+
+    expand([], list(range(len(adj))))
+    return sorted(seed), best
+
+
+def test_bitset_cliques_match_set_search():
+    rng = random.Random(19)
+    beaten = 0
+    for _ in range(400):
+        n = rng.randint(0, 22)
+        p = rng.random()
+        adj = [set() for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            if rng.random() < p:
+                adj[i].add(j)
+                adj[j].add(i)
+        bits = [sum(1 << u for u in nbrs) for nbrs in adj]
+        seed, best = set_cliques(adj)
+        assert typecount._greedy_clique(bits) == seed
+        assert typecount._max_clique(bits, seed) == best
+        beaten += len(best) > len(seed)
+    assert beaten > 10  # the branch and bound improved on the seed
 
 
 class TestDividing:
