@@ -25,9 +25,9 @@ from typing import Optional
 
 from . import __version__
 from ._jsonutil import SCHEMA_VERSION, to_json
-# pseudofield loads numpy, so only the ff handler imports it; the formula
-# evaluator loads numpy itself.  Every other command starts without numpy.
-from . import constructs, fraclp, setfam, typecount, vc
+# Each handler imports the modules it runs, so a command loads only what it
+# uses; numpy loads only where a formula is evaluated or a field is built.
+from . import setfam
 
 
 def parse_family(path: str) -> setfam.SetFamily:
@@ -122,13 +122,19 @@ def _handle_analyze(opt):
 
 
 def _handle_lp(opt):
+    from . import fraclp
+
     family = parse_family(opt.family)
-    value, dist, tr = fraclp._family_lp(family, integer_cap=opt.integer_cap)
+    # both read the family's one packing LP solve
+    value, dist = fraclp.intersection_number(family)
+    tr = fraclp.fractional_transversal(family, integer_cap=opt.integer_cap)
     out = {"intersection_number": value, "distribution": dist, "transversal": tr}
     return out, (0 if tr.status == "optimal" else 1)
 
 
 def _handle_vc(opt):
+    from . import vc
+
     family = parse_family(opt.family)
     sizes = _int_list(opt.dual_sizes) if opt.dual_sizes else None
     report = vc.vc_dimension(family, opt.cap, dual_sizes=sizes, seed=opt.seed)
@@ -136,6 +142,8 @@ def _handle_vc(opt):
 
 
 def _build_construction(opt):
+    from . import constructs
+
     name = opt.construction
     if name == "block":
         params = constructs.BlockParams(
@@ -207,6 +215,8 @@ def _verify_construction(name: str, opt, fam: setfam.SetFamily) -> bool:
 
 def _handle_construct(opt):
     if opt.construction == "furedi":
+        from . import constructs
+
         family = parse_family(opt.family)
         res = constructs.furedi_extract(family, opt.trials, opt.seed)
         out = {
@@ -366,6 +376,9 @@ def _handle_ff(opt):
 
 
 def _handle_count_types(opt):
+    from . import typecount
+
+    samples = typecount.DEFAULT_SAMPLES if opt.samples is None else opt.samples
     if opt.family:
         family = parse_family(opt.family)
         structure, phi, pool = typecount.structure_from_family(family)
@@ -387,7 +400,7 @@ def _handle_count_types(opt):
             pool,
             _int_list(opt.l_values),
             opt.d,
-            samples=opt.samples,
+            samples=samples,
             seed=opt.seed,
         )
         return {"power_saving": report}, 0
@@ -399,7 +412,7 @@ def _handle_count_types(opt):
         opt.k,
         pool,
         opt.l,
-        samples=opt.samples,
+        samples=samples,
         seed=opt.seed,
     )
     return {"count": report}, 0
@@ -644,7 +657,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--l-values", default=None, dest="l_values")
     p.add_argument("--d", type=int, default=2)
-    p.add_argument("--samples", type=int, default=typecount.DEFAULT_SAMPLES)
+    p.add_argument(
+        "--samples", type=int, default=None,
+        help="parameter sets drawn in sampled mode (default typecount.DEFAULT_SAMPLES)",
+    )
     _add_common(p)
 
     return parser

@@ -19,6 +19,11 @@ values of one solve are the transversal weights w (tau* = nu*, Fueredi
 1988).  Kelley's max-min LP, i(F) = max over distributions mu of
 min_F mu(F), is the covering LP rescaled by mu = w / tau*, so
 i(F) * tau*(F) = 1 whenever all members are nonempty.
+
+Each family's packing LP is built, solved and certified once: the atoms
+and the solution are kept on the family object itself, next to its
+cached masks, and every call builds its own dicts and Fractions from
+them.
 """
 
 from __future__ import annotations
@@ -177,41 +182,61 @@ def _atoms(family: SetFamily):
     indices that contain it.  Elements in no member are dropped (they can
     never help a cover).  Returns (reps, patterns) with reps ascending,
     reps[i] the smallest element of atom i and patterns[i] its column.
-    Atomization preserves all intersection patterns of the family.
+    Atomization preserves all intersection patterns of the family.  Like
+    `SetFamily.masks`, the tuples are kept in the family's __dict__.
     """
-    first: dict = {}
-    for e, col in enumerate(_columns(family.masks, family.ground_size)):
-        if col and col not in first:
-            first[col] = e
-    return list(first.values()), list(first)
+    cache = family.__dict__
+    if "_fraclp_atoms" not in cache:
+        first: dict = {}
+        for e, col in enumerate(_columns(family.masks, family.ground_size)):
+            if col and col not in first:
+                first[col] = e
+        cache["_fraclp_atoms"] = tuple(first.values()), tuple(first)
+    return cache["_fraclp_atoms"]
+
+
+def _packing_lp(family: SetFamily):
+    """(tau*, ((e, w), ...)) from the family's packing LP, solved once.
+
+    The pairs are the LP's certified dual values, one per atom, keyed by
+    the atom's smallest element; zero weights are dropped.  The family's
+    members must all be nonempty.  Kept in the family's __dict__.
+    """
+    cache = family.__dict__
+    if "_fraclp_packing" not in cache:
+        reps, patterns = _atoms(family)
+        n = family.n
+        rows = tuple(tuple(pat >> i & 1 for i in range(n)) for pat in patterns)
+        sol = solve_lp(LpProblem((1,) * n, rows, (1,) * len(reps)))
+        if sol.status != "optimal":
+            raise ArithmeticError(f"packing LP came back {sol.status}")
+        weights = tuple((e, w) for e, w in zip(reps, sol.dual) if w)
+        cache["_fraclp_packing"] = sol.value, weights
+    return cache["_fraclp_packing"]
 
 
 def _family_lp(family: SetFamily, integer_cap: Optional[int] = None):
     """(i(F), its distribution, the transversal) from one packing LP solve.
 
-    Edge cases as in intersection_number.  The transversal weights are the
-    LP's certified dual values, one per atom, keyed by the atom's smallest
-    element; zero weights are dropped.
+    integer_cap is checked first, whatever the family.  A family with no
+    members has no i(F): value and distribution are None and tau* is 0.
+    Other edge cases as in intersection_number.  The dicts are built
+    afresh on every call, so mutating one changes no later answer.
     """
+    if integer_cap is not None and integer_cap < 0:
+        raise ValueError("cap must be >= 0")
     if family.n == 0:
-        raise ValueError("family has no members")
+        return None, None, TransversalResult(tau_star=Fraction(0), weights={})
     if family.empty_members:
         infeasible = TransversalResult(tau_star=None, weights={}, status="infeasible")
         return Fraction(0), {0: Fraction(1)}, infeasible
-    reps, patterns = _atoms(family)
-    n, na = family.n, len(reps)
-    rows = tuple(tuple(pat >> i & 1 for i in range(n)) for pat in patterns)
-    sol = solve_lp(LpProblem((1,) * n, rows, (1,) * na))
-    if sol.status != "optimal":
-        raise ArithmeticError(f"packing LP came back {sol.status}")
-    tau = sol.value
-    weights = {e: w for e, w in zip(reps, sol.dual) if w}
+    tau, weights = _packing_lp(family)
     hit = None if integer_cap is None else min_transversal_exact(family, integer_cap)
     integer_tau, integer_witness = hit or (None, None)
     tr = TransversalResult(
-        tau, weights, integer_tau=integer_tau, integer_witness=integer_witness
+        tau, dict(weights), integer_tau=integer_tau, integer_witness=integer_witness
     )
-    return 1 / tau, {e: w / tau for e, w in weights.items()}, tr
+    return 1 / tau, {e: w / tau for e, w in weights}, tr
 
 
 def intersection_number(family: SetFamily):
@@ -221,9 +246,11 @@ def intersection_number(family: SetFamily):
     Returns (value, distribution); the distribution is a witness measure
     supported on atom representatives, the transversal weights over tau*.
     An empty member forces value 0 and a documented degenerate distribution
-    (point mass on element 0).
+    (point mass on element 0).  A family with no members raises ValueError.
     """
     value, dist, _ = _family_lp(family)
+    if value is None:
+        raise ValueError("family has no members")
     return value, dist
 
 
@@ -233,11 +260,10 @@ def fractional_transversal(
     """Minimum total weight on ground elements giving every member weight >= 1.
 
     Families with an empty member are flagged infeasible rather than raising,
-    so generators can pipe degenerate instances through.  When integer_cap is
-    given, the exact smallest integer transversal up to that size is attached.
+    so generators can pipe degenerate instances through; a family with no
+    members has tau* = 0.  When integer_cap is given, the exact smallest
+    integer transversal up to that size is attached.
     """
-    if family.n == 0:
-        return TransversalResult(tau_star=Fraction(0), weights={})
     return _family_lp(family, integer_cap)[2]
 
 

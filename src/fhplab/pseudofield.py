@@ -15,8 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-import numpy as np
-
 from ._primes import isprime
 from .formulas import evaluate_formula
 from .setfam import (
@@ -53,6 +51,8 @@ class FieldStructure:
             raise ValueError(f"p = {p} is not prime")
         if p > FIELD_CAP:
             raise ValueError(f"p = {p} exceeds the field cap {FIELD_CAP}")
+        import numpy as np  # only field tables need it, not dim_meas_fit
+
         self.p = p
         r = np.arange(p)
         add = (r[:, None] + r[None, :]) % p
@@ -90,7 +90,9 @@ class FieldStructure:
         return self._tables
 
 
-def _verify_field_axioms(p: int, add: np.ndarray, mul: np.ndarray):
+def _verify_field_axioms(p: int, add, mul):
+    import numpy as np
+
     r = np.arange(p)
     i, j, k = np.meshgrid(r, r, r, indexing="ij", sparse=False)
     checks = [
@@ -109,8 +111,10 @@ def _verify_field_axioms(p: int, add: np.ndarray, mul: np.ndarray):
         raise ArithmeticError(f"field axiom verification failed for p={p}")
 
 
-def _grid(p: int, arity: int) -> np.ndarray:
+def _grid(p: int, arity: int):
     """The tuples of F_p^arity in lexicographic order, one per row."""
+    import numpy as np
+
     return np.indices((p,) * arity).reshape(arity, -1).T
 
 
@@ -131,6 +135,8 @@ def definable_family(
     need members should treat that as a flag).  psi is evaluated once
     over the whole y-grid, phi once over (parameter set) x (x-grid).
     """
+    import numpy as np
+
     if not 1 <= x_arity <= ARITY_CAP:
         raise ValueError(f"x_arity must be in 1..{ARITY_CAP}")
     if not 1 <= y_arity <= ARITY_CAP:

@@ -266,14 +266,56 @@ def _index_rows(structure, rows, width):
     return np.array(flat, dtype=np.intp).reshape(len(rows), width)
 
 
-def _instance_masks(structure, phi, x_arity, params):
-    """Bitmask of the x-tuples (lexicographic order) satisfying phi(x; a), per a."""
-    import numpy as np
+def _bare_atom_rows(structure, phi, arity):
+    """R's rows when phi is ["rel", R, ["var", 0], ..., ["var", arity-1]]
+    over a relation R of that arity, else None."""
+    if not (
+        isinstance(phi, list)
+        and len(phi) == arity + 2
+        and phi[0] == "rel"
+        and isinstance(phi[1], str)
+        and phi[2:] == [["var", i] for i in range(arity)]
+        # 1.0 and True compare equal to 1 but are no variable index
+        and all(type(term[1]) is int for term in phi[2:])
+    ):
+        return None
+    spec = structure.relations.get(phi[1])
+    return spec[1] if spec is not None and spec[0] == arity else None
 
+
+def _instance_masks(structure, phi, x_arity, params):
+    """Bitmask of the x-tuples (lexicographic order) satisfying phi(x; a), per a.
+
+    A bare atom R(x, a) whose relation has arity x_arity + |a| is read
+    straight off R's rows: row (x, a) sets bit lexindex(x) in a's mask.
+    Every other formula goes through the evaluator.
+    """
     _check_x_space(structure, x_arity)
     params = [tuple(a) for a in params]
     if not params:
         return {}
+    width = len(params[0])
+    rows = _bare_atom_rows(structure, phi, x_arity + width)
+    if rows is None or any(len(a) != width for a in params):
+        return _evaluated_masks(structure, phi, x_arity, params)
+    index = structure.const_index
+    keys = [tuple(index(v) for v in a) for a in params]
+    size = len(structure.universe)
+    bits = {key: bytearray((size**x_arity + 7) // 8) for key in keys}
+    for row in rows:
+        mask = bits.get(tuple(index(v) for v in row[x_arity:]))
+        if mask is not None:
+            pos = 0
+            for v in row[:x_arity]:
+                pos = pos * size + index(v)
+            mask[pos >> 3] |= 1 << (pos & 7)
+    return {a: int.from_bytes(bits[key], "little") for a, key in zip(params, keys)}
+
+
+def _evaluated_masks(structure, phi, x_arity, params):
+    """_instance_masks through the formula evaluator, for any formula."""
+    import numpy as np
+
     size = len(structure.universe)
     xgrid = np.indices((size,) * x_arity).reshape(x_arity, -1).T
     table = evaluate_formula(

@@ -505,6 +505,16 @@ class TestMiscCommands:
         assert rep["report"]["count"]["value"] >= 1
         assert rep["report"]["count"]["exact"] is True
 
+    @pytest.mark.parametrize(
+        "members", [[{0, 1}, {1, 2}], [{0, 1}, {1, 2}, set()]],
+        ids=["nonempty", "empty-member"],
+    )
+    def test_negative_integer_cap_is_two(self, members, tmp_path, capsys):
+        path = family_file(tmp_path, members, 3)
+        assert main(["lp", "--family", path, "--integer-cap", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: cap must be >= 0\n")
+
     def test_zero_member_warning(self, tmp_path, capsys):
         path = family_file(tmp_path, [], 3, name="empty.json")
         code = main(["vc", "--family", path])

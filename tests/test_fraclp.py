@@ -327,7 +327,52 @@ def test_each_function_solves_once(triangle, solves):
     intersection_number(triangle)
     assert len(solves) == 1
     fractional_transversal(triangle, integer_cap=3)
-    assert len(solves) == 2
+    assert len(solves) == 1
+
+
+def test_one_solve_and_one_atomization_per_family(monkeypatch, solves):
+    columns = []
+
+    def counting(masks, ground_size):
+        columns.append(masks)
+        return fraclp_columns(masks, ground_size)
+
+    fraclp_columns = fraclp._columns
+    monkeypatch.setattr(fraclp, "_columns", counting)
+    fam = SetFamily(5, [{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}])
+    value, _ = intersection_number(fam)
+    res = fractional_transversal(fam, integer_cap=3)
+    assert (value, res.tau_star, res.integer_tau) == (F(2, 5), F(5, 2), 3)
+    assert len(solves) == 1 and len(columns) == 1
+    # a fresh, equal family still solves its own LP
+    assert intersection_number(SetFamily(5, fam.members))[0] == value
+    assert len(solves) == 2 and len(columns) == 2
+
+
+def test_mutated_results_leave_later_answers_alone(triangle):
+    value, dist = intersection_number(triangle)
+    res = fractional_transversal(triangle)
+    want = (value, dict(dist), res.tau_star, dict(res.weights))
+    dist.clear()
+    dist[7] = F(5)
+    res.weights.clear()
+    res.weights[0] = F(9)
+    again, dist2 = intersection_number(triangle)
+    res2 = fractional_transversal(triangle, integer_cap=3)
+    assert (again, dist2, res2.tau_star, res2.weights) == want
+    assert res2.integer_tau == 2
+    # the integer transversal is attached on a cache hit, and only on request
+    assert fractional_transversal(triangle).integer_tau is None
+
+
+@pytest.mark.parametrize(
+    "family",
+    [SetFamily(3, []), SetFamily(3, [{0, 1}, {1, 2}, set()]), SetFamily(3, [{0}])],
+    ids=["no-members", "empty-member", "plain"],
+)
+def test_negative_integer_cap_refused(family):
+    with pytest.raises(ValueError, match="cap must be >= 0"):
+        fractional_transversal(family, integer_cap=-1)
 
 
 def test_lp_command_solves_once(tmp_path, solves, capsys):

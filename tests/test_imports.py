@@ -1,8 +1,9 @@
-"""Which heavy modules each README command loads, read from sys.modules.
+"""Which modules each README command loads, read from sys.modules.
 
-The CLI must start without sympy on every command, and without numpy on
-the commands that never evaluate a formula.  The checks look at module sets,
-not times, so they do not depend on the machine.
+The CLI must start without sympy on every command, without numpy on the
+commands that never evaluate a formula, and without the library modules a
+command does not run.  The checks look at module sets, not times, so they
+do not depend on the machine.
 """
 
 import json
@@ -13,7 +14,7 @@ import pytest
 
 from conftest import subprocess_env
 
-# runs one command, then prints the top-level names in sys.modules
+# runs one command, then prints the names in sys.modules
 DRIVER = """
 import json, sys
 from fhplab import cli
@@ -23,7 +24,7 @@ except SystemExit as exc:
     code = exc.code
 # a command that exits 2 stops before the code whose imports are checked
 assert code in (0, 1), code
-print(json.dumps(sorted({name.split(".")[0] for name in sys.modules})))
+print(json.dumps(sorted(sys.modules)))
 """
 
 README_COMMANDS = [
@@ -40,7 +41,15 @@ README_COMMANDS = [
     "ff fit --count 31 --q 31 --n 2",
     "count-types --family {fam} --m 1 --k 2 --l 4",
 ]
-NUMPY_FREE = ("construct", "analyze", "lp", "sqf", "vc")
+# command prefixes that never build a numpy array
+NUMPY_FREE = (
+    "construct", "analyze", "lp", "sqf", "vc", "ff fit", "count-types --family"
+)
+# each handler imports only the library modules it runs
+LIBRARY = {
+    "fhplab.constructs", "fhplab.formulas", "fhplab.fraclp", "fhplab.pseudofield",
+    "fhplab.sqfint", "fhplab.typecount", "fhplab.vc",
+}
 
 
 @pytest.fixture(scope="module")
@@ -59,11 +68,11 @@ def inputs(tmp_path_factory):
     return paths
 
 
-# imports one module, then prints the top-level names in sys.modules
+# imports one module, then prints the names in sys.modules
 IMPORT_DRIVER = """
 import importlib, json, sys
 importlib.import_module(sys.argv[1])
-print(json.dumps(sorted({name.split(".")[0] for name in sys.modules})))
+print(json.dumps(sorted(sys.modules)))
 """
 
 
@@ -84,21 +93,32 @@ def test_readme_command_imports(command, inputs):
     modules = loaded_modules(argv)
     assert "fhplab" in modules
     assert "sympy" not in modules
-    if argv[0] in NUMPY_FREE:
+    if command.startswith(NUMPY_FREE):
         assert "numpy" not in modules
+
+
+def test_construct_loads_no_lp_or_type_counting(inputs):
+    argv = ["construct", "block", "--k", "2", "--r", "3", "--m", "4", "--verify"]
+    modules = loaded_modules(argv + ["--output", inputs["out"]])
+    assert "fhplab.constructs" in modules
+    assert not modules & LIBRARY - {"fhplab.constructs"}
 
 
 def test_bare_cli_import_is_light():
     modules = loaded_modules(["--version"])
     assert "sympy" not in modules
     assert "numpy" not in modules
+    assert not modules & LIBRARY
 
 
 @pytest.mark.parametrize(
-    "module", ["fhplab.formulas", "fhplab.typecount", "fhplab.sqfint", "fhplab.vc"]
+    "module",
+    ["fhplab.formulas", "fhplab.typecount", "fhplab.sqfint", "fhplab.vc",
+     "fhplab.pseudofield"],
 )
 def test_formula_modules_import_without_numpy(module):
-    # numpy loads only when a formula is evaluated; sqfint and vc never load it
+    # numpy loads only when a formula is evaluated or a field is built;
+    # sqfint and vc never load it
     modules = loaded_modules([module], driver=IMPORT_DRIVER)
-    assert "fhplab" in modules
+    assert module in modules
     assert "numpy" not in modules

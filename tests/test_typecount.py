@@ -307,6 +307,61 @@ def test_types_and_inconsistency_pinned():
     assert digest == "30465c8760f9183e4273b99e6343a100f6ffff7a18dd0c396db2cdbce3be8363"
 
 
+def random_atom_case(rng):
+    """A structure with one relation R of arity x_arity + width over a
+    shuffled universe, the bare atom R(x; a) and a parameter pool."""
+    size = rng.randint(1, 5)
+    universe = rng.sample(range(3, 40), size)
+    x_arity = rng.randint(1, 2)
+    width = rng.randint(0, 2)
+    cells = list(itertools.product(universe, repeat=x_arity + width))
+    rows = rng.sample(cells, rng.randint(0, len(cells)))
+    s = FiniteStructure(tuple(universe), {"R": (x_arity + width, rows)}, {})
+    phi = ["rel", "R", *(["var", i] for i in range(x_arity + width))]
+    pool = [tuple(rng.choice(universe) for _ in range(width))
+            for _ in range(rng.randint(1, 6))]
+    return s, phi, x_arity, pool
+
+
+def test_bare_atom_masks_match_evaluator():
+    """Masks read off a relation's rows equal the formula evaluator's."""
+    cases = [random_atom_case(random.Random(f"atom:{i}")) for i in range(150)]
+    for i in range(60):
+        rng = random.Random(f"atom-family:{i}")
+        g = rng.randint(1, 7)
+        fam = SetFamily(g, [rng.sample(range(g), rng.randint(0, g))
+                            for _ in range(rng.randint(1, 7))])
+        s, phi, pool = structure_from_family(fam)
+        cases.append((s, phi, 1, pool))
+    for i, (s, phi, x_arity, pool) in enumerate(cases):
+        assert typecount._bare_atom_rows(s, phi, len(phi) - 2) is not None, i
+        got = typecount._instance_masks(s, phi, x_arity, pool)
+        assert got == typecount._evaluated_masks(s, phi, x_arity, pool), i
+
+
+@pytest.mark.parametrize("phi", [
+    ["rel", "In", ["var", 1], ["var", 0]],
+    ["and", ["rel", "In", ["var", 0], ["var", 1]]],
+    ["not", ["rel", "In", ["var", 0], ["var", 1]]],
+])
+def test_other_formulas_take_the_evaluator(phi):
+    s, _, pool = structure_from_family(SetFamily(4, [{0, 1}, {1, 2, 3}, {3}]))
+    assert typecount._bare_atom_rows(s, phi, 2) is None
+    got = typecount._instance_masks(s, phi, 1, pool)
+    assert got == typecount._evaluated_masks(s, phi, 1, pool)
+
+
+def test_bare_atom_keeps_the_checks():
+    s, phi, pool = structure_from_family(SetFamily(3, [{0, 1}, {2}]))
+    with pytest.raises(ValueError, match="not in universe"):
+        typecount._instance_masks(s, phi, 1, [*pool, (99,)])
+    with pytest.raises(ValueError, match="x_arity must be >= 1"):
+        typecount._instance_masks(s, phi, 0, pool)
+    # a bool is no variable index, so this atom is the evaluator's to refuse
+    with pytest.raises(ValueError, match="bad variable index"):
+        typecount._instance_masks(s, ["rel", "In", ["var", 0], ["var", True]], 1, pool)
+
+
 def set_cliques(adj):
     """(greedy seed, first maximum clique) of the set-based search: the
     seed takes vertices by (-degree, index), the branch and bound the
