@@ -332,12 +332,12 @@ def test_each_function_solves_once(triangle, solves):
 
 def test_one_solve_and_one_atomization_per_family(monkeypatch, solves):
     columns = []
+    real_columns = fraclp._columns
 
     def counting(masks, ground_size):
         columns.append(masks)
-        return fraclp_columns(masks, ground_size)
+        return real_columns(masks, ground_size)
 
-    fraclp_columns = fraclp._columns
     monkeypatch.setattr(fraclp, "_columns", counting)
     fam = SetFamily(5, [{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}])
     value, _ = intersection_number(fam)
