@@ -16,6 +16,24 @@ to one point pay nothing for them.
 
 from math import comb
 
+_FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def from_flags(flags):
+    """The mask whose bit i is flags[i], for a bytes-like of 0/1 values."""
+    return int(flags[::-1].translate(_FLAG_DIGITS), 2) if flags else 0
+
+
+def elements(mask):
+    """Ascending positions of the set bits of a nonnegative mask."""
+    digits = bin(mask)[:1:-1]
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
+
 
 def _columns(masks, ground_size):
     """Per ground element, the bitmask of member indices that contain it."""

@@ -5,7 +5,7 @@
 - a `Fraction` becomes `{"num": numerator, "den": denominator}`, so a
   rational is never rounded;
 - a set or frozenset becomes a sorted list;
-- a tuple or list becomes a list;
+- a tuple or list becomes a list (one of plain ints is copied whole);
 - a dict gets string keys and keeps its own order;
 - a dataclass becomes `"schema"` followed by its fields in declaration
   order.  A type whose JSON differs from its fields defines
@@ -34,6 +34,8 @@ def to_json(value):
     if isinstance(value, (set, frozenset)):
         return [to_json(v) for v in sorted(value)]
     if isinstance(value, (tuple, list)):
+        if all(type(v) is int for v in value):
+            return list(value)
         return [to_json(v) for v in value]
     if isinstance(value, dict):
         return {str(k): to_json(v) for k, v in value.items()}

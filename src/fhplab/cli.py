@@ -189,19 +189,20 @@ def _verify_construction(name: str, opt, fam: setfam.SetFamily) -> bool:
         cons = setfam.cons_k(fam, opt.k)
         return cons.cons_count == math.comb(opt.r, opt.k) * opt.m**opt.k
     if name == "tp2":
+        # each value lies in d-1 windows of its row: depth k*(d-1) of k*m
         best = setfam.max_intersecting(fam)
-        return Fraction(best.size, fam.n) == Fraction(1, opt.m)
+        return Fraction(best.size, fam.n) == Fraction(opt.d - 1, opt.m)
     if name == "cross":
         return (
             setfam.cons_k(fam, 2).fraction == 1
-            and setfam.cons_k(fam, 3).cons_count == 0
+            and (fam.n < 3 or setfam.cons_k(fam, 3).cons_count == 0)
             and setfam.max_intersecting(fam).size == 2
         )
     if name == "caps":
         # rows pairwise disjoint, and every branch (one member per row) meets
         W, D = opt.w, opt.depth
         rows = [
-            setfam.SetFamily(fam.ground_size, fam.members[i * W : (i + 1) * W])
+            setfam.SetFamily.from_masks(fam.ground_size, fam.masks[i * W : (i + 1) * W])
             for i in range(D)
         ]
         if W > 1 and any(setfam.cons_k(row, 2).cons_count for row in rows):
@@ -209,7 +210,7 @@ def _verify_construction(name: str, opt, fam: setfam.SetFamily) -> bool:
         return setfam.colorful_check(rows, 0).rainbow_count == W**D
     if name == "shattered":
         want = 2 ** (opt.m - 2)
-        return all(len(s) == want for s in fam.members)
+        return all(m.bit_count() == want for m in fam.masks)
     return True
 
 

@@ -6,6 +6,10 @@ builder makes (intersection counts, disjointness, depth) can be re-checked
 with the setfam operations.  Every builder refuses a ground set above
 `setfam.SIZE_CAP` before building anything; it raises instead of
 truncating.
+
+Each builder numbers its points so that a member is the points with one
+base-b digit in a given set, or a union of such sets shifted into blocks
+of points; `_digit_mask` writes each as one mask without visiting a point.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
+from ._backend import elements
 from .setfam import SetFamily, capped_power, check_ground_size
 
 
@@ -66,35 +71,41 @@ class BlockParams:
         object.__setattr__(self, "gamma", gamma)
 
 
+def _digit_mask(base: int, ndigits: int, stride: int, values) -> int:
+    """Mask of the t in [0, base**ndigits) whose base-`base` digit of place
+    value `stride` lies in `values`: one period of base*stride bits (a run
+    of `stride` bits at each v*stride) times the repunit with one bit per
+    period, (2^N - 1) / (2^period - 1), which repeats it without carries.
+    """
+    cell = 0
+    for v in values:
+        cell |= ((1 << stride) - 1) << (v * stride)
+    return ((1 << base**ndigits) - 1) // ((1 << base * stride) - 1) * cell
+
+
 def build_block_counterexample(params: BlockParams) -> SetFamily:
     """Family of r*m sets indexed by (block, slot) over transversal tuples.
 
     Ground points are the k-subsets touching k distinct blocks, one slot
     each; the set for (b, s) collects the points using slot s of block b.
-    Exactly C(r,k)*m^k of the k-element index subsets intersect, while the
-    m sets inside one block are pairwise disjoint.
+    Points run block tuple by block tuple, slots in product order.  Exactly
+    C(r,k)*m^k of the k-element index subsets intersect, while the m sets
+    inside one block are pairwise disjoint.
     """
     k, r, m = params.k, params.r, params.m
-    npoints = math.comb(r, k) * capped_power(m, k)
+    cell = capped_power(m, k)
+    npoints = math.comb(r, k) * cell
     check_ground_size(npoints)
-    point_index = {}
-    for blocks in itertools.combinations(range(r), k):
-        for slots in itertools.product(range(m), repeat=k):
-            point = frozenset(zip(blocks, slots))
-            point_index[point] = len(point_index)
-    members = []
-    labels = []
-    for b in range(r):
-        for s in range(m):
-            members.append(
-                frozenset(
-                    idx for point, idx in point_index.items() if (b, s) in point
-                )
-            )
-            labels.append(f"S[{b},{s}]")
-    return SetFamily(
-        ground_size=npoints, members=tuple(members), labels=tuple(labels)
-    )
+    # slot s at tuple position p, within one block tuple's m^k points
+    slot = [[_digit_mask(m, k, m ** (k - 1 - p), (s,)) for s in range(m)]
+            for p in range(k)]
+    masks = [0] * (r * m)
+    for c, blocks in enumerate(itertools.combinations(range(r), k)):
+        for p, b in enumerate(blocks):
+            for s, piece in enumerate(slot[p]):
+                masks[b * m + s] |= piece << (c * cell)
+    labels = [f"S[{b},{s}]" for b in range(r) for s in range(m)]
+    return SetFamily.from_masks(npoints, masks, labels)
 
 
 def build_tp2_grid(k: int, m: int, d: int = 2) -> SetFamily:
@@ -104,6 +115,7 @@ def build_tp2_grid(k: int, m: int, d: int = 2) -> SetFamily:
     Any d distinct sets of one row miss a common point (each value lies in
     exactly d-1 windows), while one set per row always intersects, so every
     row transversal is consistent.  d=2 is the plain grid f(i) = j.
+    Functions are numbered in product order: f(i) is digit k-1-i in base m.
     """
     if k < 1 or m < 1:
         raise ValueError("k and m must be >= 1")
@@ -112,21 +124,10 @@ def build_tp2_grid(k: int, m: int, d: int = 2) -> SetFamily:
     if m < d - 1:
         raise ValueError("need m >= d-1 so windows do not wrap onto themselves")
     npoints = capped_power(m, k)
-    functions = list(itertools.product(range(m), repeat=k))
-    members = []
-    labels = []
-    for i in range(k):
-        for j in range(m):
-            window = {(j + t) % m for t in range(d - 1)}
-            members.append(
-                frozenset(
-                    idx for idx, f in enumerate(functions) if f[i] in window
-                )
-            )
-            labels.append(f"S[{i},{j}]")
-    return SetFamily(
-        ground_size=npoints, members=tuple(members), labels=tuple(labels)
-    )
+    windows = [{(j + t) % m for t in range(d - 1)} for j in range(m)]
+    masks = [_digit_mask(m, k, m ** (k - 1 - i), w) for i in range(k) for w in windows]
+    labels = [f"S[{i},{j}]" for i in range(k) for j in range(m)]
+    return SetFamily.from_masks(npoints, masks, labels)
 
 
 def build_two_order_cross(n: int) -> SetFamily:
@@ -134,23 +135,13 @@ def build_two_order_cross(n: int) -> SetFamily:
 
     Any two members meet (at the two swapped coordinate pairs), any three
     have empty intersection, and the deepest point lies in exactly 2 sets.
+    Point (i, j) is i*n + j, so row t and column t are base-n digit masks.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     check_ground_size(n * n)
-    members = []
-    labels = []
-    for t in range(n):
-        members.append(
-            frozenset(
-                i * n + j
-                for i in range(n)
-                for j in range(n)
-                if i == t or j == t
-            )
-        )
-        labels.append(f"V[{t}]")
-    return SetFamily(ground_size=n * n, members=tuple(members), labels=tuple(labels))
+    masks = [_digit_mask(n, 2, n, (t,)) | _digit_mask(n, 2, 1, (t,)) for t in range(n)]
+    return SetFamily.from_masks(n * n, masks, [f"V[{t}]" for t in range(n)])
 
 
 def build_caps_family(W: int, D: int) -> SetFamily:
@@ -159,31 +150,22 @@ def build_caps_family(W: int, D: int) -> SetFamily:
     Member F[i,j] holds the strings with character j in position i.  Members
     in one row (fixed i) are pairwise disjoint, and for any branch choice
     f the intersection of F[i, f(i)] over i < n contains the length-n string
-    following f, so it is nonempty.
+    following f, so it is nonempty.  Strings run by length, each length in
+    product order: position i of a length-L string is its digit L-1-i.
     """
     if W < 1 or D < 1:
         raise ValueError("W and D must be >= 1")
     natoms = D if W == 1 else (capped_power(W, D) - 1) * W // (W - 1)
     check_ground_size(natoms)
-    strings = []
+    masks = [0] * (D * W)
+    start = 0  # index of the first string of length L
     for L in range(1, D + 1):
-        strings.extend(itertools.product(range(W), repeat=L))
-    index = {s: i for i, s in enumerate(strings)}
-    members = []
-    labels = []
-    for i in range(D):
-        for j in range(W):
-            members.append(
-                frozenset(
-                    idx
-                    for s, idx in index.items()
-                    if len(s) > i and s[i] == j
-                )
-            )
-            labels.append(f"F[{i},{j}]")
-    return SetFamily(
-        ground_size=natoms, members=tuple(members), labels=tuple(labels)
-    )
+        for i in range(L):
+            for j in range(W):
+                masks[i * W + j] |= _digit_mask(W, L, W ** (L - 1 - i), (j,)) << start
+        start += W**L
+    labels = [f"F[{i},{j}]" for i in range(D) for j in range(W)]
+    return SetFamily.from_masks(natoms, masks, labels)
 
 
 def build_shattered_pairs(m: int) -> SetFamily:
@@ -197,20 +179,10 @@ def build_shattered_pairs(m: int) -> SetFamily:
     if m < 2:
         raise ValueError("m must be >= 2")
     npoints = capped_power(2, m)
-    members = []
-    labels = []
-    for a, b in itertools.permutations(range(m), 2):
-        members.append(
-            frozenset(
-                e
-                for e in range(npoints)
-                if (e >> a) & 1 and not (e >> b) & 1
-            )
-        )
-        labels.append(f"P[{a},{b}]")
-    return SetFamily(
-        ground_size=npoints, members=tuple(members), labels=tuple(labels)
-    )
+    has = [_digit_mask(2, m, 1 << a, (1,)) for a in range(m)]  # e with a in e
+    pairs = list(itertools.permutations(range(m), 2))
+    masks = [has[a] & ~has[b] for a, b in pairs]
+    return SetFamily.from_masks(npoints, masks, [f"P[{a},{b}]" for a, b in pairs])
 
 
 class FurediResult(NamedTuple):
@@ -236,10 +208,11 @@ def furedi_extract(
         raise ValueError("trials must be >= 1")
     if family.n == 0:
         raise ValueError("family has no members")
-    k = len(family.members[0])
+    members = [elements(m) for m in family.masks]
+    k = len(members[0])
     if k == 0:
         raise ValueError("member 0 is empty; members must have a uniform size >= 1")
-    for i, s in enumerate(family.members):
+    for i, s in enumerate(members):
         if len(s) != k:
             raise ValueError(f"member {i} has size {len(s)}, expected {k}")
     target = (math.factorial(k) * family.n) // (k**k)
@@ -247,7 +220,7 @@ def furedi_extract(
     for trial in range(trials):
         color = [rng.randrange(k) for _ in range(family.ground_size)]
         rainbow = []
-        for i, s in enumerate(family.members):
+        for i, s in enumerate(members):
             if len({color[e] for e in s}) == k:
                 rainbow.append(i)
         if len(rainbow) >= target:

@@ -21,9 +21,8 @@ min_F mu(F), is the covering LP rescaled by mu = w / tau*, so
 i(F) * tau*(F) = 1 whenever all members are nonempty.
 
 Each family's packing LP is built, solved and certified once: the atoms
-and the solution are kept on the family object itself, next to its
-cached masks, and every call builds its own dicts and Fractions from
-them.
+and the solution are kept in the family object's __dict__, and every
+call builds its own dicts and Fractions from them.
 """
 
 from __future__ import annotations
@@ -182,8 +181,8 @@ def _atoms(family: SetFamily):
     indices that contain it.  Elements in no member are dropped (they can
     never help a cover).  Returns (reps, patterns) with reps ascending,
     reps[i] the smallest element of atom i and patterns[i] its column.
-    Atomization preserves all intersection patterns of the family.  Like
-    `SetFamily.masks`, the tuples are kept in the family's __dict__.
+    Atomization preserves all intersection patterns of the family.  Kept,
+    like the packing LP, in the family's __dict__.
     """
     cache = family.__dict__
     if "_fraclp_atoms" not in cache:

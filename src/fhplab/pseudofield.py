@@ -148,9 +148,10 @@ def definable_family(
     ygrid = _grid(p, y_arity)
     params = ygrid[evaluate_formula(field, psi, ygrid, e)[0]]
     table = evaluate_formula(field, phi, _grid(p, x_arity), params)
-    members = tuple(frozenset(np.flatnonzero(row).tolist()) for row in table)
-    labels = tuple(f"b={tuple(b)}" for b in params.tolist())
-    return SetFamily(ground_size=npoints, members=members, labels=labels)
+    packed = np.packbits(table, axis=1, bitorder="little")
+    masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    labels = [f"b={tuple(b)}" for b in params.tolist()]
+    return SetFamily.from_masks(npoints, masks, labels)
 
 
 def line_family(field: FieldStructure) -> SetFamily:

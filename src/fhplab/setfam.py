@@ -1,10 +1,11 @@
 """Finite set systems and their intersection-pattern checks.
 
 The universal object is a SetFamily: an ordered tuple of subsets of a finite
-ground set {0, ..., ground_size-1}.  Repeats are allowed; every counting
-notion is indexed by member position, so two identical sets at different
-indices are distinct members.  All fractions are exact rationals; verdicts
-never touch floating point.
+ground set {0, ..., ground_size-1}, stored as one bitmask per member, which
+every check here reads.  Repeats are allowed; every counting notion is
+indexed by member position, so two identical sets at different indices
+are distinct members.  All fractions are exact rationals; verdicts never
+touch floating point.
 
 The counting searches (`cons_k` through `_backend.count_intersecting_k`,
 the rainbow search in `colorful_check`, the multiset search in
@@ -47,63 +48,82 @@ def capped_power(base: int, exp: int) -> int:
     return npoints
 
 
-@dataclass(frozen=True)
+def _pack(idx: int, members, ground_size: int) -> int:
+    """Member idx as a mask, each element checked against the ground."""
+    for e in members:
+        if not isinstance(e, int) or not 0 <= e < ground_size:
+            raise ValueError(
+                f"set {idx}: element {e!r} outside ground range [0, {ground_size})"
+            )
+    flags = bytearray(max(members, default=-1) + 1)
+    for e in members:
+        flags[e] = 1
+    return backend.from_flags(flags)
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class SetFamily:
     """Ordered family of subsets of {0..ground_size-1}, repeats allowed.
 
-    Empty member sets are legal but surface in `empty_members`; one empty
-    member makes every index subset through it inconsistent.
+    The family is its masks (bit e of masks[i] set iff e is in member i),
+    packed from element collections here or given whole to `from_masks`;
+    `members` decodes them to frozensets on first use.  Empty member sets
+    are legal but surface in `empty_members`; one empty member makes every
+    index subset through it inconsistent.
     """
 
     ground_size: int
-    members: tuple = ()
-    labels: Optional[tuple] = None
+    masks: tuple
+    labels: Optional[tuple]
 
-    def __post_init__(self):
-        if not isinstance(self.ground_size, int) or self.ground_size < 1:
+    def __init__(self, ground_size: int, members=(), labels=None):
+        # _store checks ground_size before it draws the first packed member
+        packed = (_pack(i, s, ground_size) for i, s in enumerate(members))
+        self._store(ground_size, packed, labels)
+
+    @classmethod
+    def from_masks(cls, ground_size: int, masks, labels=None) -> "SetFamily":
+        family = cls.__new__(cls)
+        family._store(ground_size, masks, labels)
+        return family
+
+    def _store(self, ground_size, masks, labels) -> None:
+        if not isinstance(ground_size, int) or ground_size < 1:
             raise ValueError("ground_size must be a positive integer")
-        frozen = []
-        for idx, s in enumerate(self.members):
-            # checked before frozenset sees them, so an unhashable element
-            # is reported like any other bad element
-            for e in s:
-                if not isinstance(e, int) or not 0 <= e < self.ground_size:
-                    raise ValueError(
-                        f"set {idx}: element {e!r} outside ground range "
-                        f"[0, {self.ground_size})"
-                    )
-            frozen.append(frozenset(s))
-        object.__setattr__(self, "members", tuple(frozen))
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            if len(labels) != len(frozen):
+        masks = tuple(masks)
+        for idx, m in enumerate(masks):
+            if type(m) is not int or m < 0 or m >> ground_size:
+                raise ValueError(f"set {idx}: not an int mask in [0, 2**{ground_size})")
+        if labels is not None:
+            labels = tuple(labels)
+            if len(labels) != len(masks):
                 raise ValueError("labels length must match number of members")
-            object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "ground_size", ground_size)
+        object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "labels", labels)
+
+    def __repr__(self) -> str:  # hex: decimal str() refuses ints past 4300 digits
+        masks = ", ".join(map(hex, self.masks))
+        return f"SetFamily({self.ground_size}, masks=({masks}), labels={self.labels!r})"
 
     @property
     def n(self) -> int:
-        return len(self.members)
+        return len(self.masks)
 
     @cached_property
-    def masks(self) -> tuple:
-        """Bitmask per member; bit e is set iff e belongs to the member."""
-        out = []
-        for s in self.members:
-            m = 0
-            for e in s:
-                m |= 1 << e
-            out.append(m)
-        return tuple(out)
+    def members(self) -> tuple:
+        """Each member as a frozenset of its elements."""
+        return tuple(frozenset(backend.elements(m)) for m in self.masks)
 
     @cached_property
     def empty_members(self) -> tuple:
-        return tuple(i for i, s in enumerate(self.members) if not s)
+        return tuple(i for i, m in enumerate(self.masks) if not m)
 
     def to_json_dict(self) -> dict:
         out = {
             "schema": SCHEMA_VERSION,
             "ground": self.ground_size,
-            "sets": [sorted(s) for s in self.members],
+            "sets": [backend.elements(m) for m in self.masks],
         }
         if self.labels is not None:
             out["labels"] = [str(l) for l in self.labels]
@@ -120,6 +140,7 @@ class SetFamily:
             raise ValueError(f"family document missing key {exc}") from None
         if not isinstance(ground, int) or ground < 1:
             raise ValueError("'ground' must be a positive integer")
+        check_ground_size(ground)
         if not isinstance(sets, list):
             raise ValueError("'sets' must be a list of lists")
         for idx, s in enumerate(sets):
@@ -264,7 +285,7 @@ def max_intersecting(family: SetFamily) -> MaxIntersecting:
     element = depths.index(size)
     if size == 0:
         return MaxIntersecting(0, 0, frozenset())
-    indices = frozenset(i for i, s in enumerate(family.members) if element in s)
+    indices = frozenset(i for i, m in enumerate(family.masks) if m >> element & 1)
     return MaxIntersecting(size, element, indices)
 
 
@@ -337,15 +358,8 @@ def sequence_ratio(family: SetFamily, index_sequence: Sequence[int]) -> Fraction
     for i in seq:
         if not 0 <= i < family.n:
             raise ValueError(f"index {i} out of range")
-    counts: dict = {}
-    best = 0
-    for i in seq:
-        for e in family.members[i]:
-            c = counts.get(e, 0) + 1
-            counts[e] = c
-            if c > best:
-                best = c
-    return Fraction(best, len(seq))
+    depths = backend.depth_counts([family.masks[i] for i in seq], family.ground_size)
+    return Fraction(max(depths), len(seq))
 
 
 def min_sequence_ratio(family: SetFamily, max_len: int) -> Fraction:
@@ -359,7 +373,7 @@ def min_sequence_ratio(family: SetFamily, max_len: int) -> Fraction:
         raise ValueError("max_len must be >= 1")
     if family.n == 0:
         raise ValueError("family has no members")
-    members = family.members
+    members = [backend.elements(m) for m in family.masks]
     counts = [0] * family.ground_size
     best = Fraction(2)  # ratios never exceed 1
 
@@ -499,8 +513,8 @@ def measure_fhp_check(
 
     tuple_measure = Fraction(rec(0, d, -1, 1, 1), scale**d)
     depth = [0] * family.ground_size
-    for i, wi in zip(support, ws):
-        for e in family.members[i]:
+    for m, wi in zip(masks, ws):
+        for e in backend.elements(m):
             depth[e] += wi
     return MeasureReport(
         d=d,

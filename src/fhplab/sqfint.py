@@ -21,13 +21,13 @@ silently leaving the validated regime.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
+from ._backend import from_flags
 from ._jsonutil import SCHEMA_VERSION
 from ._primes import factorint, isprime, primerange
 from .setfam import FhpReport, SetFamily, check_fhp_instance, check_ground_size
@@ -643,15 +643,8 @@ def solution_family(
     the open interval (0, window)).
     """
     check_ground_size(window)
-    members = []
-    labels = []
-    for i, sys in enumerate(systems):
-        mask = _solution_mask(sys, window)
-        members.append(frozenset(itertools.compress(range(window), mask)))
-        labels.append(f"G[{i}]")
-    return SetFamily(
-        ground_size=window, members=tuple(members), labels=tuple(labels)
-    )
+    masks = [from_flags(_solution_mask(sys, window)) for sys in systems]
+    return SetFamily.from_masks(window, masks, [f"G[{i}]" for i in range(len(masks))])
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from ._backend import elements
 from ._jsonutil import SCHEMA_VERSION
 from .formulas import evaluate_formula
 from .setfam import SetFamily
@@ -206,10 +207,7 @@ def structure_from_family(family: SetFamily):
     patterns of the family.
     """
     g = family.ground_size
-    rows = set()
-    for i, s in enumerate(family.members):
-        for e in s:
-            rows.add((e, g + i))
+    rows = {(e, g + i) for i, m in enumerate(family.masks) for e in elements(m)}
     structure = FiniteStructure(
         universe=tuple(range(g + family.n)), relations={"In": (2, rows)}
     )

@@ -311,6 +311,21 @@ class TestConstructRoundTrip:
             "caps", opt, setfam.SetFamily(fam.ground_size, missing)
         )
 
+    def test_tp2_window_verify(self, capsys):
+        # every point lies in k*(d-1) = 4 of the 8 members: best beta 2/4
+        code, rep = run_json(
+            ["construct", "tp2", "--k", "2", "--m", "4", "--d", "3", "--verify"],
+            capsys,
+        )
+        assert code == 0
+        assert rep["report"]["verified"] is True
+
+    def test_cross_two_members_verify(self, capsys):
+        # two members have no 3-subsets, so the 3-wise check holds vacuously
+        code, rep = run_json(["construct", "cross", "--n", "2", "--verify"], capsys)
+        assert code == 0
+        assert rep["report"]["verified"] is True
+
     def test_block_default_alpha_valid(self, capsys):
         # default alpha must sit below the k=2, r=3 product bound of 2/3
         code, rep = run_json(
@@ -415,6 +430,15 @@ class TestCapsEnv:
         assert code == 2
         assert capsys.readouterr().err == (
             "error: ground size 251001 exceeds SIZE_CAP 250000\n"
+        )
+
+    @pytest.mark.parametrize("command", [["analyze", "--k", "2", "--alpha", "1/2"], ["lp"]])
+    def test_family_document_ground_capped(self, command, tmp_path, capsys):
+        path = family_file(tmp_path, [{0, 1}, {1, 2}], 1000000000000)
+        code = main([command[0], "--family", path, *command[1:]])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: ground size 1000000000000 exceeds SIZE_CAP 250000\n"
         )
 
     @pytest.mark.parametrize("argv, power", [
@@ -669,3 +693,10 @@ def test_console_script_entry():
     proc = run_cli("--version")
     assert proc.returncode == 0
     assert "fhplab" in proc.stdout
+
+
+def test_tp2_at_the_size_cap_in_seconds():
+    """250,000 points and 1,000 members, built as masks: at most a few seconds."""
+    proc = run_cli("construct", "tp2", "--k", "2", "--m", "500", timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count('"S[') == 1000

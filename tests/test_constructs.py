@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -23,6 +24,7 @@ from fhplab.setfam import (
     max_intersecting,
 )
 
+import construct_oracle
 from conftest import oracle_cons_count
 
 
@@ -267,3 +269,31 @@ def test_generators_are_deterministic():
     ]
     for a, b in pairs:
         assert a == b and a.labels == b.labels
+
+
+BLOCK_ORACLE_PARAMS = [
+    dict(k=2, alpha=Fraction(3, 5), gamma=Fraction(1), p_prime=4, k_prime=2, r=3, m=4),
+    dict(k=3, alpha=Fraction(1, 5), gamma=Fraction(1), p_prime=3, k_prime=2, r=5, m=3),
+    dict(k=4, alpha=Fraction(1, 10), gamma=Fraction(1), p_prime=2, k_prime=2, r=8, m=2),
+]
+
+
+@pytest.mark.parametrize("build, oracle", [
+    *[(partial(build_shattered_pairs, m), partial(construct_oracle.shattered, m))
+      for m in range(2, 11)],
+    *[(partial(build_tp2_grid, k, m, d), partial(construct_oracle.tp2, k, m, d))
+      for k, m, d in [(1, 1, 2), (2, 5, 2), (3, 4, 3), (2, 6, 4), (2, 7, 7)]],
+    *[(partial(build_two_order_cross, n), partial(construct_oracle.cross, n))
+      for n in (2, 3, 7, 20)],
+    *[(partial(build_caps_family, w, d), partial(construct_oracle.caps, w, d))
+      for w, d in [(1, 4), (2, 3), (4, 2)]],
+    *[(partial(build_block_counterexample, BlockParams(**p)),
+       partial(construct_oracle.block, p["k"], p["r"], p["m"]))
+      for p in BLOCK_ORACLE_PARAMS],
+])
+def test_builder_masks_match_point_oracle(build, oracle):
+    ground, members, labels = oracle()
+    fam = build()
+    assert fam.ground_size == ground
+    assert fam.masks == SetFamily(ground, members).masks
+    assert fam.labels == tuple(labels)

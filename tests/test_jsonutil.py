@@ -44,6 +44,15 @@ def test_value_rules():
     assert to_json([True, "s", 7, None]) == [True, "s", 7, None]
 
 
+def test_int_lists_copied_and_mixed_lists_encoded():
+    ints = (3, 1, 2)
+    out = to_json(ints)
+    assert out == [3, 1, 2] and type(out) is list
+    assert to_json([1, F(1, 2)]) == [1, {"num": 1, "den": 2}]
+    assert to_json([2, {5, 4}]) == [2, [4, 5]]
+    assert to_json([1, True]) == [1, True]
+
+
 def _library_reports():
     field = pseudofield.FieldStructure.for_prime(5)
     specs = [

@@ -60,6 +60,41 @@ class TestSetFamily:
         with pytest.raises(ValueError):
             SetFamily(2, [{0}], labels=["a", "b"])
 
+    @pytest.mark.parametrize("mask", [-1, 0b1000, 1 << 70, 1.0, "1", True, None])
+    def test_from_masks_refuses_bad_mask(self, mask):
+        with pytest.raises(ValueError, match=r"set 1: not an int mask in \[0, 2\*\*3\)"):
+            SetFamily.from_masks(3, [0b011, mask])
+
+    def test_from_masks_checks_ground_and_labels(self):
+        with pytest.raises(ValueError, match="ground_size"):
+            SetFamily.from_masks(0, [])
+        with pytest.raises(ValueError, match="labels length"):
+            SetFamily.from_masks(2, [1], labels=["a", "b"])
+
+    def test_elements_and_masks_build_one_family(self):
+        members = [[0, 1], [1, 2], [], [2, 0, 2], list(range(70, 200)), [199]]
+        labels = ("a", "b", "c", "d", "e", "f")
+        by_elements = SetFamily(200, members, labels)
+        masks = [sum(1 << e for e in set(s)) for s in members]
+        by_masks = SetFamily.from_masks(200, masks, labels)
+        assert by_elements == by_masks
+        assert hash(by_elements) == hash(by_masks)
+        assert by_elements.masks == tuple(masks)
+        assert by_masks.members == tuple(frozenset(s) for s in members)
+        assert by_masks.to_json_dict()["sets"] == [sorted(set(s)) for s in members]
+        assert by_masks != SetFamily.from_masks(200, masks)  # labels differ
+
+    def test_repr_of_wide_masks(self):
+        # decimal str() refuses ints past 4300 digits; the repr prints hex
+        fam = SetFamily.from_masks(20000, [1 << 19999, 0b101])
+        assert repr(fam) == f"SetFamily(20000, masks=({hex(1 << 19999)}, 0x5), labels=None)"
+
+    def test_json_refuses_huge_ground_before_building(self):
+        # (1 << ground) - 1 alone would need 125 GB
+        doc = {"ground": 1000000000000, "sets": [[0, 1], [1, 2]]}
+        with pytest.raises(ValueError, match="exceeds SIZE_CAP"):
+            SetFamily.from_json_dict(doc)
+
 
 class TestWeights:
     def test_must_sum_to_one(self):
