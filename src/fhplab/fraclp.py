@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from ._backend import _columns
 from ._jsonutil import SCHEMA_VERSION
 from .setfam import SetFamily
 
@@ -177,17 +176,17 @@ def _verify_certificates(problem: LpProblem, X, Y, det: int):
 def _atoms(family: SetFamily):
     """Venn atoms: ground elements grouped by membership pattern.
 
-    An element's pattern is its kernel column, the bitmask of the member
-    indices that contain it.  Elements in no member are dropped (they can
-    never help a cover).  Returns (reps, patterns) with reps ascending,
-    reps[i] the smallest element of atom i and patterns[i] its column.
-    Atomization preserves all intersection patterns of the family.  Kept,
-    like the packing LP, in the family's __dict__.
+    An element's pattern is its column in `family.columns`, the bitmask of
+    the member indices that contain it.  Elements in no member are dropped
+    (they can never help a cover).  Returns (reps, patterns) with reps
+    ascending, reps[i] the smallest element of atom i and patterns[i] its
+    column.  Atomization preserves all intersection patterns of the
+    family.  Kept, like the packing LP, in the family's __dict__.
     """
     cache = family.__dict__
     if "_fraclp_atoms" not in cache:
         first: dict = {}
-        for e, col in enumerate(_columns(family.masks, family.ground_size)):
+        for e, col in enumerate(family.columns):
             if col and col not in first:
                 first[col] = e
         cache["_fraclp_atoms"] = tuple(first.values()), tuple(first)

@@ -14,8 +14,11 @@ far.  A branch dies when it is empty.  It stops when it is a single point
 e, because every completion then consists of members that contain e, and
 those are counted in closed form from e's depth: a binomial for `cons_k`,
 a product of the remaining parts' depths for the rainbow count, a power of
-the remaining weight for the measure.  Lines over F_q meet pairwise in at
-most one point, so on them every branch stops after two members.
+the remaining weight for the measure.  `cons_k` also stops a branch whose
+intersection has a few points, by summing such binomials over them while
+no later member holds two of the points (see `_backend`).  It reads the
+depths from the family's `columns`, the table `max_intersecting` and the
+LP atomization read too, built once per family.
 """
 
 from __future__ import annotations
@@ -67,9 +70,10 @@ class SetFamily:
 
     The family is its masks (bit e of masks[i] set iff e is in member i),
     packed from element collections here or given whole to `from_masks`;
-    `members` decodes them to frozensets on first use.  Empty member sets
-    are legal but surface in `empty_members`; one empty member makes every
-    index subset through it inconsistent.
+    `members` decodes them to frozensets and `columns` transposes them, each
+    on first use.  Empty member sets are legal but surface in
+    `empty_members`; one empty member makes every index subset through it
+    inconsistent.
     """
 
     ground_size: int
@@ -114,6 +118,11 @@ class SetFamily:
     def members(self) -> tuple:
         """Each member as a frozenset of its elements."""
         return tuple(frozenset(backend.elements(m)) for m in self.masks)
+
+    @cached_property
+    def columns(self) -> tuple:
+        """Per ground element, the bitmask of the member indices that contain it."""
+        return tuple(backend._columns(self.masks, self.ground_size))
 
     @cached_property
     def empty_members(self) -> tuple:
@@ -268,25 +277,25 @@ def cons_k(family: SetFamily, k: int) -> ConsReport:
     n = family.n
     if k < 1 or k > n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    count = backend.count_intersecting_k(family.masks, family.ground_size, k)
+    count = backend.count_intersecting_k(
+        family.masks, family.ground_size, k, lambda: family.columns
+    )
     return ConsReport(k=k, cons_count=count, total=comb(n, k))
 
 
 def max_intersecting(family: SetFamily) -> MaxIntersecting:
-    """Largest subfamily with a common element, via ground-element depths.
+    """Largest subfamily with a common element, via the depths of its columns.
 
     Ties go to the smallest ground element.  If every member is empty the
     size is 0 and the witness degenerates to element 0 with no indices.
     """
     if family.n == 0:
         raise ValueError("family has no members")
-    depths = backend.depth_counts(family.masks, family.ground_size)
+    cols = family.columns
+    depths = [c.bit_count() for c in cols]
     size = max(depths)
     element = depths.index(size)
-    if size == 0:
-        return MaxIntersecting(0, 0, frozenset())
-    indices = frozenset(i for i, m in enumerate(family.masks) if m >> element & 1)
-    return MaxIntersecting(size, element, indices)
+    return MaxIntersecting(size, element, frozenset(backend.elements(cols[element])))
 
 
 def check_fhp_instance(family: SetFamily, k: int, alpha) -> FhpReport:

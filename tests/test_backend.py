@@ -1,10 +1,12 @@
 """The counting searches against brute force.
 
 Each search stops as soon as its running intersection is a single point and
-finishes that branch in closed form.  Every test here compares a search with
-plain enumeration (itertools, `is_shattered`, a Fraction multiset sum).
-Sparse random masks and the pinned families (lines over F_q, shattered
-pairs) make many branches end in the closed form.
+finishes that branch in closed form; `count_intersecting_k` also finishes a
+branch with a few points from their columns, and falls back to its members
+when a later member holds two of the points.  Every test here compares a
+search with plain enumeration (itertools, `is_shattered`, a Fraction
+multiset sum).  Sparse random masks and the pinned families (lines over
+F_q, shattered pairs) make many branches end in the closed forms.
 """
 
 import itertools
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fhplab import _backend
-from fhplab.constructs import build_shattered_pairs, build_tp2_grid
+from fhplab.constructs import build_shattered_pairs, build_tp2_grid, build_two_order_cross
 from fhplab.setfam import (
     RationalWeights,
     SetFamily,
@@ -163,6 +165,99 @@ class TestCountIntersectingK:
         assert got == shattered_pairs_cons(m, k)
         if m <= 4:
             assert got == brute_count(fam.masks, k)
+
+
+class TestCountByPoints:
+    """The two sides of a branch of `count_intersecting_k`: by members and by
+    the columns of its points."""
+
+    def test_shared_pair_falls_back_to_members(self):
+        # every later member holds both points of the first, so the first
+        # branch tries its points, finds the overlap and goes by members
+        assert _backend.POINT_STEP * 2 < _backend.MEMBER_STEP * 11
+        masks = [0b11] * 12
+        for k in (2, 3, 4):
+            assert _backend.count_intersecting_k(masks, 2, k) == comb(12, k)
+
+    def test_seeded_overlaps(self):
+        # few points per member and many members: branches go by points at
+        # first and by members deeper down, and later members often hold
+        # two points of a branch
+        for seed in range(200):
+            rng = random.Random(seed)
+            ground = rng.randint(2, 6)
+            masks = [
+                sum(1 << e for e in rng.sample(range(ground), rng.randint(1, ground)))
+                for _ in range(rng.randint(10, 22))
+            ]
+            for k in (2, 3, 4):
+                assert _backend.count_intersecting_k(masks, ground, k) == (
+                    brute_count(masks, k)
+                ), (seed, k)
+
+    @pytest.mark.parametrize("point_step", [0, 10**9])
+    def test_each_side_alone(self, monkeypatch, point_step):
+        # 0: every branch with room after it tries its points; 10**9: only
+        # one-point branches do
+        monkeypatch.setattr(_backend, "POINT_STEP", point_step)
+        for seed in range(150):
+            rng = random.Random(seed)
+            n = rng.randint(0, 12)
+            ground = rng.randint(1, 12)
+            masks = random_masks(rng, n, ground)
+            for k in range(1, min(n, 5) + 1):
+                assert _backend.count_intersecting_k(masks, ground, k) == (
+                    brute_count(masks, k)
+                ), (seed, k)
+
+    def test_side_flips_with_depth(self):
+        # a line of F_11 has 11 points: the branch opened by line i goes by
+        # points while POINT_STEP * 11 < MEMBER_STEP * (120 - i), and by
+        # members for the last lines
+        q = 11
+        assert _backend.POINT_STEP * q < _backend.MEMBER_STEP * (q * q - 1)
+        for k in (2, 3, 4, 5):
+            assert _backend.count_intersecting_k(line_masks(q), q * q, k) == (
+                q * q * comb(q, k)
+            )
+
+    def test_getter_called_at_most_once(self):
+        masks = line_masks(7)
+        table = tuple(_backend._columns(masks, 49))
+        calls = []
+
+        def getter():
+            calls.append(1)
+            return table
+
+        for k in (1, 2, 3, 4):
+            calls.clear()
+            got = _backend.count_intersecting_k(masks, 49, k, getter)
+            assert got == (49 if k == 1 else 49 * comb(7, k))
+            assert len(calls) == (k > 1)
+
+        def no_table():
+            raise AssertionError("no branch of the k = 2 count of crosses needs a column")
+
+        cross = build_two_order_cross(9)
+        assert _backend.count_intersecting_k(cross.masks, 81, 2, no_table) == comb(9, 2)
+
+    def test_one_column_build_per_family(self, monkeypatch):
+        builds = []
+        real_columns = _backend._columns
+
+        def counting(masks, ground_size):
+            builds.append(masks)
+            return real_columns(masks, ground_size)
+
+        monkeypatch.setattr(_backend, "_columns", counting)
+        fam = SetFamily.from_masks(49, line_masks(7))
+        assert [cons_k(fam, k).cons_count for k in (2, 3, 4)] == [
+            49 * comb(7, k) for k in (2, 3, 4)
+        ]
+        assert max_intersecting(fam).size == 7
+        assert len(builds) == 1
+        assert fam.columns == tuple(real_columns(fam.masks, 49))
 
 
 class TestKernelSemantics:

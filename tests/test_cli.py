@@ -1,6 +1,8 @@
 import argparse
 import json
 import time
+from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -700,3 +702,24 @@ def test_tp2_at_the_size_cap_in_seconds():
     proc = run_cli("construct", "tp2", "--k", "2", "--m", "500", timeout=10)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count('"S[') == 1000
+
+
+def test_cross_verify_in_seconds():
+    """Every pair of crosses meets in two points, so the k = 3 count of
+    --verify never narrows a branch to one point; it counts by points."""
+    proc = run_cli("construct", "cross", "--n", "200", "--verify", timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)["report"]
+    assert report["verified"] is True
+    assert len(report["sets"]) == 200
+
+
+def test_lines_f61_k3_in_seconds():
+    """3,721 lines over F_61: cons_3 = 61^2 C(61, 3) of C(61^2, 3); the
+    fraction is below 1/2, so the FHP hypothesis fails and the exit is 1."""
+    proc = run_cli("ff", "lines", "--p", "61", "--k", "3", timeout=5)
+    assert proc.returncode == 1, proc.stderr
+    frac = json.loads(proc.stdout)["report"]["report"]["fhp"]["cons"]["fraction"]
+    assert Fraction(frac["num"], frac["den"]) == Fraction(
+        comb(61, 3) * 61**2, comb(61**2, 3)
+    )

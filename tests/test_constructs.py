@@ -140,6 +140,13 @@ class TestCross:
             assert cons_k(fam, 3).cons_count == 0
         assert Fraction(max_intersecting(fam).size, fam.n) == Fraction(2, n)
 
+    @pytest.mark.parametrize("n", [7, 40, 120])
+    def test_no_three_crosses_meet(self, n):
+        # two crosses share two points and no third cross holds either one
+        fam = build_two_order_cross(n)
+        assert cons_k(fam, 3).cons_count == 0
+        assert cons_k(fam, 4).cons_count == 0
+
     def test_n2_trivial(self):
         rep = cons_k(build_two_order_cross(2), 2)
         assert (rep.cons_count, rep.total) == (1, 1)

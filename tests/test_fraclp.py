@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from fhplab import fraclp
+from fhplab import _backend, fraclp
 from fhplab._jsonutil import rat_to_json, to_json
 from fhplab.cli import main
 from fhplab.fraclp import (
@@ -332,13 +332,13 @@ def test_each_function_solves_once(triangle, solves):
 
 def test_one_solve_and_one_atomization_per_family(monkeypatch, solves):
     columns = []
-    real_columns = fraclp._columns
+    real_columns = _backend._columns
 
     def counting(masks, ground_size):
         columns.append(masks)
         return real_columns(masks, ground_size)
 
-    monkeypatch.setattr(fraclp, "_columns", counting)
+    monkeypatch.setattr(_backend, "_columns", counting)
     fam = SetFamily(5, [{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}])
     value, _ = intersection_number(fam)
     res = fractional_transversal(fam, integer_cap=3)
