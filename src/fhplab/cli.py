@@ -377,6 +377,17 @@ def _handle_ff(opt):
 
 
 def _handle_count_types(opt):
+    if (opt.family is None) == (opt.structure is None):
+        raise ValueError("provide exactly one of --family / --structure")
+    if opt.structure is not None and (opt.phi is None or opt.pool is None):
+        raise ValueError("--structure mode needs --phi and --pool")
+    if opt.family is not None and (opt.phi, opt.pool, opt.x_arity) != (
+        None, None, None
+    ):
+        raise ValueError("--family mode takes no --phi, --pool or --x-arity")
+    if (opt.l is None) == (opt.l_values is None):
+        raise ValueError("provide exactly one of --l / --l-values")
+
     from . import typecount
 
     samples = typecount.DEFAULT_SAMPLES if opt.samples is None else opt.samples
@@ -668,32 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    opt = parser.parse_args(argv)
-    if opt.command == "count-types":
-        if (opt.family is None) == (opt.structure is None):
-            print(
-                "error: provide exactly one of --family / --structure",
-                file=sys.stderr,
-            )
-            return 2
-        if opt.structure is not None and (opt.phi is None or opt.pool is None):
-            print(
-                "error: --structure mode needs --phi and --pool", file=sys.stderr
-            )
-            return 2
-        if opt.family is not None and (opt.phi, opt.pool, opt.x_arity) != (
-            None, None, None
-        ):
-            print(
-                "error: --family mode takes no --phi, --pool or --x-arity",
-                file=sys.stderr,
-            )
-            return 2
-        if (opt.l is None) == (opt.l_values is None):
-            print("error: provide exactly one of --l / --l-values", file=sys.stderr)
-            return 2
-    return run(opt)
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -34,6 +34,10 @@ ARITY_CAP = 3
 # dim_meas_fit's measures: denominator and value at most these
 DEN_CAP = 8
 MU_CAP = 8
+# dim_meas_fit refuses n * bit_length(q) above this before q**n is built.
+# It walks every d <= n with exact q**(2d - 1); at the cap a fit takes
+# 0.5-0.9 s on a 2-vCPU VM (q = 3, n = 5000; q = 31, n = 2000).
+FIT_BITS_CAP = 10000
 
 
 class FieldStructure:
@@ -226,6 +230,10 @@ def dim_meas_fit(count: int, q: int, n: int, C=1) -> DimMeasFit:
         raise ValueError("q must be >= 2")
     if n < 0:
         raise ValueError("n must be >= 0")
+    if n * q.bit_length() > FIT_BITS_CAP:
+        raise ValueError(
+            f"n * bit_length(q) = {n * q.bit_length()} exceeds FIT_BITS_CAP {FIT_BITS_CAP}"
+        )
     if count > q**n:
         raise ValueError(f"count {count} exceeds q^n = {q ** n}")
     C = Fraction(C)

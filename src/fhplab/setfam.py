@@ -374,35 +374,21 @@ def sequence_ratio(family: SetFamily, index_sequence: Sequence[int]) -> Fraction
 def min_sequence_ratio(family: SetFamily, max_len: int) -> Fraction:
     """Minimum of sequence_ratio over all index sequences of length <= max_len.
 
-    sequence_ratio is permutation-invariant, so the exhaustive scan walks
-    nondecreasing sequences (multisets) with incremental depth updates; this
-    covers every sequence of length 1..max_len exactly.
+    sequence_ratio is permutation-invariant, so only multisets matter.  Let
+    D(p) be the least largest depth over all p-multisets; the minimum is
+    min_p D(p)/p.  The (p, k)-property holds exactly when k <= D(p), and
+    D(p + 1) >= D(p) because dropping a member never deepens a point, so
+    k only climbs: the sweep over p makes at most 2*max_len calls of
+    check_pk_property, which is the one multiset search.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    if family.n == 0:
-        raise ValueError("family has no members")
-    members = [backend.elements(m) for m in family.masks]
-    counts = [0] * family.ground_size
-    best = Fraction(2)  # ratios never exceed 1
-
-    def rec(start: int, length: int, maxdepth: int):
-        nonlocal best
-        for i in range(start, family.n):
-            md = maxdepth
-            for e in members[i]:
-                counts[e] += 1
-                if counts[e] > md:
-                    md = counts[e]
-            ratio = Fraction(md, length + 1)
-            if ratio < best:
-                best = ratio
-            if length + 1 < max_len:
-                rec(i, length + 1, md)
-            for e in members[i]:
-                counts[e] -= 1
-
-    rec(0, 0, 0)
+    k = 0
+    best = Fraction(1)  # D(p) <= p
+    for p in range(1, max_len + 1):
+        while k < p and check_pk_property(family, p, k + 1).holds:
+            k += 1
+        best = min(best, Fraction(k, p))
     return best
 
 

@@ -388,7 +388,7 @@ class DensityCertificate:
     to 64 significant bits, which keeps the bracket sound and the report
     renderable.  error_term(t) is the explicit ceiling version of
     sum_i(sqrt|c_i| + sqrt|kt + c_i|) + 1.  degenerate marks certificates
-    whose bound carries no information (some factor <= 0).  head is the
+    whose lower bound carries no information (tail bound <= 0).  head is the
     (prime, level) of the largest factor of D, named when an end, or a
     value derived from one, is too long to print.
     """
@@ -481,17 +481,17 @@ def density_certificate(
     formula: SpecialFormula,
     tail_prime: int,
     constants: Optional[Sequence[int]] = None,
-    B: Optional[int] = None,
 ) -> DensityCertificate:
     """Bracket the density constant for a positive formula, exactly.
 
-    Head: D multiplies p^(L_p) over primes p <= B, with L_p covering both
-    the declared condition levels and, when slots exist, the slot level
-    2+v_p(m).  The bound presumes a good residue mod D exists, i.e. the
-    system is p-satisfiable at the head primes; pair with p_satisfiable
-    before trusting a concrete instance.  Passing a B below the default
-    cutoff yields a flagged degenerate certificate instead of an error.
-    constants (the slot values, default all zero) only affect error_term.
+    Head: D multiplies p^(L_p) over primes p <= B = default_cutoff, with
+    L_p covering both the declared condition levels and, when slots exist,
+    the slot level 2+v_p(m).  The bound presumes a good residue mod D
+    exists, i.e. the system is p-satisfiable at the head primes; pair with
+    p_satisfiable before trusting a concrete instance.  A tail prime too
+    small for the slots leaves no lower bound and flags the certificate
+    degenerate.  constants (the slot values, default all zero) only affect
+    error_term.
     """
     if formula.negative_slots:
         raise ValueError("density_certificate needs a positive formula")
@@ -501,11 +501,7 @@ def density_certificate(
     constants = tuple(int(v) for v in constants)
     if len(constants) != n:
         raise ValueError("constants length must equal positive_slots")
-    auto_B = default_cutoff(formula)
-    if B is None:
-        B = auto_B
-    if B < 1:
-        raise ValueError("B must be >= 1")
+    B = default_cutoff(formula)
     if tail_prime < B:
         raise ValueError("tail_prime must be >= B")
     m = formula.modulus_m
@@ -521,23 +517,11 @@ def density_certificate(
         if D >= _D_LIMIT:
             raise ValueError(f"head prime {p} at level {L}: D exceeds {D_DIGITS} digits")
         widest = max(widest, (p**L, p, L))
-    degenerate = B < auto_B
-    prod = Fraction(1)
-    if n:
-        if B >= auto_B:
-            # above the default cutoff every factor is positive; cacheable
-            prod = _truncated_product(B, tail_prime, n, m)
-        else:
-            for p in primerange(B + 1, tail_prime + 1):
-                factor = 1 - Fraction(n, p ** (2 + vp(m, p)))
-                if factor <= 0:
-                    degenerate = True
-                prod *= factor
-    upper = Fraction(1, 2 * D) * prod
+    # above the default cutoff every factor is positive
+    upper = Fraction(1, 2 * D) * _truncated_product(B, tail_prime, n, m)
     tail_slack = max(Fraction(0), 1 - Fraction(2 * n, tail_prime))
-    lower = upper * tail_slack if upper > 0 else upper
-    if n >= 1 and lower <= 0:
-        degenerate = True
+    lower = upper * tail_slack
+    degenerate = lower <= 0
     lower = _round_outward(lower, up=False)
     upper = _round_outward(upper, up=True)
     return DensityCertificate(
@@ -753,7 +737,7 @@ def dickson_admissible(
     the roots of all forms.  The automatic candidate set - primes up to the
     number of forms plus primes dividing some gcd(a_i, b_i) - is complete:
     any other prime has at most one root per form and fewer roots than
-    residues.  An explicit prime_bound restricts the check to r <= bound.
+    residues.  An explicit prime_bound keeps only the candidates r <= bound.
     """
     forms = [(int(a), int(b)) for a, b in forms]
     if not forms:
@@ -768,7 +752,6 @@ def dickson_admissible(
             candidates.update(factorint(g).keys())
     if prime_bound is not None:
         candidates = {r for r in candidates if r <= prime_bound}
-        candidates.update(primerange(2, prime_bound + 1))
     for r in sorted(candidates):
         hit = set()
         covered = False

@@ -107,6 +107,23 @@ class TestExitCodes:
         assert rep["report"]["admissible"] is False
         assert rep["report"]["obstruction"] == 3
 
+    def test_fit_huge_n_is_refused(self):
+        proc = run_cli("ff", "fit", "--count", "31", "--q", "31",
+                       "--n", "100000", timeout=5)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: n * bit_length(q) = 500000 exceeds FIT_BITS_CAP 10000\n"
+        )
+
+    def test_dickson_huge_prime_bound_is_fast(self):
+        # only the automatic candidates can obstruct, so the bound only
+        # filters them; no prime up to it is scanned
+        proc = run_cli("sqf", "dickson", "--forms", "1,0",
+                       "--prime-bound", "1000000000", timeout=5)
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["report"]["admissible"] is True
+
     @pytest.mark.parametrize("argv, message", [
         # no prime at all would be checked: "admissible" would be vacuous
         (["--forms", "1,0;1,1", "--prime-bound", "1"],

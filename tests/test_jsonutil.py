@@ -85,8 +85,9 @@ def _library_reports():
     )
     out["tr_cap"] = fraclp.fractional_transversal(fam, integer_cap=3)
     out["vc_plain"] = vc.vc_dimension(fam, 3)
+    # degenerate: the tail bound 1 - 2*5/7 leaves no lower bound
     out["cert_degenerate"] = sqfint.density_certificate(
-        sqfint.shift_system([0, 1]).formula, 7, B=1
+        sqfint.shift_system([0, 1, 2, 3, 4]).formula, 7
     )
     return out
 
@@ -95,4 +96,4 @@ def test_library_reports_pinned():
     text = json.dumps({k: to_json(v) for k, v in _library_reports().items()})
     digest = hashlib.sha256(text.encode()).hexdigest()
     # tr_cap's weights are the packing LP's dual vertex, the cover {0, 2, 4}
-    assert digest == "e88e6113079aafefb853b657e0356b828332a6771ee2c15ff44bd1a490bd5e4a"
+    assert digest == "62e739c21c8afb7dacbe41d4c2a39af2b09b33a85e151c5bb9c332ef7a7962c9"

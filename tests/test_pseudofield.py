@@ -226,6 +226,14 @@ class TestDimMeasFit:
         assert (fit.d, fit.mu) == (0, 0)
         assert fit.ok
 
+    def test_size_of_q_to_the_n_capped(self):
+        # at the cap: q = 2^9999 has 10000 bits
+        assert dim_meas_fit(1, 2**9999, 1).d == 0
+        with pytest.raises(ValueError, match="= 10001 exceeds FIT_BITS_CAP 10000"):
+            dim_meas_fit(1, 2**10000, 1)
+        with pytest.raises(ValueError, match="= 500000 exceeds FIT_BITS_CAP"):
+            dim_meas_fit(31, 31, 100000)
+
     def test_corpus_expected_fits(self):
         # conics, polynomial graphs, and xy=c hypersurfaces all sit at
         # measure-1 curves; xy=0 is the union of two lines.  At p <= 7 the

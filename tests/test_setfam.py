@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -198,6 +199,40 @@ def test_min_sequence_ratio_triangle(triangle):
 def test_min_sequence_ratio_disjoint():
     fam = SetFamily(2, [{0}, {1}])
     assert min_sequence_ratio(fam, 4) == Fraction(1, 2)
+
+
+def oracle_min_sequence_ratio(family, max_len):
+    """Least sequence_ratio over every multiset of length 1..max_len."""
+    return min(
+        sequence_ratio(family, seq)
+        for length in range(1, max_len + 1)
+        for seq in itertools.combinations_with_replacement(range(family.n), length)
+    )
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_min_sequence_ratio_matches_all_multisets(seed):
+    rng = random.Random(500 + seed)
+    fam = random_family(rng, ground_max=7, n_max=6, min_size=0)
+    max_len = rng.randint(1, 5)
+    assert min_sequence_ratio(fam, max_len) == oracle_min_sequence_ratio(fam, max_len)
+
+
+def test_min_sequence_ratio_errors():
+    with pytest.raises(ValueError, match="max_len must be >= 1"):
+        min_sequence_ratio(SetFamily(2, []), 0)
+    with pytest.raises(ValueError, match="family has no members"):
+        min_sequence_ratio(SetFamily(2, []), 3)
+
+
+def test_min_sequence_ratio_lines_f11_is_fast():
+    from fhplab.pseudofield import FieldStructure, line_family
+
+    fam = line_family(FieldStructure.for_prime(11))
+    started = time.monotonic()
+    # four parallel lines share no point
+    assert min_sequence_ratio(fam, 4) == Fraction(1, 4)
+    assert time.monotonic() - started < 3
 
 
 class TestColorful:

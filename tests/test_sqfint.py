@@ -556,11 +556,11 @@ class TestDensityCertificate:
         assert cert.error_term(t) == want
 
     def test_forced_low_cutoff_degenerate(self):
+        # the tail bound 1 - 2n/tail_prime = 1 - 10/7 is negative
         sys_ = shift_system([0, 1, 2, 3, 4])
-        cert = density_certificate(sys_.formula, 1000,
-                                   constants=list(sys_.c), B=1)
+        cert = density_certificate(sys_.formula, 7, constants=list(sys_.c))
         assert cert.degenerate
-        assert cert.epsilon_lower <= 0
+        assert cert.epsilon_lower == 0 < cert.epsilon_upper
 
     def test_auto_cutoff_avoids_degeneracy(self):
         sys_ = shift_system([0, 1, 2, 3, 4])
@@ -663,6 +663,15 @@ class TestTheoreticalBeta:
         assert b2 == 2 * b1
 
 
+def dickson_scan(forms, bound):
+    """First prime r <= bound at which every residue t mod r is a root of
+    some form: the definition, scanned over every prime and residue."""
+    for r in sympy.primerange(2, bound + 1):
+        if all(any((a * t + b) % r == 0 for a, b in forms) for t in range(r)):
+            return False, r
+    return True, None
+
+
 class TestDickson:
     def test_twin_pattern_admissible(self):
         assert dickson_admissible([(1, 0), (1, 2)]) == (True, None)
@@ -684,3 +693,14 @@ class TestDickson:
     def test_prime_bound_override(self):
         ok, _ = dickson_admissible([(1, 0), (1, 2), (1, 4)], prime_bound=2)
         assert ok  # the r=3 obstruction is outside the forced bound
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_prime_bound_matches_scan_of_every_prime(self, seed):
+        rng = random.Random(900 + seed)
+        for _ in range(50):
+            forms = [(rng.randint(1, 40), rng.randint(-40, 40))
+                     for _ in range(rng.randint(1, 6))]
+            bound = rng.randint(2, 60)
+            assert dickson_admissible(forms, prime_bound=bound) == (
+                dickson_scan(forms, bound)
+            ), (forms, bound)
