@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from ._backend import elements
 from ._jsonutil import SCHEMA_VERSION
 from .setfam import SetFamily
 
@@ -269,7 +270,9 @@ def min_transversal_exact(family: SetFamily, cap: int):
     """Smallest hitting set of size <= cap, or None.
 
     Iterative deepening over the target size with branch-on-smallest-member
-    search; deterministic, so the witness is reproducible.
+    search over the atoms: the members still unhit are one bitmask, and
+    each branch hits the lowest-index unhit member with the fewest atoms;
+    deterministic, so the witness is reproducible.
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
@@ -278,34 +281,29 @@ def min_transversal_exact(family: SetFamily, cap: int):
     if family.empty_members:
         return None
     reps, patterns = _atoms(family)
-    # member -> candidate atom reps
-    member_reps = []
-    for i in range(family.n):
-        member_reps.append(
-            tuple(e for e, pat in zip(reps, patterns) if pat >> i & 1)
-        )
-    covers = dict(zip(reps, patterns))
+    # member -> the (rep, pattern) pairs of the atoms through it
+    through = [
+        [(e, pat) for e, pat in zip(reps, patterns) if pat >> i & 1]
+        for i in range(family.n)
+    ]
 
-    def exists(budget, members_left, chosen):
-        if not members_left:
+    def exists(budget, left, chosen):
+        if not left:
             return tuple(chosen)
         if budget == 0:
             return None
-        target = min(members_left, key=lambda i: len(member_reps[i]))
-        for e in member_reps[target]:
-            if e in chosen:
-                continue
+        target = min(elements(left), key=lambda i: len(through[i]))
+        for e, pat in through[target]:
             chosen.append(e)
-            rest = frozenset(i for i in members_left if not covers[e] >> i & 1)
-            found = exists(budget - 1, rest, chosen)
+            found = exists(budget - 1, left & ~pat, chosen)
             chosen.pop()
             if found is not None:
                 return found
         return None
 
-    all_members = frozenset(range(family.n))
+    everyone = (1 << family.n) - 1
     for size in range(0, cap + 1):
-        found = exists(size, all_members, [])
+        found = exists(size, everyone, [])
         if found is not None:
             return len(found), frozenset(found)
     return None

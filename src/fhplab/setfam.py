@@ -7,18 +7,19 @@ indexed by member position, so two identical sets at different indices
 are distinct members.  All fractions are exact rationals; verdicts never
 touch floating point.
 
-The counting searches (`cons_k` through `_backend.count_intersecting_k`,
-the rainbow search in `colorful_check`, the multiset search in
+The two counting searches (`cons_k` through `_backend.count_intersecting_k`,
+and one rainbow walk, `_rainbow_count`, behind both `colorful_check` and
 `measure_fhp_check`) keep the running intersection of the members chosen so
 far.  A branch dies when it is empty.  It stops when it is a single point
 e, because every completion then consists of members that contain e, and
 those are counted in closed form from e's depth: a binomial for `cons_k`,
-a product of the remaining parts' depths for the rainbow count, a power of
-the remaining weight for the measure.  `cons_k` also stops a branch whose
-intersection has a few points, by summing such binomials over them while
-no later member holds two of the points (see `_backend`).  It reads the
-depths from the family's `columns`, the table `max_intersecting` and the
-LP atomization read too, built once per family.
+a product of the later rows' weighted depths for the rainbow walk.  The
+measure is the rainbow count over d copies of the mu-weighted family.
+`cons_k` also stops a branch whose intersection has a few points, by
+summing such binomials over them while no later member holds two of the
+points (see `_backend`).  It reads the depths from the family's `columns`,
+the table `max_intersecting` and the LP atomization read too, built once
+per family.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial, lcm
+from math import comb, lcm
 from typing import NamedTuple, Optional, Sequence
 
 from . import _backend as backend
@@ -392,6 +393,42 @@ def min_sequence_ratio(family: SetFamily, max_len: int) -> Fraction:
     return best
 
 
+def _rainbow_count(rows, depths, ground: int) -> int:
+    """Weighted count of tuples, one (mask, weight) pair from each row, whose
+    masks share a point; a tuple weighs the product of its weights.
+
+    depths[j][e] is the total weight of row j's masks through e.  A branch
+    whose running intersection is one point e is finished in closed form:
+    its weight times the product of the later rows' depths at e.
+    """
+    d = len(rows)
+    # tails[level][e]: the weight of the completions through e after `level`
+    tails = [[1] * ground]
+    for dep in reversed(depths[1:]):
+        tails.append([t * c for t, c in zip(tails[-1], dep)])
+    tails.reverse()
+
+    def rec(level: int, acc: int) -> int:
+        hits = 0
+        if level == d - 1:
+            for m, w in rows[level]:
+                if acc & m:
+                    hits += w
+            return hits
+        tail = tails[level]
+        for m, w in rows[level]:
+            a = acc & m
+            if not a:
+                continue
+            if a & (a - 1):
+                hits += w * rec(level + 1, a)
+            else:
+                hits += w * tail[a.bit_length() - 1]
+        return hits
+
+    return rec(0, -1)  # -1: the whole ground
+
+
 def colorful_check(families: Sequence[SetFamily], alpha) -> ColorfulReport:
     """Count rainbow index tuples (one member per family) with a common element."""
     alpha = Fraction(alpha)
@@ -410,31 +447,8 @@ def colorful_check(families: Sequence[SetFamily], alpha) -> ColorfulReport:
         total *= f.n
 
     depths = [backend.depth_counts(f.masks, ground) for f in fams]
-    # tails[level][e]: rainbow completions through e after part `level`
-    tails = [[1] * ground]
-    for dep in reversed(depths[1:]):
-        tails.append([t * c for t, c in zip(tails[-1], dep)])
-    tails.reverse()
-    mask_rows = [f.masks for f in fams]
-
-    def rec(level: int, acc: int) -> int:
-        hits = 0
-        if level == d - 1:
-            for m in mask_rows[level]:
-                if acc & m:
-                    hits += 1
-            return hits
-        for m in mask_rows[level]:
-            a = acc & m
-            if not a:
-                continue
-            if a & (a - 1):
-                hits += rec(level + 1, a)
-            else:
-                hits += tails[level][a.bit_length() - 1]
-        return hits
-
-    count = rec(0, (1 << ground) - 1)
+    rows = [[(m, 1) for m in f.masks] for f in fams]
+    count = _rainbow_count(rows, depths, ground)
     betas = tuple(Fraction(max(dep), f.n) for dep, f in zip(depths, fams))
     fraction = Fraction(count, total)
     return ColorfulReport(
@@ -461,13 +475,8 @@ def measure_fhp_check(
 
     The weights are scaled once to integers W_i over their common
     denominator D, and both sums are divided by D^d and D at the end.  The
-    search takes the support in index order, each index with a
-    multiplicity, so it meets each multiset of indices at most once; an
-    ordered tuple is counted through its multinomial coefficient.  A branch
-    dies when its running intersection is empty, and it stops when the
-    intersection is a single point e: the r positions still open go to
-    later indices that contain e, which weigh (sum of their W_i)^r in total
-    by the multinomial theorem.
+    mass under mu^d is the rainbow count over d copies of the support, each
+    member weighing W_i, so it runs the same walk as `colorful_check`.
     """
     alpha = Fraction(alpha)
     if d < 1:
@@ -476,41 +485,17 @@ def measure_fhp_check(
     for idx in w:
         if idx >= family.n:
             raise ValueError(f"weight index {idx} beyond family size {family.n}")
-    support = sorted(w)
     scale = lcm(*(x.denominator for x in w.values()))
-    ws = [w[i].numerator * (scale // w[i].denominator) for i in support]
-    masks = [family.masks[i] for i in support]
-    fact = [factorial(c) for c in range(d + 1)]
-
-    def later_weight(e: int, j: int) -> int:
-        return sum(wp for wp, m in zip(ws[j + 1:], masks[j + 1:]) if m >> e & 1)
-
-    def rec(start: int, left: int, acc: int, den: int, prod: int) -> int:
-        # den and prod: product of c! and of W_i^c over the chosen indices
-        total = 0
-        for j in range(start, len(masks)):
-            a = acc & masks[j]
-            if not a:
-                continue
-            power = 1
-            for c in range(1, left + 1):
-                power *= ws[j]
-                r = left - c
-                if r == 0:
-                    total += fact[d] // (den * fact[c]) * prod * power
-                elif a & (a - 1):
-                    total += rec(j + 1, r, a, den * fact[c], prod * power)
-                else:
-                    e_weight = later_weight(a.bit_length() - 1, j)
-                    coef = fact[d] // (den * fact[c] * fact[r])
-                    total += coef * prod * power * e_weight**r
-        return total
-
-    tuple_measure = Fraction(rec(0, d, -1, 1, 1), scale**d)
+    row = [
+        (family.masks[i], w[i].numerator * (scale // w[i].denominator))
+        for i in sorted(w)
+    ]
     depth = [0] * family.ground_size
-    for m, wi in zip(masks, ws):
+    for m, wi in row:
         for e in backend.elements(m):
             depth[e] += wi
+    count = _rainbow_count([row] * d, [depth] * d, family.ground_size)
+    tuple_measure = Fraction(count, scale**d)
     return MeasureReport(
         d=d,
         alpha=alpha,

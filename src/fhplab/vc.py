@@ -65,31 +65,6 @@ class ShatterReport:
         return out
 
 
-def is_shattered(family: SetFamily, subset) -> bool:
-    """True iff every subset of `subset` occurs as S & subset for a member S.
-
-    The empty subset is vacuously shattered.
-    """
-    elems = sorted(set(subset))
-    for e in elems:
-        if not 0 <= e < family.ground_size:
-            raise ValueError(f"element {e!r} outside ground range")
-    d = len(elems)
-    if d == 0:
-        return True
-    if family.n < (1 << d):
-        return False
-    smask = 0
-    for e in elems:
-        smask |= 1 << e
-    traces = set()
-    for m in family.masks:
-        traces.add(m & smask)
-        if len(traces) == 1 << d:
-            return True
-    return False
-
-
 def _extensions(masks, s: tuple) -> int:
     """Bitmask of the elements e with s + (e,) shattered, s itself shattered.
 

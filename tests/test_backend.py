@@ -28,9 +28,9 @@ from fhplab.setfam import (
     max_intersecting,
     measure_fhp_check,
 )
-from fhplab.vc import _shattered_levels, is_shattered, vc_dimension
+from fhplab.vc import _shattered_levels, vc_dimension
 
-from conftest import oracle_tuple_measure
+from conftest import is_shattered, oracle_tuple_measure
 
 
 def random_masks(rng, n, ground):

@@ -621,6 +621,19 @@ def test_sqf_count_huge_level(tmp_path):
     assert json.loads(proc.stdout)["report"]["count"] == 29
 
 
+def test_sqf_psat_huge_level_refused(tmp_path):
+    """p_satisfiable would scan 3^(10^8) residues: refused before p^L is
+    built, in a subprocess under a short timeout."""
+    doc = tmp_path / "system.json"
+    doc.write_text(json.dumps({"formula": HUGE_LEVEL_FORMULA, "c": [], "c_prime": []}))
+    proc = run_cli("sqf", "psat", "--system", str(doc), "--p", "3", timeout=5)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: p^L = 3^100000000 residues exceed PSAT_CAP 1048576\n"
+    )
+
+
 @pytest.mark.parametrize("action", ["count", "density"])
 def test_sqf_certificate_huge_level_refused(action, tmp_path):
     """The certificate's head would be D = 3^(10^8): refused, not built."""

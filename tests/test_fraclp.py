@@ -178,6 +178,25 @@ class TestMinTransversal:
         got = min_transversal_exact(fam, cap=fam.ground_size)
         assert got is not None and got[0] == want
 
+    def test_check01_witnesses_pinned(self):
+        """Sizes and witnesses on acceptance check 01's 200 families."""
+        out = []
+        for fam in lp_sweep_families()[:200]:
+            size, witness = min_transversal_exact(fam, fam.ground_size)
+            out.append([size, sorted(witness)])
+        digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+        assert digest == "c8b0259f8b3fc7b9ae47d7e7f7c8b561f6841e78bfa1b364ef15484ed46a0f37"
+
+    def test_ties_go_to_the_lowest_index(self):
+        # among the unhit members with the fewest atoms the search branches
+        # on the lowest index, at every depth; that fixes which of the
+        # several 4-covers it finds first
+        fam = SetFamily(6, [
+            [2, 3, 5], [0, 1, 3, 5], [1, 2, 3], [0, 2], [0, 2], [0], [1, 2, 4],
+            [3, 4], [0, 2, 3], [0, 1, 4, 5], [0, 4, 5], [2, 3], [1, 5], [5],
+        ])
+        assert min_transversal_exact(fam, 6) == (4, frozenset({0, 1, 3, 5}))
+
     @pytest.mark.parametrize("seed", range(8))
     def test_integer_at_least_ceiling_of_fractional(self, seed):
         fam = random_family(random.Random(4000 + seed), ground_max=8, n_max=8)

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fhplab import setfam
+from fhplab.constructs import build_two_order_cross
 from fhplab.setfam import (
     MeasureReport,
     RationalWeights,
@@ -302,6 +304,36 @@ class TestMeasure:
             if inter:
                 total += math.prod(w.weights[i] for i in tup)
         assert rep.tuple_measure == total
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 9])
+    def test_two_order_cross_closed_form(self, n):
+        # two crosses meet in two points that no third cross holds, so no
+        # branch closes at one point: every pair is consistent, and a
+        # 3-tuple is consistent unless its three indices all differ
+        fam = build_two_order_cross(n)
+        uniform = RationalWeights.uniform(fam.n)
+        assert measure_fhp_check(fam, uniform, 2, 0).tuple_measure == 1
+        want = 1 - Fraction(n * (n - 1) * (n - 2), n**3)
+        assert measure_fhp_check(fam, uniform, 3, 0).tuple_measure == want
+
+
+class TestNoNestedPublicCalls:
+    """colorful_check and measure_fhp_check share one private walk; neither
+    calls the other's public name, which the benchmark harness wraps to
+    time each one on its own."""
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("called through the public name")
+
+    def test_measure_without_colorful(self, triangle, monkeypatch):
+        monkeypatch.setattr(setfam, "colorful_check", self.refuse)
+        rep = measure_fhp_check(triangle, RationalWeights.uniform(3), 2, 0)
+        assert rep.tuple_measure == 1
+
+    def test_colorful_without_measure(self, triangle, monkeypatch):
+        monkeypatch.setattr(setfam, "measure_fhp_check", self.refuse)
+        assert colorful_check([triangle, triangle], 0).rainbow_count == 9
 
 
 def test_wfhp_counting_bound_formula():

@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy import isprime
 
 from fhplab._jsonutil import to_json
 from fhplab.sqfint import (
+    PSAT_CAP,
+    _cond_holds,
     _sieve_outside_pm,
     DensityCertificate,
     GSystem,
@@ -16,7 +19,6 @@ from fhplab.sqfint import (
     density_certificate,
     dickson_admissible,
     in_Pm,
-    in_Upl,
     p_satisfiable,
     shift_system,
     solution_family,
@@ -28,6 +30,31 @@ from fhplab.sqfint import (
 
 def sf_is_squarefree(a):
     return a != 0 and all(e < 2 for e in sympy.factorint(abs(a)).values())
+
+
+def in_Upl(a: int, p: int, l: int) -> bool:
+    """a in U_{p,l}  <=>  v_p(a) >= l.  Levels l <= 0 hold vacuously."""
+    if not isprime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if l <= 0:
+        return True
+    return a % p**l == 0
+
+
+def holds_at(sys_: GSystem, x: int) -> bool:
+    """Direct evaluation of the system at a single integer."""
+    f = sys_.formula
+    k, m = f.lead_k, f.modulus_m
+    for ci in sys_.c:
+        if not in_Pm(k * x + ci, m):
+            return False
+    for cj in sys_.c_prime:
+        if in_Pm(k * x + cj, m):
+            return False
+    assign = sys_.assignment(x)
+    return all(
+        _cond_holds(cond, p, assign) for p, cond in f.p_conditions.items()
+    )
 
 
 def notinU(coeffs, const=0, level=1):
@@ -115,7 +142,7 @@ class TestLinearForm:
                 lead_k=1, modulus_m=1, positive_slots=1,
                 p_conditions={p: notinU({"x": 2, "z0": -1}, 5)},
             )
-            assert GSystem(f, (4,), ()).holds_at(3) is holds
+            assert holds_at(GSystem(f, (4,), ()), 3) is holds
 
     def test_zero_coeffs_dropped(self):
         f = SpecialFormula(
@@ -237,8 +264,8 @@ class TestFormulaAndSystem:
     def test_holds_at_direct(self):
         sys_ = shift_system([0, 2])
         # 13 and 15 square-free; 48/50 not
-        assert sys_.holds_at(13)
-        assert not sys_.holds_at(48)
+        assert holds_at(sys_, 13)
+        assert not holds_at(sys_, 48)
 
     def test_length_mismatch_rejected(self):
         f = SpecialFormula(
@@ -321,6 +348,25 @@ class TestPSatisfiable:
         sat, _ = p_satisfiable(sys_, 2)
         assert not sat
 
+    @pytest.mark.parametrize("p, level, refused", [
+        (2, 20, False), (2, 21, True), (1021, 2, False), (1031, 2, True),
+        (3, 10**8, True),
+    ])
+    def test_residue_cap(self, p, level, refused):
+        # 2^20 = PSAT_CAP; 1021^2 is just below it and 1031^2 just above.
+        # The witness is residue 0, so an admitted scan ends at once.
+        f = SpecialFormula(
+            lead_k=1, modulus_m=1, positive_slots=0,
+            p_conditions={p: notinU({"x": 1}, 1, level)},
+        )
+        if refused:
+            with pytest.raises(ValueError, match=rf"^p\^L = {p}\^{level} residues "
+                               rf"exceed PSAT_CAP {PSAT_CAP}$"):
+                p_satisfiable(GSystem(f), p)
+        else:
+            assert p**level <= PSAT_CAP
+            assert p_satisfiable(GSystem(f), p) == (True, (0, p**level))
+
 
 class TestWindowCount:
     def test_squarefree_1000(self):
@@ -337,7 +383,7 @@ class TestWindowCount:
             shifts = sorted(rng.sample(range(0, 30), rng.randint(1, 3)))
             sys_ = shift_system(shifts, m=rng.choice([1, 1, 2]))
             t = 400
-            direct = sum(1 for x in range(1, t) if sys_.holds_at(x))
+            direct = sum(1 for x in range(1, t) if holds_at(sys_, x))
             assert count_solutions_window(sys_, t) == direct
 
     @pytest.mark.parametrize("m", [12, 75, 72])

@@ -9,11 +9,10 @@ from fhplab.vc import (
     EXHAUSTIVE_LIMIT,
     density_fit,
     dual_shatter,
-    is_shattered,
     vc_dimension,
 )
 
-from conftest import interval_family, random_family
+from conftest import interval_family, is_shattered, random_family
 
 
 def powerset_family(m):
