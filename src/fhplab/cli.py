@@ -26,7 +26,7 @@ from typing import Optional
 from . import __version__
 from ._jsonutil import SCHEMA_VERSION, to_json
 # Each handler imports the modules it runs, so a command loads only what it
-# uses; numpy loads only where a formula is evaluated or a field is built.
+# uses; numpy loads only where a formula is evaluated.
 from . import setfam
 
 

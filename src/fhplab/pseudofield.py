@@ -41,38 +41,25 @@ FIT_BITS_CAP = 10000
 
 
 class FieldStructure:
-    """F_p with explicit +, *, - and neg tables, axioms re-verified at construction.
+    """F_p with explicit +, *, - and neg tables, axioms verified when first built.
 
     Use FieldStructure.for_prime(p); instances are cached per p.  The
-    tables are uint8 arrays over F_p = {0, ..., p-1}, which is also the
-    universe's index order, so elements are their own indices.
+    constructor only checks that p is a prime within FIELD_CAP.  tables()
+    builds uint8 arrays over F_p = {0, ..., p-1}, which is also the
+    universe's index order, so elements are their own indices; it verifies
+    the field axioms on them once, on first call.  Work that evaluates no
+    formula, such as line_family, never builds them or loads numpy.
     """
 
-    __slots__ = ("p", "add_table", "mul_table", "_tables")
+    __slots__ = ("p", "_tables")
 
     def __init__(self, p: int):
         if not isprime(p):
             raise ValueError(f"p = {p} is not prime")
         if p > FIELD_CAP:
             raise ValueError(f"p = {p} exceeds the field cap {FIELD_CAP}")
-        import numpy as np  # only field tables need it, not dim_meas_fit
-
         self.p = p
-        r = np.arange(p)
-        add = (r[:, None] + r[None, :]) % p
-        mul = (r[:, None] * r[None, :]) % p
-        _verify_field_axioms(p, add, mul)
-        self.add_table = add.astype(np.uint8)
-        self.mul_table = mul.astype(np.uint8)
-        sub = ((r[:, None] - r[None, :]) % p).astype(np.uint8)
-        neg = ((-r) % p).astype(np.uint8)
-        functions = {
-            "+": (2, self.add_table),
-            "*": (2, self.mul_table),
-            "-": (2, sub),
-            "neg": (1, neg),
-        }
-        self._tables = (functions, {})
+        self._tables = None
 
     @classmethod
     @lru_cache(maxsize=32)
@@ -83,14 +70,40 @@ class FieldStructure:
     def universe(self):
         return range(self.p)
 
+    @property
+    def add_table(self):
+        return self.tables()[0]["+"][1]
+
+    @property
+    def mul_table(self):
+        return self.tables()[0]["*"][1]
+
     def const_index(self, v) -> int:
-        try:
-            return int(v) % self.p
-        except (TypeError, ValueError):
-            raise ValueError(f"constant {v!r} is not an integer") from None
+        """v mod p for a Python int v; bools, floats and strings are refused."""
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ValueError(f"constant {v!r} is not an integer")
+        return v % self.p
 
     def tables(self):
-        """(functions, relations) for the formula evaluator; F_p has no relations."""
+        """(functions, relations) for the formula evaluator; F_p has no relations.
+
+        Built and axiom-checked on first call, then kept.
+        """
+        if self._tables is None:
+            import numpy as np  # only the formula evaluator needs these
+
+            p = self.p
+            r = np.arange(p)
+            add = (r[:, None] + r[None, :]) % p
+            mul = (r[:, None] * r[None, :]) % p
+            _verify_field_axioms(p, add, mul)
+            functions = {
+                "+": (2, add.astype(np.uint8)),
+                "*": (2, mul.astype(np.uint8)),
+                "-": (2, ((r[:, None] - r[None, :]) % p).astype(np.uint8)),
+                "neg": (1, ((-r) % p).astype(np.uint8)),
+            }
+            self._tables = (functions, {})
         return self._tables
 
 
@@ -159,9 +172,25 @@ def definable_family(
 
 
 def line_family(field: FieldStructure) -> SetFamily:
-    """All q^2 non-vertical lines x1 = a*x0 + b over F_q^2, labeled by (a,b)."""
-    phi = ["=", ["var", 1], ["+", ["*", ["var", 2], ["var", 0]], ["var", 3]]]
-    return definable_family(field, phi, 2, ["true"], 2)
+    """All q^2 non-vertical lines x1 = a*x0 + b over F_q^2, labeled by (a,b).
+
+    The family definable_family builds from phi = (x1 = y0*x0 + y1) over
+    all (y0, y1), written as masks without evaluating phi.  Point (x0, x1)
+    is bit x0*q + x1, so a line holds one bit in each q-bit block x0: at
+    b = 0 bit a*x0 mod q, and each next b rotates every block up by one.
+    """
+    q = field.p
+    check_ground_size(q * q)
+    top = sum(1 << (x0 * q + q - 1) for x0 in range(q))
+    rest = ((1 << q * q) - 1) ^ top
+    masks = []
+    for a in range(q):
+        m = sum(1 << (x0 * q + a * x0 % q) for x0 in range(q))
+        for _ in range(q):
+            masks.append(m)
+            m = ((m & rest) << 1) | ((m & top) >> (q - 1))
+    labels = [f"b={(a, b)}" for a in range(q) for b in range(q)]
+    return SetFamily.from_masks(q * q, masks, labels)
 
 
 @dataclass(frozen=True)

@@ -603,6 +603,21 @@ def test_malformed_formula_is_input_error(command, phi, tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("const", [1.5, True, "3"], ids=json.dumps)
+def test_ff_custom_non_integer_constant_is_input_error(const, tmp_path, capsys):
+    phi_path = tmp_path / "phi.json"
+    phi_path.write_text(json.dumps(["=", ["var", 0], ["const", const]]))
+    psi_path = tmp_path / "psi.json"
+    psi_path.write_text(json.dumps(["true"]))
+    argv = ["ff", "custom", "--p", "5", "--phi", str(phi_path), "--x-arity", "1",
+            "--psi", str(psi_path), "--y-arity", "1", "--k", "2", "--alpha", "1/2"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: constant {const!r} is not an integer\n"
+
+
 HUGE_LEVEL_FORMULA = {
     "lead_k": 1, "modulus_m": 1, "positive_slots": 0,
     "p_conditions": {"3": {

@@ -43,7 +43,8 @@ README_COMMANDS = [
 ]
 # command prefixes that never build a numpy array
 NUMPY_FREE = (
-    "construct", "analyze", "lp", "sqf", "vc", "ff fit", "count-types --family"
+    "construct", "analyze", "lp", "sqf", "vc", "ff fit", "ff lines",
+    "count-types --family",
 )
 # each handler imports only the library modules it runs
 LIBRARY = {
@@ -117,8 +118,31 @@ def test_bare_cli_import_is_light():
      "fhplab.pseudofield"],
 )
 def test_formula_modules_import_without_numpy(module):
-    # numpy loads only when a formula is evaluated or a field is built;
-    # sqfint and vc never load it
+    # numpy loads only when a formula is evaluated, not when a field is
+    # built; sqfint and vc never load it
     modules = loaded_modules([module], driver=IMPORT_DRIVER)
     assert module in modules
     assert "numpy" not in modules
+
+
+# builds F_61 and its lines, then asks for the field's tables
+FIELD_DRIVER = """
+import json, sys
+from fhplab.pseudofield import FieldStructure, line_family
+field = FieldStructure.for_prime(61)
+assert line_family(field).n == 61 * 61
+before = "numpy" in sys.modules
+field.tables()
+print(json.dumps([before, "numpy" in sys.modules]))
+"""
+
+
+def test_field_tables_load_numpy_on_first_use():
+    proc = subprocess.run(
+        [sys.executable, "-c", FIELD_DRIVER],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+    )
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert json.loads(proc.stdout) == [False, True]

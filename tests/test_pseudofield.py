@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from fhplab import pseudofield
+from fhplab._primes import primerange
 from fhplab.pseudofield import (
     ARITY_CAP,
     FIELD_CAP,
@@ -47,6 +49,30 @@ class TestFieldStructure:
         for a, b in itertools.product(range(7), repeat=2):
             assert f.add_table[a][b] == (a + b) % 7
             assert f.mul_table[a][b] == (a * b) % 7
+
+    def test_const_index_takes_only_ints(self):
+        f = FieldStructure.for_prime(7)
+        assert [f.const_index(v) for v in (3, -1, 7, 10**30)] == [3, 6, 0, 10**30 % 7]
+        for v in (1.5, 3.0, True, False, "3", None, [1]):
+            with pytest.raises(ValueError, match="is not an integer"):
+                f.const_index(v)
+
+    def test_tables_built_once(self):
+        f = FieldStructure(11)
+        assert f.tables() is f.tables()
+        assert f.add_table is f.tables()[0]["+"][1]
+
+    def test_tables_verified_on_first_use_only(self, monkeypatch):
+        def refuse(p, add, mul):
+            raise ArithmeticError(f"field axiom verification failed for p={p}")
+
+        monkeypatch.setattr(pseudofield, "_verify_field_axioms", refuse)
+        f = FieldStructure(13)
+        assert line_family(f).n == 169
+        with pytest.raises(ArithmeticError):
+            definable_family(f, LINE_PHI, 2, ["true"], 2)
+        with pytest.raises(ArithmeticError):
+            f.tables()
 
 
 def holds(field, formula, point):
@@ -198,6 +224,16 @@ class TestAgainstWalker:
 
 
 class TestLineFamily:
+    @pytest.mark.parametrize("p", list(primerange(2, FIELD_CAP + 1)))
+    def test_equals_the_evaluator(self, p):
+        # definable_family is line_family's oracle
+        field = FieldStructure.for_prime(p)
+        fam = line_family(field)
+        want = definable_family(field, LINE_PHI, 2, ["true"], 2)
+        assert fam.masks == want.masks
+        assert fam.labels == want.labels
+        assert fam.ground_size == want.ground_size == p * p
+
     @pytest.mark.parametrize("q", [5, 11])
     def test_counts(self, q):
         fam = line_family(FieldStructure.for_prime(q))
