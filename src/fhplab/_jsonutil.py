@@ -5,19 +5,20 @@
 - a `Fraction` becomes `{"num": numerator, "den": denominator}`, so a
   rational is never rounded;
 - a set or frozenset becomes a sorted list;
-- a tuple or list becomes a list (one of plain ints is copied whole);
 - a dict gets string keys and keeps its own order;
-- a dataclass becomes `"schema"` followed by its fields in declaration
-  order.  A type whose JSON differs from its fields defines
-  `to_json_dict()`, which returns the shape with raw values; `to_json`
-  then encodes those values in turn;
+- a type whose JSON differs from its fields defines `to_json_dict()`,
+  which returns the shape with raw values; `to_json` then encodes those
+  values in turn;
+- a type with `_fields` (a `NamedTuple`, or a plain class that names its
+  fields) becomes `"schema"` followed by those fields in order; this rule
+  comes before the tuple rule, so such a value is never a list;
+- a tuple or list becomes a list (one of plain ints is copied whole);
 - anything else (int, str, bool, None) is kept as it is.
 
 Report types build their values in a deterministic order, so one report
 always encodes to the same bytes.
 """
 
-import dataclasses
 from fractions import Fraction
 
 SCHEMA_VERSION = 1
@@ -33,18 +34,19 @@ def to_json(value):
         return rat_to_json(value)
     if isinstance(value, (set, frozenset)):
         return [to_json(v) for v in sorted(value)]
-    if isinstance(value, (tuple, list)):
-        if all(type(v) is int for v in value):
-            return list(value)
-        return [to_json(v) for v in value]
     if isinstance(value, dict):
         return {str(k): to_json(v) for k, v in value.items()}
     shape = getattr(value, "to_json_dict", None)
     if shape is not None:
         return to_json(shape())
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+    names = getattr(value, "_fields", None)
+    if names is not None and not isinstance(value, type):
         out = {"schema": SCHEMA_VERSION}
-        for f in dataclasses.fields(value):
-            out[f.name] = to_json(getattr(value, f.name))
+        for name in names:
+            out[name] = to_json(getattr(value, name))
         return out
+    if isinstance(value, (tuple, list)):
+        if all(type(v) is int for v in value):
+            return list(value)
+        return [to_json(v) for v in value]
     return value

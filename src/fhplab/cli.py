@@ -26,7 +26,8 @@ from typing import Optional
 from . import __version__
 from ._jsonutil import SCHEMA_VERSION, to_json
 # Each handler imports the modules it runs, so a command loads only what it
-# uses; numpy loads only where a formula is evaluated.
+# uses; numpy loads only where a formula is evaluated.  The parser is built
+# per command: build_parser adds the arguments of the invoked one only.
 from . import setfam
 
 
@@ -535,127 +536,122 @@ def _add_common(parser: argparse.ArgumentParser):
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fhplab",
-        description="Exact intersection-pattern analytics for finite set families",
-    )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="intersection statistics of a family")
+def _analyze_args(p):
     p.add_argument("--family", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--pk", type=int, default=None, help="also check the (PK, k)-property")
-    _add_common(p)
 
-    p = sub.add_parser("lp", help="intersection number and fractional transversal")
+
+def _lp_args(p):
     p.add_argument("--family", required=True)
     p.add_argument("--integer-cap", type=int, default=None, dest="integer_cap")
-    _add_common(p)
 
-    p = sub.add_parser("vc", help="VC dimension and dual shatter growth")
+
+def _vc_args(p):
     p.add_argument("--family", required=True)
     p.add_argument("--cap", type=int, default=6)
     p.add_argument("--dual-sizes", default=None, dest="dual_sizes")
-    _add_common(p)
 
-    p = sub.add_parser("construct", help="emit a generated family")
-    ps = p.add_subparsers(dest="construction", required=True)
-    b = ps.add_parser("block")
-    b.add_argument("--k", type=int, required=True)
-    b.add_argument("--r", type=int, required=True)
-    b.add_argument("--m", type=int, required=True)
-    b.add_argument("--alpha", default="1/2")
-    b.add_argument("--gamma", default="1")
-    b.add_argument("--pprime", type=int, default=4)
-    b.add_argument("--kprime", type=int, default=2)
-    b.add_argument("--verify", action="store_true")
-    _add_common(b)
-    t = ps.add_parser("tp2")
-    t.add_argument("--k", type=int, required=True)
-    t.add_argument("--m", type=int, required=True)
-    t.add_argument("--d", type=int, default=2)
-    t.add_argument("--verify", action="store_true")
-    _add_common(t)
-    c = ps.add_parser("cross")
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--verify", action="store_true")
-    _add_common(c)
-    ca = ps.add_parser("caps")
-    ca.add_argument("--w", type=int, required=True)
-    ca.add_argument("--depth", type=int, required=True)
-    ca.add_argument("--verify", action="store_true")
-    _add_common(ca)
-    sh = ps.add_parser("shattered")
-    sh.add_argument("--m", type=int, required=True)
-    sh.add_argument("--verify", action="store_true")
-    _add_common(sh)
-    fu = ps.add_parser("furedi")
-    fu.add_argument("--family", required=True)
-    fu.add_argument("--trials", type=int, default=10000)
-    _add_common(fu)
 
-    p = sub.add_parser("sqf", help="square-free arithmetic systems")
-    ps = p.add_subparsers(dest="action", required=True)
-    co = ps.add_parser("count")
-    co.add_argument("--shifts", default=None, help="comma list, e.g. 0,2,6")
-    co.add_argument("--modulus", type=int, default=1)
-    co.add_argument("--system", default=None, help="GSystem JSON path")
-    co.add_argument("--window", type=int, required=True)
-    co.add_argument("--tail-prime", type=int, default=None, dest="tail_prime")
-    _add_common(co)
-    pa = ps.add_parser("psat")
-    pa.add_argument("--shifts", default=None)
-    pa.add_argument("--modulus", type=int, default=1)
-    pa.add_argument("--system", default=None)
-    pa.add_argument("--p", type=int, required=True)
-    _add_common(pa)
-    de = ps.add_parser("density")
-    de.add_argument("--formula", required=True, help="SpecialFormula JSON path")
-    de.add_argument("--tail-prime", type=int, required=True, dest="tail_prime")
-    de.add_argument("--constants", default=None)
-    _add_common(de)
-    di = ps.add_parser("dickson")
-    di.add_argument("--forms", required=True, help="a,b pairs joined by ';'")
-    di.add_argument("--prime-bound", type=int, default=None, dest="prime_bound")
-    _add_common(di)
-    ex = ps.add_parser("experiment")
-    ex.add_argument("--formula", required=True)
-    ex.add_argument("--params", required=True, help="constant lists joined by ';'")
-    ex.add_argument("--k", type=int, required=True)
-    ex.add_argument("--alpha", required=True)
-    ex.add_argument("--window", type=int, required=True)
-    _add_common(ex)
+def _block_args(p):
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--alpha", default="1/2")
+    p.add_argument("--gamma", default="1")
+    p.add_argument("--pprime", type=int, default=4)
+    p.add_argument("--kprime", type=int, default=2)
+    p.add_argument("--verify", action="store_true")
 
-    p = sub.add_parser("ff", help="definable families over small prime fields")
-    ps = p.add_subparsers(dest="action", required=True)
-    li = ps.add_parser("lines")
-    li.add_argument("--p", type=int, required=True)
-    li.add_argument("--k", type=int, default=2)
-    li.add_argument("--alpha", default="1/2")
-    _add_common(li)
-    cu = ps.add_parser("custom")
-    cu.add_argument("--p", type=int, required=True)
-    cu.add_argument("--phi", required=True)
-    cu.add_argument("--x-arity", type=int, required=True, dest="x_arity")
-    cu.add_argument("--psi", required=True)
-    cu.add_argument("--y-arity", type=int, required=True, dest="y_arity")
-    cu.add_argument("--e", default=None)
-    cu.add_argument("--k", type=int, required=True)
-    cu.add_argument("--alpha", required=True)
-    _add_common(cu)
-    fi = ps.add_parser("fit")
-    fi.add_argument("--count", type=int, required=True)
-    fi.add_argument("--q", type=int, required=True)
-    fi.add_argument("--n", type=int, required=True)
-    fi.add_argument("--C", default="1")
-    _add_common(fi)
 
-    p = sub.add_parser("count-types", help="positive type counting")
+def _tp2_args(p):
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--verify", action="store_true")
+
+
+def _cross_args(p):
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--verify", action="store_true")
+
+
+def _caps_args(p):
+    p.add_argument("--w", type=int, required=True)
+    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--verify", action="store_true")
+
+
+def _shattered_args(p):
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--verify", action="store_true")
+
+
+def _furedi_args(p):
+    p.add_argument("--family", required=True)
+    p.add_argument("--trials", type=int, default=10000)
+
+
+def _sqf_count_args(p):
+    p.add_argument("--shifts", default=None, help="comma list, e.g. 0,2,6")
+    p.add_argument("--modulus", type=int, default=1)
+    p.add_argument("--system", default=None, help="GSystem JSON path")
+    p.add_argument("--window", type=int, required=True)
+    p.add_argument("--tail-prime", type=int, default=None, dest="tail_prime")
+
+
+def _sqf_psat_args(p):
+    p.add_argument("--shifts", default=None)
+    p.add_argument("--modulus", type=int, default=1)
+    p.add_argument("--system", default=None)
+    p.add_argument("--p", type=int, required=True)
+
+
+def _sqf_density_args(p):
+    p.add_argument("--formula", required=True, help="SpecialFormula JSON path")
+    p.add_argument("--tail-prime", type=int, required=True, dest="tail_prime")
+    p.add_argument("--constants", default=None)
+
+
+def _sqf_dickson_args(p):
+    p.add_argument("--forms", required=True, help="a,b pairs joined by ';'")
+    p.add_argument("--prime-bound", type=int, default=None, dest="prime_bound")
+
+
+def _sqf_experiment_args(p):
+    p.add_argument("--formula", required=True)
+    p.add_argument("--params", required=True, help="constant lists joined by ';'")
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--alpha", required=True)
+    p.add_argument("--window", type=int, required=True)
+
+
+def _ff_lines_args(p):
+    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--alpha", default="1/2")
+
+
+def _ff_custom_args(p):
+    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--phi", required=True)
+    p.add_argument("--x-arity", type=int, required=True, dest="x_arity")
+    p.add_argument("--psi", required=True)
+    p.add_argument("--y-arity", type=int, required=True, dest="y_arity")
+    p.add_argument("--e", default=None)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--alpha", required=True)
+
+
+def _ff_fit_args(p):
+    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--C", default="1")
+
+
+def _count_types_args(p):
     p.add_argument("--family", default=None, help="encode a family as a structure")
     p.add_argument("--structure", default=None, help="FiniteStructure JSON path")
     p.add_argument("--phi", default=None, help="formula JSON (structure mode)")
@@ -673,13 +669,74 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples", type=int, default=None,
         help="parameter sets drawn in sampled mode (default typecount.DEFAULT_SAMPLES)",
     )
-    _add_common(p)
 
+
+# command -> (help, argument adder); a command with actions has
+# (dest, {action: argument adder}) in place of its adder
+_COMMANDS = {
+    "analyze": ("intersection statistics of a family", _analyze_args),
+    "lp": ("intersection number and fractional transversal", _lp_args),
+    "vc": ("VC dimension and dual shatter growth", _vc_args),
+    "construct": ("emit a generated family", ("construction", {
+        "block": _block_args,
+        "tp2": _tp2_args,
+        "cross": _cross_args,
+        "caps": _caps_args,
+        "shattered": _shattered_args,
+        "furedi": _furedi_args,
+    })),
+    "sqf": ("square-free arithmetic systems", ("action", {
+        "count": _sqf_count_args,
+        "psat": _sqf_psat_args,
+        "density": _sqf_density_args,
+        "dickson": _sqf_dickson_args,
+        "experiment": _sqf_experiment_args,
+    })),
+    "ff": ("definable families over small prime fields", ("action", {
+        "lines": _ff_lines_args,
+        "custom": _ff_custom_args,
+        "fit": _ff_fit_args,
+    })),
+    "count-types": ("positive type counting", _count_types_args),
+}
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for argv: every command name, and the arguments of argv's
+    command only.
+
+    The top level takes no option but -h and --version, so argv[0] names
+    the command when there is one, and argv[1] its action.
+    """
+    parser = argparse.ArgumentParser(
+        prog="fhplab",
+        description="Exact intersection-pattern analytics for finite set families",
+    )
+    parser.add_argument(
+        "--version", action="version", version=f"%(prog)s {__version__}"
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, args) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if argv[:1] != [name]:
+            continue
+        if callable(args):
+            args(p)
+            _add_common(p)
+            continue
+        dest, actions = args
+        ps = p.add_subparsers(dest=dest, required=True)
+        for action, adder in actions.items():
+            a = ps.add_parser(action)
+            if argv[1:2] == [action]:
+                adder(a)
+                _add_common(a)
     return parser
 
 
 def main(argv=None) -> int:
-    return run(build_parser().parse_args(argv))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    return run(build_parser(argv).parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -25,7 +24,6 @@ from ._backend import elements
 from .setfam import SetFamily, capped_power, check_ground_size
 
 
-@dataclass(frozen=True)
 class BlockParams:
     """Parameters for the block family: r blocks of m sets, tuple width k.
 
@@ -34,41 +32,42 @@ class BlockParams:
     large enough to contain p_prime sets from one block.
     """
 
-    k: int
-    alpha: Fraction
-    gamma: Fraction
-    p_prime: int
-    k_prime: int
-    r: int
-    m: int
+    __slots__ = ("k", "alpha", "gamma", "p_prime", "k_prime", "r", "m")
 
-    def __post_init__(self):
-        if self.k < 2:
+    def __init__(
+        self, k: int, alpha, gamma, p_prime: int, k_prime: int, r: int, m: int
+    ):
+        if k < 2:
             raise ValueError("k must be >= 2")
-        alpha = Fraction(self.alpha)
-        gamma = Fraction(self.gamma)
+        alpha = Fraction(alpha)
+        gamma = Fraction(gamma)
         if not 0 < alpha < 1:
             raise ValueError("alpha must lie in (0,1)")
         if not 0 < gamma <= 1:
             raise ValueError("gamma must lie in (0,1]")
-        if self.k_prime < 2 or self.p_prime < self.k_prime:
+        if k_prime < 2 or p_prime < k_prime:
             raise ValueError("need p_prime >= k_prime >= 2")
-        if self.r < self.k:
+        if r < k:
             raise ValueError("r must be >= k")
-        m_floor = math.ceil(Fraction(self.p_prime) / gamma)
-        if self.m < m_floor:
+        m_floor = math.ceil(Fraction(p_prime) / gamma)
+        if m < m_floor:
             raise ValueError(f"m must be >= ceil(p_prime/gamma) = {m_floor}")
         # m^k ground points per block tuple: bounds k before the product
-        capped_power(self.m, self.k)
+        capped_power(m, k)
         prod = Fraction(1)
-        for j in range(self.k):
-            prod *= 1 - Fraction(j, self.r)
+        for j in range(k):
+            prod *= 1 - Fraction(j, r)
         if not prod > alpha:
             raise ValueError(
-                f"r={self.r} too small: prod_(j<k)(1-j/r) is not > alpha = {alpha}"
+                f"r={r} too small: prod_(j<k)(1-j/r) is not > alpha = {alpha}"
             )
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "gamma", gamma)
+        self.k = k
+        self.alpha = alpha
+        self.gamma = gamma
+        self.p_prime = p_prime
+        self.k_prime = k_prime
+        self.r = r
+        self.m = m
 
 
 def _digit_mask(base: int, ndigits: int, stride: int, values) -> int:

@@ -28,28 +28,29 @@ call builds its own dicts and Fractions from them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from ._backend import elements
 from ._jsonutil import SCHEMA_VERSION
 from .setfam import SetFamily
 
 
-@dataclass(frozen=True)
 class LpProblem:
     """max objective . x subject to rows . x <= rhs, x >= 0.
 
     All entries are integers and every rhs is >= 0.
     """
 
-    objective: Sequence[int]
-    rows: Sequence[Sequence[int]]
-    rhs: Sequence[int]
+    __slots__ = ("objective", "rows", "rhs")
 
-    def __post_init__(self):
-        c, A, b = self.objective, self.rows, self.rhs
+    def __init__(
+        self,
+        objective: Sequence[int],
+        rows: Sequence[Sequence[int]],
+        rhs: Sequence[int],
+    ):
+        c, A, b = objective, rows, rhs
         if not c:
             raise ValueError("need at least one variable")
         if len(A) != len(b) or any(len(row) != len(c) for row in A):
@@ -58,10 +59,12 @@ class LpProblem:
             raise ValueError("LP entries must be integers")
         if any(v < 0 for v in b):
             raise ValueError("rhs must be >= 0")
+        self.objective = objective
+        self.rows = rows
+        self.rhs = rhs
 
 
-@dataclass(frozen=True)
-class LpSolution:
+class LpSolution(NamedTuple):
     """status is 'optimal' or 'unbounded'.
 
     When optimal: value is exact, primal is the variable vector, and dual is
@@ -75,8 +78,7 @@ class LpSolution:
     dual: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
-class TransversalResult:
+class TransversalResult(NamedTuple):
     tau_star: Optional[Fraction]
     weights: dict
     status: str = "optimal"

@@ -10,10 +10,9 @@ exactly.  Everything is exhaustive; the caps keep that honest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ._primes import isprime
 from .formulas import evaluate_formula
@@ -193,8 +192,7 @@ def line_family(field: FieldStructure) -> SetFamily:
     return SetFamily.from_masks(q * q, masks, labels)
 
 
-@dataclass(frozen=True)
-class DimMeasFit:
+class DimMeasFit(NamedTuple):
     """count ~ mu * q^d with residual |count - mu*q^d| <= C*q^(d-1/2).
 
     ok is False when no (d, mu) within the caps meets the residual bound
@@ -292,8 +290,7 @@ def dim_meas_fit(count: int, q: int, n: int, C=1) -> DimMeasFit:
     return DimMeasFit(d=d, mu=mu, residual=resid, ok=False, ambiguous=False)
 
 
-@dataclass(frozen=True)
-class FfReport:
+class FfReport(NamedTuple):
     """FHP statistics of a definable family, stamped with the field size."""
 
     q: int
@@ -322,8 +319,7 @@ def ff_fhp_experiment(
     )
 
 
-@dataclass(frozen=True)
-class ColorfulFfReport:
+class ColorfulFfReport(NamedTuple):
     q: int
     alpha: Fraction
     colorful: ColorfulReport

@@ -24,7 +24,6 @@ per family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb, lcm
@@ -65,7 +64,6 @@ def _pack(idx: int, members, ground_size: int) -> int:
     return backend.from_flags(flags)
 
 
-@dataclass(frozen=True, init=False, repr=False)
 class SetFamily:
     """Ordered family of subsets of {0..ground_size-1}, repeats allowed.
 
@@ -76,10 +74,6 @@ class SetFamily:
     `empty_members`; one empty member makes every index subset through it
     inconsistent.
     """
-
-    ground_size: int
-    masks: tuple
-    labels: Optional[tuple]
 
     def __init__(self, ground_size: int, members=(), labels=None):
         # _store checks ground_size before it draws the first packed member
@@ -103,9 +97,19 @@ class SetFamily:
             labels = tuple(labels)
             if len(labels) != len(masks):
                 raise ValueError("labels length must match number of members")
-        object.__setattr__(self, "ground_size", ground_size)
-        object.__setattr__(self, "masks", masks)
-        object.__setattr__(self, "labels", labels)
+        self.ground_size = ground_size
+        self.masks = masks
+        self.labels = labels
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ground_size, self.masks, self.labels) == (
+            other.ground_size, other.masks, other.labels
+        )
+
+    def __hash__(self):
+        return hash((self.ground_size, self.masks, self.labels))
 
     def __repr__(self) -> str:  # hex: decimal str() refuses ints past 4300 digits
         masks = ", ".join(map(hex, self.masks))
@@ -164,15 +168,14 @@ class SetFamily:
         return cls(ground_size=ground, members=sets, labels=labels)
 
 
-@dataclass(frozen=True)
 class RationalWeights:
     """Finitely supported probability weights over member indices."""
 
-    weights: dict
+    __slots__ = ("weights",)
 
-    def __post_init__(self):
+    def __init__(self, weights: dict):
         clean = {}
-        for idx, w in dict(self.weights).items():
+        for idx, w in dict(weights).items():
             if not isinstance(idx, int) or idx < 0:
                 raise ValueError(f"weight index {idx!r} is not a member index")
             w = Fraction(w)
@@ -182,7 +185,7 @@ class RationalWeights:
                 clean[idx] = w
         if sum(clean.values(), Fraction(0)) != 1:
             raise ValueError("weights must sum to exactly 1")
-        object.__setattr__(self, "weights", clean)
+        self.weights = clean
 
     @classmethod
     def uniform(cls, n: int) -> "RationalWeights":
@@ -191,19 +194,18 @@ class RationalWeights:
         return cls({i: Fraction(1, n) for i in range(n)})
 
 
-@dataclass(frozen=True)
 class ConsReport:
     """How many k-element index subsets have intersecting members."""
 
-    k: int
-    cons_count: int
-    total: int
-    fraction: Fraction = field(init=False)
+    __slots__ = ("k", "cons_count", "total", "fraction")
 
-    def __post_init__(self):
-        if not 0 <= self.cons_count <= self.total:
+    def __init__(self, k: int, cons_count: int, total: int):
+        if not 0 <= cons_count <= total:
             raise ValueError("cons_count outside [0, total]")
-        object.__setattr__(self, "fraction", Fraction(self.cons_count, self.total))
+        self.k = k
+        self.cons_count = cons_count
+        self.total = total
+        self.fraction = Fraction(cons_count, total)
 
     def to_json_dict(self) -> dict:
         # the one report without a schema tag
@@ -221,8 +223,7 @@ class MaxIntersecting(NamedTuple):
     indices: frozenset
 
 
-@dataclass(frozen=True)
-class FhpReport:
+class FhpReport(NamedTuple):
     """Instance-level fractional Helly report.
 
     best_beta * n is the maximum depth over ground elements, i.e. the size of
@@ -246,8 +247,7 @@ class PkResult(NamedTuple):
     counterexample: Optional[tuple]
 
 
-@dataclass(frozen=True)
-class ColorfulReport:
+class ColorfulReport(NamedTuple):
     """Rainbow-tuple intersection statistics for several families."""
 
     d: int
@@ -262,8 +262,7 @@ class ColorfulReport:
     beta_reference: Fraction
 
 
-@dataclass(frozen=True)
-class MeasureReport:
+class MeasureReport(NamedTuple):
     """Product-measure mass of consistent d-tuples plus max weighted depth."""
 
     d: int

@@ -22,10 +22,9 @@ silently leaving the validated regime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from ._backend import from_flags
 from ._jsonutil import SCHEMA_VERSION
@@ -200,7 +199,6 @@ def _cond_holds(cond: dict, p: int, assign: dict) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class SpecialFormula:
     """Shape of a constraint on x: slot memberships plus per-prime conditions.
 
@@ -208,30 +206,39 @@ class SpecialFormula:
     negative_slots counts z'_j with k*x + z'_j required outside P_m.
     p_conditions maps a prime to a condition tree (above) over the declared
     variables x, z0, z1, ..., zp0, zp1, ...; the keys end up sorted ints.
+    None stands for no conditions.
     """
 
-    lead_k: int
-    modulus_m: int
-    positive_slots: int
-    negative_slots: int = 0
-    p_conditions: dict = field(default_factory=dict)
+    _fields = ("lead_k", "modulus_m", "positive_slots", "negative_slots", "p_conditions")
+    __slots__ = _fields
 
-    def __post_init__(self):
-        for name in ("lead_k", "modulus_m", "positive_slots", "negative_slots"):
-            _read_int(getattr(self, name), name)
-        if self.lead_k == 0:
+    def __init__(
+        self,
+        lead_k: int,
+        modulus_m: int,
+        positive_slots: int,
+        negative_slots: int = 0,
+        p_conditions: Optional[dict] = None,
+    ):
+        lead_k = _read_int(lead_k, "lead_k")
+        modulus_m = _read_int(modulus_m, "modulus_m")
+        positive_slots = _read_int(positive_slots, "positive_slots")
+        negative_slots = _read_int(negative_slots, "negative_slots")
+        if lead_k == 0:
             raise ValueError("lead_k must be nonzero")
-        if self.modulus_m < 1:
+        if modulus_m < 1:
             raise ValueError("modulus_m must be >= 1")
-        if self.positive_slots < 0 or self.negative_slots < 0:
+        if positive_slots < 0 or negative_slots < 0:
             raise ValueError("slot counts must be >= 0")
         allowed = {"x"}
-        allowed.update(f"z{i}" for i in range(self.positive_slots))
-        allowed.update(f"zp{j}" for j in range(self.negative_slots))
-        if not isinstance(self.p_conditions, dict):
+        allowed.update(f"z{i}" for i in range(positive_slots))
+        allowed.update(f"zp{j}" for j in range(negative_slots))
+        if p_conditions is None:
+            p_conditions = {}
+        elif not isinstance(p_conditions, dict):
             raise ValueError("p_conditions must be an object")
         conds = {}
-        for p, cond in self.p_conditions.items():
+        for p, cond in p_conditions.items():
             # JSON object keys are strings; library callers may pass ints
             if isinstance(p, str) and p.isdecimal():
                 p = int(p)
@@ -243,7 +250,16 @@ class SpecialFormula:
                 conds[p] = _read_cond(cond, allowed)
             except ValueError as exc:
                 raise ValueError(f"condition at p={p}: {exc}") from None
-        object.__setattr__(self, "p_conditions", dict(sorted(conds.items())))
+        self.lead_k = lead_k
+        self.modulus_m = modulus_m
+        self.positive_slots = positive_slots
+        self.negative_slots = negative_slots
+        self.p_conditions = dict(sorted(conds.items()))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
 
     def theta_level(self, p: int) -> int:
         """Largest U-level referenced by the condition at p (0 if none)."""
@@ -263,23 +279,28 @@ class SpecialFormula:
         )
 
 
-@dataclass(frozen=True)
 class GSystem:
     """A special formula with concrete integers in every slot."""
 
-    formula: SpecialFormula
-    c: tuple = ()
-    c_prime: tuple = ()
+    __slots__ = ("formula", "c", "c_prime")
 
-    def __post_init__(self):
-        c = tuple(_read_int(v, "c entry") for v in self.c)
-        cp = tuple(_read_int(v, "c_prime entry") for v in self.c_prime)
-        if len(c) != self.formula.positive_slots:
+    def __init__(self, formula: SpecialFormula, c=(), c_prime=()):
+        c = tuple(_read_int(v, "c entry") for v in c)
+        cp = tuple(_read_int(v, "c_prime entry") for v in c_prime)
+        if len(c) != formula.positive_slots:
             raise ValueError("c length must equal positive_slots")
-        if len(cp) != self.formula.negative_slots:
+        if len(cp) != formula.negative_slots:
             raise ValueError("c_prime length must equal negative_slots")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "c_prime", cp)
+        self.formula = formula
+        self.c = c
+        self.c_prime = cp
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.formula, self.c, self.c_prime) == (
+            other.formula, other.c, other.c_prime
+        )
 
     @property
     def nontrivial(self) -> bool:
@@ -359,8 +380,7 @@ def _ceil_sqrt(x: int) -> int:
     return r if r * r == x else r + 1
 
 
-@dataclass(frozen=True)
-class DensityCertificate:
+class DensityCertificate(NamedTuple):
     """Computable lower-bound data for the window count of a positive system.
 
     epsilon is reported as an exact rational interval: epsilon_upper is the
@@ -432,13 +452,19 @@ def _round_outward(x: Fraction, up: bool) -> Fraction:
 
 @lru_cache(maxsize=64)
 def _truncated_product(B: int, tail: int, n: int, m: int) -> Fraction:
-    """Exact product of (1 - n/p^(2+v_p(m))) over primes B < p <= tail."""
-    prod = Fraction(1)
-    if n == 0:
-        return prod
-    for p in primerange(B + 1, tail + 1):
-        prod *= 1 - Fraction(n, p ** (2 + vp(m, p)))
-    return prod
+    """Exact product of (1 - n/p^(2+v_p(m))) over primes B < p <= tail.
+
+    Each factor is (q - n)/q with q = p^(2+v_p(m)); the numerators and
+    the denominators are multiplied as integers and reduced once.
+    """
+    num = den = 1
+    if n:
+        fm = factorint(m)
+        for p in primerange(B + 1, tail + 1):
+            q = p ** (2 + fm.get(p, 0))
+            num *= q - n
+            den *= q
+    return Fraction(num, den)
 
 
 def default_cutoff(formula: SpecialFormula, n: int) -> int:
@@ -623,8 +649,7 @@ def solution_family(
     return SetFamily.from_masks(window, masks, [f"G[{i}]" for i in range(len(masks))])
 
 
-@dataclass(frozen=True)
-class SqfExperimentReport:
+class SqfExperimentReport(NamedTuple):
     fhp: FhpReport
     window: int
     theoretical_beta: Optional[Fraction]

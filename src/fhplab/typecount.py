@@ -17,9 +17,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from ._backend import elements
 from ._jsonutil import SCHEMA_VERSION
@@ -55,32 +54,29 @@ class TypeBlowupError(ValueError):
         self.partial_count = partial_count
 
 
-@dataclass(frozen=True)
 class FiniteStructure:
     """Universe plus named total relation/function tables.
 
     relations: name -> (arity, set of true tuples); functions: name ->
     (arity, dict tuple -> value).  Function tables must be total on the
     universe and relation rows must stay inside it; both are checked.
-    Universe elements should be orderable (ints in practice) so searches
-    can fix a deterministic order.
+    Universe elements are distinct ints, so searches can fix a
+    deterministic order and a constant names an element by its value.
     """
 
-    universe: tuple
-    relations: dict = field(default_factory=dict)
-    functions: dict = field(default_factory=dict)
-    _index: dict = field(init=False, repr=False, compare=False)
-    _tables: tuple = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("universe", "relations", "functions", "_index", "_tables")
 
-    def __post_init__(self):
-        uni = tuple(self.universe)
+    def __init__(self, universe, relations=None, functions=None):
+        uni = tuple(universe)
         if not uni:
             raise ValueError("universe must be nonempty")
+        if not all(type(v) is int for v in uni):
+            raise ValueError("universe elements must be integers")
         if len(set(uni)) != len(uni):
             raise ValueError("universe has repeated elements")
         uset = set(uni)
         rels = {}
-        for name, (arity, rows) in dict(self.relations).items():
+        for name, (arity, rows) in dict(relations or {}).items():
             _check_arity("relation", name, arity)
             rows = frozenset(tuple(r) for r in rows)
             for row in rows:
@@ -90,7 +86,7 @@ class FiniteStructure:
                     raise ValueError(f"relation {name!r}: row {row} leaves universe")
             rels[str(name)] = (int(arity), rows)
         fns = {}
-        for name, (arity, table) in dict(self.functions).items():
+        for name, (arity, table) in dict(functions or {}).items():
             table = {tuple(t): v for t, v in dict(table).items()}
             _check_arity("function", name, arity)
             if len(uni) ** arity > 10**6:
@@ -101,16 +97,21 @@ class FiniteStructure:
                 if table[args] not in uset:
                     raise ValueError(f"function {name!r}: value leaves universe")
             fns[str(name)] = (int(arity), table)
-        object.__setattr__(self, "universe", uni)
-        object.__setattr__(self, "relations", rels)
-        object.__setattr__(self, "functions", fns)
-        object.__setattr__(self, "_index", {v: i for i, v in enumerate(uni)})
+        self.universe = uni
+        self.relations = rels
+        self.functions = fns
+        self._index = {v: i for i, v in enumerate(uni)}
+        self._tables = None
 
     def const_index(self, v) -> int:
-        try:
-            return self._index[v]
-        except (KeyError, TypeError):
-            raise ValueError(f"constant {v!r} not in universe") from None
+        """The universe index of the int v.  A bool or float is refused,
+        though True and 1.0 hash like 1."""
+        if type(v) is int:
+            try:
+                return self._index[v]
+            except KeyError:
+                pass
+        raise ValueError(f"constant {v!r} not in universe")
 
     def tables(self):
         """(functions, relations) as numpy arrays over universe indices.
@@ -137,7 +138,7 @@ class FiniteStructure:
                 for row in rows:
                     cells[tuple(index[v] for v in row)] = True
                 rels[name] = (arity, cells)
-            object.__setattr__(self, "_tables", (fns, rels))
+            self._tables = (fns, rels)
         return self._tables
 
     def to_json_dict(self) -> dict:
@@ -216,7 +217,6 @@ def structure_from_family(family: SetFamily):
     return structure, phi, pool
 
 
-@dataclass(frozen=True, eq=False)
 class PositiveType:
     """A consistent set of instances phi(x, a), a in A, with its witnesses.
 
@@ -229,17 +229,20 @@ class PositiveType:
     exact and cheap.
     """
 
-    formula: object
-    x_arity: int
-    instances: frozenset
-    mask: int
-    inst_masks: dict
+    __slots__ = ("formula", "x_arity", "instances", "mask", "inst_masks")
 
-    def __post_init__(self):
-        if not self.instances:
+    def __init__(
+        self, formula, x_arity: int, instances: frozenset, mask: int, inst_masks: dict
+    ):
+        if not instances:
             raise ValueError("a positive type needs at least one instance")
-        if not self.mask:
+        if not mask:
             raise ValueError("a positive type must have a witness")
+        self.formula = formula
+        self.x_arity = x_arity
+        self.instances = instances
+        self.mask = mask
+        self.inst_masks = inst_masks
 
     @property
     def size(self) -> int:
@@ -436,8 +439,7 @@ def _max_clique(adj, seed):
     return best
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(NamedTuple):
     """Largest pairwise-m-inconsistent type family found over size-l sets.
 
     exact means: the parameter-set scan was exhaustive and every type
@@ -554,8 +556,7 @@ def f_phi(
     )
 
 
-@dataclass(frozen=True)
-class DividingReport:
+class DividingReport(NamedTuple):
     """status: 'divides' | 'none' | 'indeterminate' (budget ran out)."""
 
     status: str
@@ -718,8 +719,7 @@ def find_kddd(edges, d: int):
     return tuple(tuple(sorted(part)) for part in found)
 
 
-@dataclass(frozen=True)
-class PowerSavingReport:
+class PowerSavingReport(NamedTuple):
     """Estimated growth exponent of f_phi against the Zarankiewicz threshold.
 
     exponent_estimate is a finite-sample log-log fit, an estimate only.

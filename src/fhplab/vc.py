@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -36,8 +35,7 @@ class DualShatterResult(NamedTuple):
     seed: Optional[int]
 
 
-@dataclass(frozen=True)
-class ShatterReport:
+class ShatterReport(NamedTuple):
     """vc_exact is None when the search stopped at the cap; vc_lower always
     holds.  dual_values/density_fit are filled only when dual sizes were
     requested; density_fit is a finite-sample estimate, not a limit."""
@@ -45,7 +43,7 @@ class ShatterReport:
     vc_lower: int
     vc_exact: Optional[int]
     witness: frozenset
-    dual_values: dict = field(default_factory=dict)
+    dual_values: Optional[dict] = None
     density_fit: Optional[Fraction] = None
     dual_mode: Optional[str] = None
 

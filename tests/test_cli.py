@@ -618,6 +618,26 @@ def test_ff_custom_non_integer_constant_is_input_error(const, tmp_path, capsys):
     assert captured.err == f"error: constant {const!r} is not an integer\n"
 
 
+@pytest.mark.parametrize("const", [True, False, 1.0], ids=json.dumps)
+def test_count_types_non_integer_constant_is_input_error(const, tmp_path, capsys):
+    # True and 1.0 hash like the universe element 1, False like 0
+    phi_path = tmp_path / "phi.json"
+    phi_path.write_text(json.dumps(["=", ["var", 0], ["const", const]]))
+    structure = tmp_path / "structure.json"
+    structure.write_text(json.dumps(
+        {"universe_size": 3, "relations": {"R": {"arity": 1, "bits": "101"}}}
+    ))
+    pool = tmp_path / "pool.json"
+    pool.write_text(json.dumps([[0], [1], [2]]))
+    argv = ["count-types", "--structure", str(structure), "--phi", str(phi_path),
+            "--pool", str(pool), "--m", "1", "--k", "2", "--l", "2"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: constant {const!r} not in universe\n"
+
+
 HUGE_LEVEL_FORMULA = {
     "lead_k": 1, "modulus_m": 1, "positive_slots": 0,
     "p_conditions": {"3": {

@@ -1,8 +1,9 @@
 """Which modules each README command loads, read from sys.modules.
 
 The CLI must start without sympy on every command, without numpy on the
-commands that never evaluate a formula, and without the library modules a
-command does not run.  The checks look at module sets, not times, so they
+commands that never evaluate a formula, without `dataclasses` and the
+`inspect` it pulls in, and without the library modules a command does not
+run.  The checks look at module sets, not times, so they
 do not depend on the machine.
 """
 
@@ -46,6 +47,9 @@ NUMPY_FREE = (
     "construct", "analyze", "lp", "sqf", "vc", "ff fit", "ff lines",
     "count-types --family",
 )
+# slow standard modules no command needs: dataclasses imports inspect,
+# which imports ast, dis and tokenize
+STARTUP_FREE = ("dataclasses", "inspect")
 # each handler imports only the library modules it runs
 LIBRARY = {
     "fhplab.constructs", "fhplab.formulas", "fhplab.fraclp", "fhplab.pseudofield",
@@ -94,6 +98,7 @@ def test_readme_command_imports(command, inputs):
     modules = loaded_modules(argv)
     assert "fhplab" in modules
     assert "sympy" not in modules
+    assert not modules.intersection(STARTUP_FREE)
     if command.startswith(NUMPY_FREE):
         assert "numpy" not in modules
 
@@ -108,6 +113,7 @@ def test_construct_loads_no_lp_or_type_counting(inputs):
 def test_bare_cli_import_is_light():
     modules = loaded_modules(["--version"])
     assert "sympy" not in modules
+    assert not modules.intersection(STARTUP_FREE)
     assert "numpy" not in modules
     assert not modules & LIBRARY
 

@@ -9,25 +9,43 @@ here by a digest taken from the hand-written `to_json_dict` methods that
 
 import hashlib
 import json
-from dataclasses import dataclass
 from fractions import Fraction as F
+from typing import NamedTuple
 
 from fhplab import fraclp, pseudofield, setfam, sqfint, typecount, vc
 from fhplab._jsonutil import SCHEMA_VERSION, to_json
 
 
-@dataclass(frozen=True)
-class Plain:
+class Plain(NamedTuple):
     b: F
     a: frozenset
 
 
-@dataclass(frozen=True)
-class Shaped:
+class Ints(NamedTuple):
+    y: int
     x: int
+
+
+class Shaped:
+    """Names its fields, but its own shape wins."""
+
+    _fields = ("x",)
+
+    def __init__(self, x: int):
+        self.x = x
 
     def to_json_dict(self):
         return {"x": (self.x, F(self.x, 2))}
+
+
+class Named:
+    """A plain class encoded field by field, in the order it names."""
+
+    _fields = ("z", "y")
+
+    def __init__(self, y, z):
+        self.y = y
+        self.z = z
 
 
 def test_value_rules():
@@ -41,6 +59,8 @@ def test_value_rules():
         "a": [0, 2],
     }
     assert to_json(Shaped(3)) == {"x": [3, {"num": 3, "den": 2}]}
+    assert list(to_json(Named(F(1, 2), (4, 3)))) == ["schema", "z", "y"]
+    assert to_json(Named(F(1, 2), (4, 3)))["y"] == {"num": 1, "den": 2}
     assert to_json([True, "s", 7, None]) == [True, "s", 7, None]
 
 
@@ -51,6 +71,19 @@ def test_int_lists_copied_and_mixed_lists_encoded():
     assert to_json([1, F(1, 2)]) == [1, {"num": 1, "den": 2}]
     assert to_json([2, {5, 4}]) == [2, [4, 5]]
     assert to_json([1, True]) == [1, True]
+
+
+def test_named_tuples_encode_as_objects():
+    plain = {"schema": SCHEMA_VERSION, "b": {"num": 1, "den": 3}, "a": [0, 2]}
+    # inside a list, a NamedTuple is still an object, not a nested list
+    assert to_json([Plain(F(1, 3), frozenset({2, 0}))]) == [plain]
+    # all-int fields never take the int-list fast path
+    assert to_json(Ints(2, 1)) == {"schema": SCHEMA_VERSION, "y": 2, "x": 1}
+    assert to_json((Ints(2, 1),)) == [{"schema": SCHEMA_VERSION, "y": 2, "x": 1}]
+    # plain int tuples are still lists
+    out = to_json((2, 1))
+    assert out == [2, 1] and type(out) is list
+    assert to_json(((2, 1), (3,))) == [[2, 1], [3]]
 
 
 def _library_reports():

@@ -12,6 +12,7 @@ from fhplab.sqfint import (
     PSAT_CAP,
     _cond_holds,
     _sieve_outside_pm,
+    _truncated_product,
     DensityCertificate,
     GSystem,
     SpecialFormula,
@@ -485,7 +486,28 @@ class TestWindowCount:
         assert count_solutions_window(sys_, 20) == direct
 
 
+def truncated_product_oracle(B, tail, n, m):
+    """One Fraction factor (1 - n/p^(2+v_p(m))) per prime B < p <= tail."""
+    prod = Fraction(1)
+    if n == 0:
+        return prod
+    for p in sympy.primerange(B + 1, tail + 1):
+        prod *= 1 - Fraction(n, p ** (2 + vp(m, p)))
+    return prod
+
+
 class TestDensityCertificate:
+    def test_truncated_product_matches_fraction_loop(self):
+        rng = random.Random(20)
+        cases = [(3, 10007, 3, 1), (1, 2, 5, 1), (1, 1, 3, 1), (7, 3, 2, 1)]
+        cases += [
+            (rng.choice([1, 2, 3, 5, 7]), rng.randrange(1, 400), rng.randrange(0, 12),
+             rng.choice([1, 2, 4, 6, 12, 18, 25, 30, 49]))
+            for _ in range(200)
+        ]
+        for case in cases:
+            assert _truncated_product(*case) == truncated_product_oracle(*case), case
+
     def test_squarefree_bracket(self):
         cert = density_certificate(shift_system([0]).formula, 10**4)
         assert Fraction(30, 100) <= cert.epsilon_lower

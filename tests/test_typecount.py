@@ -62,6 +62,19 @@ class TestFiniteStructure:
         with pytest.raises(ValueError, match="not in universe"):
             s.const_index(0)
 
+    @pytest.mark.parametrize("v", [True, False, 1.0, 0.0, "1", None, (1,)])
+    def test_const_index_takes_ints_only(self, v):
+        # True and 1.0 hash like 1, so a dict lookup alone would accept them
+        s = FiniteStructure((0, 1, 2), {}, {})
+        assert [s.const_index(i) for i in (0, 1, 2)] == [0, 1, 2]
+        with pytest.raises(ValueError, match="not in universe"):
+            s.const_index(v)
+
+    @pytest.mark.parametrize("universe", [(0, True), (0, 1.5), ("a", "b")])
+    def test_universe_of_ints_only(self, universe):
+        with pytest.raises(ValueError, match="must be integers"):
+            FiniteStructure(universe, {}, {})
+
     def test_function_totality_checked(self):
         with pytest.raises(ValueError):
             FiniteStructure(
