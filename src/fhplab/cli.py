@@ -51,7 +51,7 @@ def _family_from_document(obj) -> setfam.SetFamily:
 
 def _pool_from_document(obj) -> list:
     if not isinstance(obj, list) or not all(
-        isinstance(a, list) and all(isinstance(v, int) for v in a) for a in obj
+        isinstance(a, list) and all(type(v) is int for v in a) for a in obj
     ):
         raise ValueError("parameter pool must be a list of integer lists")
     if not obj:
@@ -175,11 +175,9 @@ def _build_construction(opt):
     elif name == "caps":
         fam = constructs.build_caps_family(opt.w, opt.depth)
         meta = {"W": opt.w, "D": opt.depth}
-    elif name == "shattered":
+    else:  # shattered
         fam = constructs.build_shattered_pairs(opt.m)
         meta = {"m": opt.m}
-    else:
-        raise ValueError(f"unknown construction {name!r}")
     return fam, meta
 
 
@@ -209,10 +207,9 @@ def _verify_construction(name: str, opt, fam: setfam.SetFamily) -> bool:
         if W > 1 and any(setfam.cons_k(row, 2).cons_count for row in rows):
             return False
         return setfam.colorful_check(rows, 0).rainbow_count == W**D
-    if name == "shattered":
-        want = 2 ** (opt.m - 2)
-        return all(m.bit_count() == want for m in fam.masks)
-    return True
+    # shattered
+    want = 2 ** (opt.m - 2)
+    return all(m.bit_count() == want for m in fam.masks)
 
 
 def _handle_construct(opt):
@@ -317,21 +314,20 @@ def _handle_sqf(opt):
             "obstruction": obstruction,
         }
         return out, (0 if admissible else 1)
-    if action == "experiment":
-        formula = _read_document(opt.formula, sqfint.SpecialFormula.from_json_dict)
-        params = []
-        for chunk in opt.params.split(";"):
-            cs = _int_list(chunk)
-            s = formula.positive_slots
-            params.append((tuple(cs[:s]), tuple(cs[s:])))
-        rep = sqfint.sqf_fhp_experiment(
-            formula, params, opt.k, Fraction(opt.alpha), opt.window
-        )
-        return (
-            {"action": "experiment", "report": rep},
-            0 if rep.fhp.hypothesis_holds else 1,
-        )
-    raise ValueError(f"unknown sqf action {action!r}")
+    # experiment
+    formula = _read_document(opt.formula, sqfint.SpecialFormula.from_json_dict)
+    params = []
+    for chunk in opt.params.split(";"):
+        cs = _int_list(chunk)
+        s = formula.positive_slots
+        params.append((tuple(cs[:s]), tuple(cs[s:])))
+    rep = sqfint.sqf_fhp_experiment(
+        formula, params, opt.k, Fraction(opt.alpha), opt.window
+    )
+    return (
+        {"action": "experiment", "report": rep},
+        0 if rep.fhp.hypothesis_holds else 1,
+    )
 
 
 def _handle_ff(opt):
@@ -356,25 +352,24 @@ def _handle_ff(opt):
             {"action": "lines", "report": rep},
             0 if rep.fhp.hypothesis_holds else 1,
         )
-    if opt.action == "custom":
-        phi = _load_json(opt.phi)
-        psi = _load_json(opt.psi)
-        e = tuple(_int_list(opt.e)) if opt.e else ()
-        rep = pseudofield.ff_fhp_experiment(
-            field_,
-            phi,
-            opt.x_arity,
-            psi,
-            opt.y_arity,
-            e,
-            opt.k,
-            Fraction(opt.alpha),
-        )
-        return (
-            {"action": "custom", "report": rep},
-            0 if rep.fhp.hypothesis_holds else 1,
-        )
-    raise ValueError(f"unknown ff action {opt.action!r}")
+    # custom
+    phi = _load_json(opt.phi)
+    psi = _load_json(opt.psi)
+    e = tuple(_int_list(opt.e)) if opt.e else ()
+    rep = pseudofield.ff_fhp_experiment(
+        field_,
+        phi,
+        opt.x_arity,
+        psi,
+        opt.y_arity,
+        e,
+        opt.k,
+        Fraction(opt.alpha),
+    )
+    return (
+        {"action": "custom", "report": rep},
+        0 if rep.fhp.hypothesis_holds else 1,
+    )
 
 
 def _handle_count_types(opt):
@@ -491,10 +486,7 @@ def _emit(text: str, output: Optional[str]):
 
 def run(opt: argparse.Namespace) -> int:
     """Dispatch parsed options, emit their report, return the exit code."""
-    handler = _HANDLERS.get(opt.command)
-    if handler is None:
-        print(f"error: unknown command {opt.command!r}", file=sys.stderr)
-        return 2
+    handler = _HANDLERS[opt.command]
     started = time.monotonic()
     try:
         body, code = handler(opt)

@@ -2,11 +2,13 @@
 
 `solve_lp` solves max c . x subject to Ax <= b, x >= 0, with integer
 entries and b >= 0, from the slack basis, which is then feasible.  It
-runs a dense tableau with Bland's anti-cycling rule, kept fraction-free:
-every entry is an integer over one common denominator, the determinant
-det of the current basis, and each pivot divides exactly by the previous
-one (Bareiss 1968, Edmonds 1967).  The primal and dual certificates of
-the optimum are checked in integers at the scale det.
+runs Bland's rule on a dictionary (Chvatal 1983, ch. 2): one column per
+nonbasic variable plus the rhs, (m+1) x (n+1) integers for m rows and n
+variables, as the basic columns of a full tableau are det * e_r.  It is
+fraction-free: every entry is an integer over the determinant det of
+the current basis, and each pivot divides exactly by the previous one
+(Bareiss 1968, Edmonds 1967).  The primal and dual certificates of the
+optimum are checked in integers at the scale det.
 
 Both LP quantities of a family come from one LP over its Venn atoms a,
 the fractional matching (packing) LP, and its dual, the covering LP:
@@ -103,26 +105,21 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     An unbounded problem is reported in the status, never as an exception.
     """
     nvars = len(problem.objective)
-    m = len(problem.rows)
-    ncols = nvars + m
-    # column layout: structural | one slack per row | rhs; the last row
-    # holds det * the reduced costs, which are c at the slack basis, and
-    # -det * the objective value over the rhs column
-    tab = []
-    for i, (row, b) in enumerate(zip(problem.rows, problem.rhs)):
-        t = [*row, *[0] * m, b]
-        t[nvars + i] = 1
-        tab.append(t)
-    tab.append([*problem.objective, *[0] * (m + 1)])
-    basis = list(range(nvars, ncols))
+    # row i is basic variable basis[i]'s det * (nonbasic columns | value),
+    # the last row det * (reduced costs | -objective value); stored column j
+    # is variable cols[j]: v < nvars structural, nvars + i the slack of row i
+    tab = [[*row, b] for row, b in zip(problem.rows, problem.rhs)]
+    tab.append([*problem.objective, 0])
+    cols = list(range(nvars))
+    basis = list(range(nvars, nvars + len(problem.rhs)))
     det = 1
-    red = tab[-1]
-    # Bland's rule: the first column with positive reduced cost enters
-    while (pcol := next((j for j in range(ncols) if red[j] > 0), -1)) >= 0:
+    # Bland's rule: the least variable with positive reduced cost enters
+    while entering := [(v, j) for j, v in enumerate(cols) if tab[-1][j] > 0]:
+        pcol = min(entering)[1]
         # ratio test: least b_i / a_i over a_i > 0, cross-multiplied (all
         # entries share the denominator det), ties to the least basic index
         prow = -1
-        for i, row in enumerate(tab[:m]):
+        for i, row in enumerate(tab[:-1]):
             a, b = row[pcol], row[-1]
             if a > 0 and (
                 prow < 0 or (b * a_min, basis[i]) < (b_min * a, basis[prow])
@@ -132,7 +129,8 @@ def solve_lp(problem: LpProblem) -> LpSolution:
             return LpSolution(status="unbounded")
         # fraction-free pivot on p = a_min: every other row i becomes
         # (p*T[i][j] - T[i][pcol]*T[prow][j]) // det, an exact division
-        # (Bareiss), the pivot row is left as it is, and det becomes p
+        # (Bareiss), and det becomes p.  Column pcol turns into the leaving
+        # variable's, which was det * e_prow: the old det, and -T[i][pcol]
         row_p = tab[prow]
         for i, row in enumerate(tab):
             if i == prow:
@@ -140,18 +138,18 @@ def solve_lp(problem: LpProblem) -> LpSolution:
             f = row[pcol]
             if f:
                 tab[i] = [(a_min * a - f * b) // det for a, b in zip(row, row_p)]
+                tab[i][pcol] = -f
             elif a_min != det:
                 tab[i] = [a_min * a // det for a in row]
-        basis[prow] = pcol
+        row_p[pcol] = det
+        basis[prow], cols[pcol] = cols[pcol], basis[prow]
         det = a_min
-        red = tab[-1]
 
     # x = X / det, y = Y / det; y_i is minus the reduced cost of slack i
-    X = [0] * nvars
-    for i, bv in enumerate(basis):
-        if bv < nvars:
-            X[bv] = tab[i][-1]
-    Y = [-r for r in red[nvars:ncols]]
+    x = {v: row[-1] for v, row in zip(basis, tab)}
+    y = {v: -r for v, r in zip(cols, tab[-1])}
+    X = [x.get(v, 0) for v in range(nvars)]
+    Y = [y.get(v, 0) for v in range(nvars, nvars + len(basis))]
     _verify_certificates(problem, X, Y, det)
     return LpSolution(
         status="optimal",

@@ -54,7 +54,7 @@ def capped_power(base: int, exp: int) -> int:
 def _pack(idx: int, members, ground_size: int) -> int:
     """Member idx as a mask, each element checked against the ground."""
     for e in members:
-        if not isinstance(e, int) or not 0 <= e < ground_size:
+        if type(e) is not int or not 0 <= e < ground_size:
             raise ValueError(
                 f"set {idx}: element {e!r} outside ground range [0, {ground_size})"
             )
@@ -87,7 +87,7 @@ class SetFamily:
         return family
 
     def _store(self, ground_size, masks, labels) -> None:
-        if not isinstance(ground_size, int) or ground_size < 1:
+        if type(ground_size) is not int or ground_size < 1:
             raise ValueError("ground_size must be a positive integer")
         masks = tuple(masks)
         for idx, m in enumerate(masks):
@@ -152,7 +152,7 @@ class SetFamily:
             sets = obj["sets"]
         except KeyError as exc:
             raise ValueError(f"family document missing key {exc}") from None
-        if not isinstance(ground, int) or ground < 1:
+        if type(ground) is not int or ground < 1:
             raise ValueError("'ground' must be a positive integer")
         check_ground_size(ground)
         if not isinstance(sets, list):

@@ -39,7 +39,7 @@ DEFAULT_DIVIDING_BUDGET = 200000
 
 def _check_arity(kind: str, name, arity) -> None:
     """Refuse an arity outside 0..ARITY_CAP before |U|**arity is built."""
-    if not isinstance(arity, int) or not 0 <= arity <= ARITY_CAP:
+    if type(arity) is not int or not 0 <= arity <= ARITY_CAP:
         raise ValueError(f"{kind} {name!r}: arity {arity!r} outside 0..{ARITY_CAP}")
 
 
@@ -164,7 +164,7 @@ class FiniteStructure:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "FiniteStructure":
         size = obj["universe_size"]
-        if not isinstance(size, int) or size < 1:
+        if type(size) is not int or size < 1:
             raise ValueError("'universe_size' must be a positive integer")
         if size > X_CAP:
             # the witness space has |U|^x_arity >= |U| tuples: never searchable

@@ -1,4 +1,5 @@
-"""i(F) and tau* each from its own LP, solved by scipy's HiGHS, certified exactly.
+"""Oracles for `fhplab.fraclp`: i(F) and tau* each from its own LP, solved
+by scipy's HiGHS and certified exactly, and the full-tableau simplex.
 
 The library reads both quantities from one packing LP and its dual.
 These solve Kelley's max-min LP and the covering LP separately, over
@@ -14,6 +15,9 @@ stacked block-diagonally, and since the objective is a sum over the
 blocks, an optimum restricted to one block is an optimum of that
 family's LP.  One call per family would cost more in scipy's setup
 than in the solve.
+
+`full_tableau_lp` is the pivot-path oracle of `fraclp.solve_lp`: the
+same simplex on a tableau that also stores the basic columns.
 """
 
 import math
@@ -23,7 +27,8 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import block_diag
 
-from fhplab.fraclp import TransversalResult
+from fhplab import fraclp
+from fhplab.fraclp import LpSolution, TransversalResult
 
 # largest denominator tried when rounding a HiGHS value; a vertex of
 # these 0/1 LPs has a basis determinant far below it
@@ -149,3 +154,70 @@ def transversal_lps(families):
 def intersection_lp(family):
     """intersection_lps for one family."""
     return intersection_lps([family])[0]
+
+
+def full_tableau_lp(problem):
+    """`fhplab.fraclp.solve_lp` as a full fraction-free tableau.
+
+    The same Bland pivots, Bareiss updates and certificate check over all
+    n + m columns, slacks included: every basic column is det * e_r and
+    is rewritten on every pivot.  The library keeps only the nonbasic
+    columns; its LpSolution must equal this one.
+    """
+    nvars = len(problem.objective)
+    m = len(problem.rows)
+    ncols = nvars + m
+    # column layout: structural | one slack per row | rhs; the last row
+    # holds det * the reduced costs, which are c at the slack basis, and
+    # -det * the objective value over the rhs column
+    tab = []
+    for i, (row, b) in enumerate(zip(problem.rows, problem.rhs)):
+        t = [*row, *[0] * m, b]
+        t[nvars + i] = 1
+        tab.append(t)
+    tab.append([*problem.objective, *[0] * (m + 1)])
+    basis = list(range(nvars, ncols))
+    det = 1
+    red = tab[-1]
+    # Bland's rule: the first column with positive reduced cost enters
+    while (pcol := next((j for j in range(ncols) if red[j] > 0), -1)) >= 0:
+        # ratio test: least b_i / a_i over a_i > 0, cross-multiplied (all
+        # entries share the denominator det), ties to the least basic index
+        prow = -1
+        for i, row in enumerate(tab[:m]):
+            a, b = row[pcol], row[-1]
+            if a > 0 and (
+                prow < 0 or (b * a_min, basis[i]) < (b_min * a, basis[prow])
+            ):
+                prow, a_min, b_min = i, a, b
+        if prow < 0:
+            return LpSolution(status="unbounded")
+        # fraction-free pivot on p = a_min: every other row i becomes
+        # (p*T[i][j] - T[i][pcol]*T[prow][j]) // det, an exact division
+        # (Bareiss), the pivot row is left as it is, and det becomes p
+        row_p = tab[prow]
+        for i, row in enumerate(tab):
+            if i == prow:
+                continue
+            f = row[pcol]
+            if f:
+                tab[i] = [(a_min * a - f * b) // det for a, b in zip(row, row_p)]
+            elif a_min != det:
+                tab[i] = [a_min * a // det for a in row]
+        basis[prow] = pcol
+        det = a_min
+        red = tab[-1]
+
+    # x = X / det, y = Y / det; y_i is minus the reduced cost of slack i
+    X = [0] * nvars
+    for i, bv in enumerate(basis):
+        if bv < nvars:
+            X[bv] = tab[i][-1]
+    Y = [-r for r in red[nvars:ncols]]
+    fraclp._verify_certificates(problem, X, Y, det)
+    return LpSolution(
+        status="optimal",
+        value=Fraction(sum(c * x for c, x in zip(problem.objective, X)), det),
+        primal=tuple(Fraction(x, det) for x in X),
+        dual=tuple(Fraction(y, det) for y in Y),
+    )

@@ -779,6 +779,19 @@ def test_cross_verify_in_seconds():
     assert len(report["sets"]) == 200
 
 
+def test_cross_40_lp_in_seconds(tmp_path):
+    """cross-40's packing LP has 820 atom rows and 40 member columns; the
+    solver keeps only the 40 nonbasic columns, not the 820 basic ones."""
+    doc = str(tmp_path / "cross40.json")
+    proc = run_cli("construct", "cross", "--n", "40", "--output", doc, timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    proc = run_cli("lp", "--family", doc, timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)["report"]
+    assert report["intersection_number"] == {"num": 1, "den": 20}
+    assert report["transversal"]["tau_star"] == {"num": 20, "den": 1}
+
+
 def test_lines_f61_k3_in_seconds():
     """3,721 lines over F_61: cons_3 = 61^2 C(61, 3) of C(61^2, 3); the
     fraction is below 1/2, so the FHP hypothesis fails and the exit is 1."""

@@ -111,8 +111,14 @@ BAD_NUMBERS = {"formula": {
         # one table entry per tuple of universe^arity, no more
         ("--structure", {**STRUCTURE,
                          "functions": {"f": {"arity": 1, "table": [1, 0, 1]}}}),
+        # JSON true and false are not the integers 1 and 0
+        ("--family", {"ground": 3, "sets": [[True, 2], [1, 2], [0, False]]}),
+        ("--family", {"ground": True, "sets": [[0], [0]]}),
+        ("--structure", {**STRUCTURE,
+                         "functions": {"f": {"arity": True, "table": [1, 0]}}}),
     ],
-    ids=["float-condition", "huge-universe", "long-table"],
+    ids=["float-condition", "huge-universe", "long-table", "bool-element",
+         "bool-ground", "bool-arity"],
 )
 def test_document_over_its_grammar_is_input_error(flag, doc, fixed):
     with open(fixed["doc"], "w", encoding="utf-8") as fh:

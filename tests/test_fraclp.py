@@ -19,7 +19,7 @@ from fhplab.fraclp import (
 from fhplab.setfam import SetFamily
 
 from conftest import oracle_intersection_number, oracle_min_cover, random_family
-from lp_oracle import intersection_lps, solve_stacked, transversal_lps
+from lp_oracle import full_tableau_lp, intersection_lps, solve_stacked, transversal_lps
 
 
 def F(a, b=1):
@@ -215,10 +215,10 @@ def test_atom_reduction_invariance():
     assert intersection_number(base)[0] == intersection_number(doubled)[0]
 
 
-def random_lp(rng):
-    """1-6 variables, 1-7 rows, A and c in {-4..4}, b in {0..6}."""
-    nvars = rng.randint(1, 6)
-    nrows = rng.randint(1, 7)
+def random_lp(rng, max_vars=6, max_rows=7):
+    """1-max_vars variables, 1-max_rows rows, A and c in {-4..4}, b in {0..6}."""
+    nvars = rng.randint(1, max_vars)
+    nrows = rng.randint(1, max_rows)
     return LpProblem(
         [rng.randint(-4, 4) for _ in range(nvars)],
         [[rng.randint(-4, 4) for _ in range(nvars)] for _ in range(nrows)],
@@ -327,6 +327,26 @@ def test_packing_lp_matches_two_lp_oracle():
     families = [random_family(random.Random(seed)) for seed in seeds]
     for seed, fam, tr in zip(seeds, families, transversal_lps(families)):
         check_against_oracle(fam, *_family_lp(fam), tr.tau_star, f"seed {seed}")
+
+
+def test_general_lps_match_full_tableau():
+    """Same LpSolution as the full tableau, so the same pivots up to the
+    optimum; about a third of these LPs are unbounded."""
+    statuses = set()
+    for seed in range(3000):
+        prob = random_lp(random.Random(f"dictionary:{seed}"), 7, 9)
+        sol = solve_lp(prob)
+        assert sol == full_tableau_lp(prob), seed
+        statuses.add(sol.status)
+    assert statuses == {"optimal", "unbounded"}
+
+
+def test_packing_lps_match_full_tableau(solves):
+    for fam in lp_sweep_families():
+        fractional_transversal(fam)
+    assert len(solves) == 203
+    for i, prob in enumerate(solves):
+        assert solve_lp(prob) == full_tableau_lp(prob), f"family {i}"
 
 
 @pytest.fixture

@@ -38,6 +38,32 @@ class TestSetFamily:
         with pytest.raises(ValueError, match=r"set 1: element 5"):
             SetFamily(3, [{0}, {5}])
 
+    @pytest.mark.parametrize("e", [True, False])
+    def test_bool_element_refused(self, e):
+        # True == 1 and hashes like it; an element is an int, never a bool
+        with pytest.raises(ValueError, match=r"set 1: element .* outside ground range"):
+            SetFamily(3, [{0}, [e, 2]])
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([3], "must be a JSON object"),
+            ({"sets": [[0]]}, "missing key 'ground'"),
+            ({"ground": 3}, "missing key 'sets'"),
+            ({"ground": True, "sets": [[0]]}, "'ground' must be a positive integer"),
+            ({"ground": 3.0, "sets": [[0]]}, "'ground' must be a positive integer"),
+            ({"ground": 0, "sets": []}, "'ground' must be a positive integer"),
+            ({"ground": 3, "sets": {"0": [0]}}, "'sets' must be a list of lists"),
+            ({"ground": 3, "sets": [[0], 1]}, "set 1: not a list"),
+            ({"ground": 3, "sets": [[True, 2], [1, 2]]}, "set 0: element True"),
+            ({"ground": 3, "sets": [[0]], "labels": ["a", "b"]}, "'labels' must be"),
+            ({"ground": 3, "sets": [[0]], "labels": "a"}, "'labels' must be"),
+        ],
+    )
+    def test_json_shape_refused(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            SetFamily.from_json_dict(doc)
+
     def test_negative_ground(self):
         with pytest.raises(ValueError):
             SetFamily(-1, [])

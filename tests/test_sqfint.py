@@ -393,7 +393,8 @@ class TestWindowCount:
         # the sieve clears a mask of ones (positive slots) and sets a mask
         # of zeros (negative slots)
         t = 3000
-        for k, c in [(1, 0), (1, 7), (2, -1), (3, 5), (5, -4000), (12, 6)]:
+        # (4, 8): at m = 75, q = 4 divides both k and c, so every a is outside
+        for k, c in [(1, 0), (1, 7), (2, -1), (3, 5), (5, -4000), (12, 6), (4, 8)]:
             inside = bytearray(b"\x01") * t
             _sieve_outside_pm(inside, k, c, m, 0)
             outside = bytearray(t)

@@ -75,6 +75,47 @@ class TestFiniteStructure:
         with pytest.raises(ValueError, match="must be integers"):
             FiniteStructure(universe, {}, {})
 
+    @pytest.mark.parametrize(
+        "universe, relations, functions, message",
+        [
+            ((), {}, {}, "universe must be nonempty"),
+            ((0, 1, 0), {}, {}, "repeated elements"),
+            ((0, 1), {"R": (2, {(0,)})}, {}, r"relation 'R': row \(0,\) has wrong arity"),
+            ((0, 1), {"R": (1, {(2,)})}, {}, r"relation 'R': row \(2,\) leaves universe"),
+            ((0, 1), {"R": (True, {(0,)})}, {}, "relation 'R': arity True outside"),
+            ((0, 1), {}, {"f": (17, {})}, "function 'f': arity 17 outside"),
+            (tuple(range(1001)), {}, {"f": (2, {})}, "function 'f': table too large"),
+            ((0, 1), {}, {"f": (1, {(0,): 1})}, r"function 'f': not total at \(1,\)"),
+            ((0, 1), {}, {"f": (1, {(0,): 1, (1,): 2})}, "function 'f': value leaves"),
+        ],
+    )
+    def test_invalid_structure_refused(self, universe, relations, functions, message):
+        with pytest.raises(ValueError, match=message):
+            FiniteStructure(universe, relations, functions)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"universe_size": 0}, "'universe_size' must be a positive integer"),
+            ({"universe_size": True}, "'universe_size' must be a positive integer"),
+            ({"universe_size": 2.0}, "'universe_size' must be a positive integer"),
+            ({"universe_size": typecount.X_CAP + 1}, "exceeds cap"),
+            ({"universe_size": 2, "relations": {"R": {"arity": True, "bits": "01"}}},
+             "relation 'R': arity True outside"),
+            ({"universe_size": 2, "relations": {"R": {"arity": 1, "bits": "011"}}},
+             "relation 'R': bits length mismatch"),
+            ({"universe_size": 2, "relations": {"R": {"arity": 1, "bits": "0x"}}},
+             "relation 'R': bits must be 0/1"),
+            ({"universe_size": 2, "functions": {"f": {"arity": False, "table": [0]}}},
+             "function 'f': arity False outside"),
+            ({"universe_size": 2, "functions": {"f": {"arity": 1, "table": [0]}}},
+             "function 'f': table length mismatch"),
+        ],
+    )
+    def test_invalid_json_refused(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            FiniteStructure.from_json_dict(doc)
+
     def test_function_totality_checked(self):
         with pytest.raises(ValueError):
             FiniteStructure(
