@@ -388,9 +388,8 @@ def _handle_count_types(opt):
 
     samples = typecount.DEFAULT_SAMPLES if opt.samples is None else opt.samples
     if opt.family:
-        family = parse_family(opt.family)
-        structure, phi, pool = typecount.structure_from_family(family)
-        x_arity = 1
+        masks = typecount.family_masks(parse_family(opt.family))
+        phi, x_arity = typecount.IN_PHI, 1
     else:
         structure = _read_document(
             opt.structure, typecount.FiniteStructure.from_json_dict
@@ -398,30 +397,22 @@ def _handle_count_types(opt):
         phi = _load_json(opt.phi)
         pool = _read_document(opt.pool, _pool_from_document)
         x_arity = 1 if opt.x_arity is None else opt.x_arity
+        masks = typecount.instance_masks(structure, phi, x_arity, pool)
     if opt.l_values is not None:
-        report = typecount.power_saving_probe(
-            structure,
+        report = typecount.power_saving(
+            masks,
             phi,
             x_arity,
             opt.m,
             opt.k,
-            pool,
             _int_list(opt.l_values),
             opt.d,
             samples=samples,
             seed=opt.seed,
         )
         return {"power_saving": report}, 0
-    report = typecount.f_phi(
-        structure,
-        phi,
-        x_arity,
-        opt.m,
-        opt.k,
-        pool,
-        opt.l,
-        samples=samples,
-        seed=opt.seed,
+    report = typecount.count_types(
+        masks, phi, x_arity, opt.m, opt.k, opt.l, samples=samples, seed=opt.seed
     )
     return {"count": report}, 0
 

@@ -57,7 +57,7 @@ class LpProblem:
             raise ValueError("need at least one variable")
         if len(A) != len(b) or any(len(row) != len(c) for row in A):
             raise ValueError("need one rhs per row and one entry per variable in a row")
-        if not all(isinstance(v, int) for v in itertools.chain(c, b, *A)):
+        if not all(type(v) is int for v in itertools.chain(c, b, *A)):
             raise ValueError("LP entries must be integers")
         if any(v < 0 for v in b):
             raise ValueError("rhs must be >= 0")

@@ -176,7 +176,7 @@ class RationalWeights:
     def __init__(self, weights: dict):
         clean = {}
         for idx, w in dict(weights).items():
-            if not isinstance(idx, int) or idx < 0:
+            if type(idx) is not int or idx < 0:
                 raise ValueError(f"weight index {idx!r} is not a member index")
             w = Fraction(w)
             if w < 0:

@@ -10,6 +10,14 @@ Growth of this count in l separates tame formulas (polynomial with a
 power saving below exponent k) from grid-like ones; the probe at the
 bottom measures the exponent empirically and compares it against the
 Zarankiewicz threshold k - 1/d^(k-1).
+
+Two layers.  The structure layer turns (structure, phi, x_arity, pool)
+into a mask table, parameter tuple -> bitmask of the x-tuples satisfying
+phi(x; a), through `instance_masks` and the one formula evaluator;
+`family_masks` writes the table of a set family in closed form.  The
+counting layer (`count_types`, `power_saving`) reads mask tables only.
+`f_phi` and `power_saving_probe` are `instance_masks` followed by the
+counting call.
 """
 
 from __future__ import annotations
@@ -141,26 +149,6 @@ class FiniteStructure:
             self._tables = (fns, rels)
         return self._tables
 
-    def to_json_dict(self) -> dict:
-        size = len(self.universe)
-        if tuple(self.universe) != tuple(range(size)):
-            raise ValueError("JSON export needs universe = range(size)")
-        out = {"schema": SCHEMA_VERSION, "universe_size": size, "relations": {}}
-        for name, (arity, rows) in sorted(self.relations.items()):
-            bits = []
-            for args in itertools.product(range(size), repeat=arity):
-                bits.append("1" if args in rows else "0")
-            out["relations"][name] = {"arity": arity, "bits": "".join(bits)}
-        if self.functions:
-            out["functions"] = {}
-            for name, (arity, table) in sorted(self.functions.items()):
-                flat = [
-                    table[args]
-                    for args in itertools.product(range(size), repeat=arity)
-                ]
-                out["functions"][name] = {"arity": arity, "table": flat}
-        return out
-
     @classmethod
     def from_json_dict(cls, obj: dict) -> "FiniteStructure":
         size = obj["universe_size"]
@@ -199,13 +187,16 @@ class FiniteStructure:
         )
 
 
+IN_PHI = ["rel", "In", ["var", 0], ["var", 1]]
+
+
 def structure_from_family(family: SetFamily):
     """Encode a set family as a one-relation structure plus a parameter pool.
 
     Universe = ground elements 0..g-1 followed by member labels g..g+n-1;
-    relation 'In'(point, member).  With phi = ['rel','In',['var',0],['var',1]]
-    and the returned pool, phi-types over the pool mirror intersection
-    patterns of the family.
+    relation 'In'(point, member).  With phi = IN_PHI and the returned
+    pool, phi-types over the pool mirror intersection patterns of the
+    family.
     """
     g = family.ground_size
     rows = {(e, g + i) for i, m in enumerate(family.masks) for e in elements(m)}
@@ -213,8 +204,15 @@ def structure_from_family(family: SetFamily):
         universe=tuple(range(g + family.n)), relations={"In": (2, rows)}
     )
     pool = [(g + i,) for i in range(family.n)]
-    phi = ["rel", "In", ["var", 0], ["var", 1]]
-    return structure, phi, pool
+    return structure, IN_PHI, pool
+
+
+def family_masks(family: SetFamily) -> dict:
+    """instance_masks(*structure_from_family(family)) at x_arity 1, in
+    closed form: member label g + i holds the points of member i, and no
+    member label is In anything."""
+    g = family.ground_size
+    return {(g + i,): m for i, m in enumerate(family.masks)}
 
 
 class PositiveType:
@@ -267,54 +265,13 @@ def _index_rows(structure, rows, width):
     return np.array(flat, dtype=np.intp).reshape(len(rows), width)
 
 
-def _bare_atom_rows(structure, phi, arity):
-    """R's rows when phi is ["rel", R, ["var", 0], ..., ["var", arity-1]]
-    over a relation R of that arity, else None."""
-    if not (
-        isinstance(phi, list)
-        and len(phi) == arity + 2
-        and phi[0] == "rel"
-        and isinstance(phi[1], str)
-        and phi[2:] == [["var", i] for i in range(arity)]
-        # 1.0 and True compare equal to 1 but are no variable index
-        and all(type(term[1]) is int for term in phi[2:])
-    ):
-        return None
-    spec = structure.relations.get(phi[1])
-    return spec[1] if spec is not None and spec[0] == arity else None
-
-
-def _instance_masks(structure, phi, x_arity, params):
-    """Bitmask of the x-tuples (lexicographic order) satisfying phi(x; a), per a.
-
-    A bare atom R(x, a) whose relation has arity x_arity + |a| is read
-    straight off R's rows: row (x, a) sets bit lexindex(x) in a's mask.
-    Every other formula goes through the evaluator.
-    """
+def instance_masks(structure, phi, x_arity, params):
+    """Bitmask of the x-tuples (lexicographic order) satisfying phi(x; a),
+    per distinct a in params, keyed in sorted order."""
     _check_x_space(structure, x_arity)
-    params = [tuple(a) for a in params]
+    params = sorted({tuple(a) for a in params})
     if not params:
         return {}
-    width = len(params[0])
-    rows = _bare_atom_rows(structure, phi, x_arity + width)
-    if rows is None or any(len(a) != width for a in params):
-        return _evaluated_masks(structure, phi, x_arity, params)
-    index = structure.const_index
-    keys = [tuple(index(v) for v in a) for a in params]
-    size = len(structure.universe)
-    bits = {key: bytearray((size**x_arity + 7) // 8) for key in keys}
-    for row in rows:
-        mask = bits.get(tuple(index(v) for v in row[x_arity:]))
-        if mask is not None:
-            pos = 0
-            for v in row[:x_arity]:
-                pos = pos * size + index(v)
-            mask[pos >> 3] |= 1 << (pos & 7)
-    return {a: int.from_bytes(bits[key], "little") for a, key in zip(params, keys)}
-
-
-def _evaluated_masks(structure, phi, x_arity, params):
-    """_instance_masks through the formula evaluator, for any formula."""
     import numpy as np
 
     size = len(structure.universe)
@@ -341,9 +298,8 @@ def enumerate_types(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    params = sorted({tuple(a) for a in A})
-    masks = _instance_masks(structure, phi, x_arity, params)
-    types = _types_from_masks(params, masks, k)
+    masks = instance_masks(structure, phi, x_arity, A)
+    types = _types_from_masks(list(masks), masks, k)
     return [PositiveType(phi, x_arity, frozenset(s), w, masks) for s, w in types]
 
 
@@ -486,15 +442,32 @@ def f_phi(
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> CountReport:
+    """count_types over the instance masks of phi on the pool."""
+    masks = instance_masks(structure, phi, x_arity, parameter_pool)
+    return count_types(masks, phi, x_arity, m, k, l, samples, seed)
+
+
+def count_types(
+    masks: dict,
+    phi,
+    x_arity: int,
+    m: int,
+    k: int,
+    l: int,
+    samples: int = DEFAULT_SAMPLES,
+    seed: int = 0,
+) -> CountReport:
     """max over |A| = l of the largest pairwise-m-inconsistent type family.
 
-    Exhaustive over all C(pool, l) parameter sets when that count is at
-    most EXHAUSTIVE_A_LIMIT, otherwise `samples` seeded draws (mode
-    recorded).  The inner maximization is an exact max-clique on the
-    m-inconsistency graph of the types.  When every parameter set has more
-    than TYPE_CAP types, the last set's TypeBlowupError is raised.
+    masks is a table from instance_masks or family_masks; its keys are
+    the parameter pool.  Exhaustive over all C(pool, l) parameter sets
+    when that count is at most EXHAUSTIVE_A_LIMIT, otherwise `samples`
+    seeded draws (mode recorded).  The inner maximization is an exact
+    max-clique on the m-inconsistency graph of the types.  When every
+    parameter set has more than TYPE_CAP types, the last set's
+    TypeBlowupError is raised.
     """
-    pool = sorted({tuple(a) for a in parameter_pool})
+    pool = sorted(masks)
     if l < 1 or l > len(pool):
         raise ValueError(f"l must lie in 1..{len(pool)}")
     if m < 1:
@@ -503,7 +476,6 @@ def f_phi(
         raise ValueError("k must be >= 1")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    masks = _instance_masks(structure, phi, x_arity, pool)
 
     exhaustive = math.comb(len(pool), l) <= EXHAUSTIVE_A_LIMIT
     if exhaustive:
@@ -630,7 +602,7 @@ def internal_dividing_check(
         raise ValueError("k must be >= 2")
     B = sorted({tuple(b) for b in B})
     C = sorted({tuple(c) for c in C})
-    masks = _instance_masks(structure, phi, x_arity, B)
+    masks = instance_masks(structure, phi, x_arity, B)
     spent = 0
     for b in sorted(p.instances):
         if b not in masks:
@@ -658,15 +630,7 @@ def internal_dividing_check(
 
 def _k_inconsistent_set(sequence, masks, k: int) -> bool:
     distinct = sorted(set(sequence))
-    if len(distinct) < k:
-        return False
-    for combo in itertools.combinations(distinct, k):
-        acc = -1
-        for b in combo:
-            acc &= masks[b]
-        if acc:
-            return False
-    return True
+    return len(distinct) >= k and not any(_subset_masks(distinct, masks, k))
 
 
 def find_kddd(edges, d: int):
@@ -720,7 +684,8 @@ def find_kddd(edges, d: int):
 
 
 class PowerSavingReport(NamedTuple):
-    """Estimated growth exponent of f_phi against the Zarankiewicz threshold.
+    """Estimated growth exponent of count_types against the Zarankiewicz
+    threshold.
 
     exponent_estimate is a finite-sample log-log fit, an estimate only.
     """
@@ -745,7 +710,23 @@ def power_saving_probe(
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> PowerSavingReport:
-    """Fit the growth exponent of f_phi(m,k,l) over the given l values.
+    """power_saving over the instance masks of phi on the pool."""
+    masks = instance_masks(structure, phi, x_arity, parameter_pool)
+    return power_saving(masks, phi, x_arity, m, k, l_values, d, samples, seed)
+
+
+def power_saving(
+    masks: dict,
+    phi,
+    x_arity: int,
+    m: int,
+    k: int,
+    l_values: Sequence[int],
+    d: int,
+    samples: int = DEFAULT_SAMPLES,
+    seed: int = 0,
+) -> PowerSavingReport:
+    """Fit the growth exponent of count_types(m,k,l) over the given l values.
 
     Compares the log-log slope against k - 1/d^(k-1); an estimate, not a
     limit statement.  Needs at least three l values with positive counts.
@@ -760,7 +741,7 @@ def power_saving_probe(
     counts = []
     exact = True
     for l in ls:
-        rep = f_phi(structure, phi, x_arity, m, k, parameter_pool, l, samples, seed)
+        rep = count_types(masks, phi, x_arity, m, k, l, samples, seed)
         counts.append(rep.value)
         exact = exact and rep.exact
     pts = [(l, c) for l, c in zip(ls, counts) if c >= 1]

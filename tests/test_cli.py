@@ -1,4 +1,6 @@
 import argparse
+import csv
+import io
 import json
 import time
 from fractions import Fraction
@@ -7,7 +9,7 @@ from math import comb
 import pytest
 
 from fhplab import constructs, setfam, typecount
-from fhplab.cli import _verify_construction, main, parse_family
+from fhplab.cli import _render, _verify_construction, main, parse_family
 
 from conftest import run_cli
 
@@ -231,6 +233,14 @@ class TestCountTypesValidation:
             f"error: x_arity {x_arity} exceeds X_ARITY_CAP 16\n"
         )
 
+    def test_document_fault_comes_before_flag_fault(self, tmp_path, capsys):
+        # the mask table is built before the counting flags are checked
+        argv = structure_files(tmp_path, 3)
+        (tmp_path / "phi.json").write_text(json.dumps(["rel", "R", ["const", 7]]))
+        code = main(["count-types", *argv, "--m", "1", "--k", "2", "--l", "0"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: constant 7 not in universe\n"
+
     def test_empty_l_values(self, triangle_path, capsys):
         code = main(["count-types", "--family", triangle_path,
                      "--m", "1", "--k", "2", "--l-values", ""])
@@ -404,6 +414,18 @@ class TestOutputContract:
         assert val["report.intersection_number"] == "2/3"
         assert val["report.transversal.tau_star"] == "3/2"
 
+    def test_csv_quotes_commas_and_quotes(self, capsys):
+        code = main(["construct", "block", "--k", "2", "--r", "3", "--m", "4",
+                     "--format", "csv"])
+        out = capsys.readouterr().out
+        assert code == 0
+        rows = dict(csv.reader(io.StringIO(out)))
+        assert rows["report.labels[1]"] == "S[0,1]"
+        assert 'report.labels[1],"S[0,1]"\n' in out
+        text = _render({"a": 'say "hi", twice'}, "csv")
+        assert text == 'key,value\na,"say ""hi"", twice"\n'
+        assert list(csv.reader(io.StringIO(text)))[1] == ["a", 'say "hi", twice']
+
     def test_output_into_missing_directory_is_two(self, triangle_path,
                                                   tmp_path, capsys):
         target = tmp_path / "missing" / "rep.json"
@@ -547,6 +569,20 @@ class TestMiscCommands:
         assert code == 0
         assert rep["report"]["count"]["value"] >= 1
         assert rep["report"]["count"]["exact"] is True
+
+    def test_count_types_family_past_x_cap(self, tmp_path, capsys):
+        # the family's masks are the table; no witness space over its
+        # ground plus member labels is built, so X_CAP does not bound it
+        ground = 60000
+        assert ground + 3 > typecount.X_CAP
+        path = family_file(tmp_path, [{0, ground - 1}, {1, ground - 1}, {2}], ground)
+        code, rep = run_json(
+            ["count-types", "--family", path, "--m", "1", "--k", "2", "--l", "3"],
+            capsys,
+        )
+        assert code == 0
+        # {2} against any one of {A}, {B}, {A, B}
+        assert rep["report"]["count"]["value"] == 2
 
     @pytest.mark.parametrize(
         "members", [[{0, 1}, {1, 2}], [{0, 1}, {1, 2}, set()]],

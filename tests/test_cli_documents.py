@@ -116,9 +116,11 @@ BAD_NUMBERS = {"formula": {
         ("--family", {"ground": True, "sets": [[0], [0]]}),
         ("--structure", {**STRUCTURE,
                          "functions": {"f": {"arity": True, "table": [1, 0]}}}),
+        # every parameter tuple has one length
+        ("--pool", [[0], [0, 1]]),
     ],
     ids=["float-condition", "huge-universe", "long-table", "bool-element",
-         "bool-ground", "bool-arity"],
+         "bool-ground", "bool-arity", "mixed-pool"],
 )
 def test_document_over_its_grammar_is_input_error(flag, doc, fixed):
     with open(fixed["doc"], "w", encoding="utf-8") as fh:

@@ -57,7 +57,9 @@ class TestSolveLp:
 
     def test_non_integer_rejected(self):
         for objective, rows, rhs in (
-            ([F(1, 2)], [[1]], [1]), ([1], [[0.5]], [1]), ([1], [[1]], [F(1)])
+            ([F(1, 2)], [[1]], [1]), ([1], [[0.5]], [1]), ([1], [[1]], [F(1)]),
+            # True == 1 and False == 0, but neither is an integer entry
+            ([True], [[True]], [True]), ([1], [[False]], [1]), ([1], [[1]], [False]),
         ):
             with pytest.raises(ValueError, match="must be integers"):
                 LpProblem(objective, rows, rhs)

@@ -103,6 +103,32 @@ def test_readme_command_imports(command, inputs):
         assert "numpy" not in modules
 
 
+def test_count_types_family_l_values_loads_no_numpy(inputs):
+    # a family's instance masks are its own masks: nothing is evaluated
+    argv = ["count-types", "--family", inputs["fam"], "--m", "1", "--k", "2",
+            "--l-values", "2,3,4", "--output", inputs["out"]]
+    modules = loaded_modules(argv)
+    assert "fhplab.typecount" in modules
+    assert "numpy" not in modules
+
+
+def test_count_types_structure_loads_numpy(inputs, tmp_path):
+    # every formula goes through the evaluator, a bare relation atom too
+    docs = {
+        "structure": {"universe_size": 3,
+                      "relations": {"R": {"arity": 2, "bits": "110011001"}}},
+        "phi": ["rel", "R", ["var", 0], ["var", 1]],
+        "pool": [[0], [1], [2]],
+    }
+    argv = ["count-types"]
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        argv += [f"--{name}", str(path)]
+    argv += ["--m", "1", "--k", "2", "--l", "2", "--output", inputs["out"]]
+    assert "numpy" in loaded_modules(argv)
+
+
 def test_construct_loads_no_lp_or_type_counting(inputs):
     argv = ["construct", "block", "--k", "2", "--r", "3", "--m", "4", "--verify"]
     modules = loaded_modules(argv + ["--output", inputs["out"]])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from fhplab import setfam
 from fhplab.constructs import build_two_order_cross
 from fhplab.setfam import (
+    ConsReport,
     MeasureReport,
     RationalWeights,
     SetFamily,
@@ -112,6 +113,8 @@ class TestSetFamily:
         assert by_masks.members == tuple(frozenset(s) for s in members)
         assert by_masks.to_json_dict()["sets"] == [sorted(set(s)) for s in members]
         assert by_masks != SetFamily.from_masks(200, masks)  # labels differ
+        assert by_masks.__eq__(tuple(masks)) is NotImplemented
+        assert by_masks != tuple(masks)
 
     def test_repr_of_wide_masks(self):
         # decimal str() refuses ints past 4300 digits; the repr prints hex
@@ -137,6 +140,23 @@ class TestWeights:
     def test_uniform(self):
         w = RationalWeights.uniform(4)
         assert all(v == Fraction(1, 4) for v in w.weights.values())
+        with pytest.raises(ValueError, match="need at least one index"):
+            RationalWeights.uniform(0)
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            # True == 1 and hashes like it, but is no member index
+            ({True: 1}, "weight index True is not a member index"),
+            ({1: Fraction(1, 2), False: Fraction(1, 2)}, "weight index False"),
+            ({-1: 1}, "weight index -1 is not a member index"),
+            ({1.0: 1}, "weight index 1.0 is not a member index"),
+            ({0: 2, 1: -1}, "weight at index 1 is negative"),
+        ],
+    )
+    def test_bad_weights_refused(self, weights, message):
+        with pytest.raises(ValueError, match=message):
+            RationalWeights(weights)
 
 
 def test_cons_triangle(triangle):
@@ -165,6 +185,14 @@ def test_max_intersecting_tie_smallest_element():
 def test_max_intersecting_all_empty():
     fam = SetFamily(2, [set(), set()])
     assert max_intersecting(fam) == (0, 0, frozenset())
+    with pytest.raises(ValueError, match="family has no members"):
+        max_intersecting(SetFamily(2, []))
+
+
+@pytest.mark.parametrize("cons_count, total", [(-1, 3), (4, 3)])
+def test_cons_report_count_within_total(cons_count, total):
+    with pytest.raises(ValueError, match=r"cons_count outside \[0, total\]"):
+        ConsReport(2, cons_count, total)
 
 
 def test_fhp_instance_triangle(triangle):
@@ -194,6 +222,8 @@ class TestPkProperty:
     def test_p_less_than_k_rejected(self, triangle):
         with pytest.raises(ValueError):
             check_pk_property(triangle, 1, 2)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            check_pk_property(triangle, 1, 0)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_oracle(self, seed):
@@ -213,6 +243,19 @@ def test_sequence_ratio_triangle(triangle):
     assert sequence_ratio(triangle, (0, 1, 2)) == Fraction(2, 3)
     # repetition raises the achievable depth
     assert sequence_ratio(triangle, (0, 0, 1)) == 1
+
+
+@pytest.mark.parametrize(
+    "seq, message",
+    [
+        ((), "index sequence must be nonempty"),
+        ((0, 3), "index 3 out of range"),
+        ((-1,), "index -1 out of range"),
+    ],
+)
+def test_sequence_ratio_refuses_bad_sequence(seq, message, triangle):
+    with pytest.raises(ValueError, match=message):
+        sequence_ratio(triangle, seq)
 
 
 def test_sequence_ratio_permutation_invariant(triangle):
@@ -287,6 +330,17 @@ class TestColorful:
         with pytest.raises(ValueError):
             colorful_check([triangle, SetFamily(4, [{0}])], Fraction(1, 2))
 
+    @pytest.mark.parametrize(
+        "families, message",
+        [
+            ([], "need at least one family"),
+            ([SetFamily(3, [{0}]), SetFamily(3, [])], "families must be nonempty"),
+        ],
+    )
+    def test_missing_members_rejected(self, families, message):
+        with pytest.raises(ValueError, match=message):
+            colorful_check(families, Fraction(1, 2))
+
 
 class TestMeasure:
     def test_triangle_uniform(self, triangle):
@@ -307,6 +361,10 @@ class TestMeasure:
         w = RationalWeights({7: Fraction(1)})
         with pytest.raises(ValueError):
             measure_fhp_check(triangle, w, 2, Fraction(1, 2))
+
+    def test_d_below_one_rejected(self, triangle):
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            measure_fhp_check(triangle, RationalWeights.uniform(3), 0, 0)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_tuple_measure_equals_direct_sum(self, seed):

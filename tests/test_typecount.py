@@ -7,17 +7,22 @@ import random
 import pytest
 
 from fhplab import typecount
-from fhplab._jsonutil import to_json
+from fhplab._jsonutil import SCHEMA_VERSION, to_json
 from fhplab.constructs import build_tp2_grid
 from fhplab.setfam import SetFamily
 from fhplab.typecount import (
     FiniteStructure,
+    PositiveType,
     TypeBlowupError,
+    count_types,
     enumerate_types,
     f_phi,
+    family_masks,
     find_kddd,
+    instance_masks,
     internal_dividing_check,
     m_inconsistent,
+    power_saving,
     power_saving_probe,
     structure_from_family,
 )
@@ -29,6 +34,28 @@ from formula_walker import evaluate_formula as walk_formula
 
 EQ_PHI = ["=", ["var", 0], ["var", 1]]
 TAUT_DELTA = [(["=", ["var", 0], ["var", 0]], 1, 0)]
+
+
+def structure_to_json_dict(structure) -> dict:
+    """The document FiniteStructure.from_json_dict reads back."""
+    size = len(structure.universe)
+    if tuple(structure.universe) != tuple(range(size)):
+        raise ValueError("JSON export needs universe = range(size)")
+    out = {"schema": SCHEMA_VERSION, "universe_size": size, "relations": {}}
+    for name, (arity, rows) in sorted(structure.relations.items()):
+        bits = []
+        for args in itertools.product(range(size), repeat=arity):
+            bits.append("1" if args in rows else "0")
+        out["relations"][name] = {"arity": arity, "bits": "".join(bits)}
+    if structure.functions:
+        out["functions"] = {}
+        for name, (arity, table) in sorted(structure.functions.items()):
+            flat = [
+                table[args]
+                for args in itertools.product(range(size), repeat=arity)
+            ]
+            out["functions"][name] = {"arity": arity, "table": flat}
+    return out
 
 
 def equality_structure(size):
@@ -134,14 +161,17 @@ class TestFiniteStructure:
 
     def test_json_round_trip(self, grid):
         s, _, _ = grid
-        back = FiniteStructure.from_json_dict(s.to_json_dict())
+        back = FiniteStructure.from_json_dict(structure_to_json_dict(s))
         assert back.universe == s.universe
         assert back.relations == s.relations
+        s = FiniteStructure((0, 1), {}, {"f": (1, {(0,): 1, (1,): 1})})
+        back = FiniteStructure.from_json_dict(structure_to_json_dict(s))
+        assert back.functions == s.functions
 
     def test_json_requires_contiguous_universe(self):
         s = FiniteStructure((0, 2), {}, {})
         with pytest.raises(ValueError):
-            s.to_json_dict()
+            structure_to_json_dict(s)
 
 
 class TestEnumerateTypes:
@@ -172,6 +202,21 @@ class TestEnumerateTypes:
                 sat = all(walk_formula(s, phi, dict(enumerate((w,) + b)))
                           for b in t.instances)
                 assert bool(t.mask >> i & 1) == sat
+
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            enumerate_types(equality_structure(3), EQ_PHI, 1, eq_pool(3), 0)
+
+    @pytest.mark.parametrize(
+        "instances, mask, message",
+        [
+            (frozenset(), 1, "needs at least one instance"),
+            (frozenset({(0,)}), 0, "must have a witness"),
+        ],
+    )
+    def test_positive_type_refused(self, instances, mask, message):
+        with pytest.raises(ValueError, match=message):
+            PositiveType(EQ_PHI, 1, instances, mask, {})
 
     def test_blowup_cap(self, monkeypatch):
         monkeypatch.setattr(typecount, "TYPE_CAP", 5)
@@ -206,6 +251,12 @@ class TestMInconsistent:
         for p, q in itertools.combinations(types[:8], 2):
             if m_inconsistent(p, q, 1):
                 assert m_inconsistent(p, q, 2)
+
+    def test_m_below_one_rejected(self, grid):
+        s, phi, pool = grid
+        t = enumerate_types(s, phi, 1, pool, 1)[0]
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            m_inconsistent(t, t, 0)
 
     def test_mixed_formula_rejected(self, grid):
         s, phi, pool = grid
@@ -270,6 +321,21 @@ class TestFPhi:
         v1 = f_phi(s, phi, 1, m=1, k=2, parameter_pool=pool, l=6).value
         v2 = f_phi(s, phi, 1, m=2, k=2, parameter_pool=pool, l=6).value
         assert v2 >= v1
+
+    @pytest.mark.parametrize(
+        "m, k, l, samples, message",
+        [
+            (1, 1, 0, 1, r"l must lie in 1\.\.3"),
+            (1, 1, 4, 1, r"l must lie in 1\.\.3"),
+            (0, 1, 2, 1, "m must be >= 1"),
+            (1, 0, 2, 1, "k must be >= 1"),
+            (1, 1, 2, 0, "samples must be >= 1"),
+        ],
+    )
+    def test_bad_arguments_refused(self, m, k, l, samples, message):
+        masks = instance_masks(equality_structure(3), EQ_PHI, 1, eq_pool(3))
+        with pytest.raises(ValueError, match=message):
+            count_types(masks, EQ_PHI, 1, m, k, l, samples)
 
     def test_sampled_mode_flagged(self):
         s = equality_structure(14)
@@ -377,43 +443,65 @@ def random_atom_case(rng):
     return s, phi, x_arity, pool
 
 
-def test_bare_atom_masks_match_evaluator():
-    """Masks read off a relation's rows equal the formula evaluator's."""
-    cases = [random_atom_case(random.Random(f"atom:{i}")) for i in range(150)]
-    for i in range(60):
+def bare_atom_masks(structure, phi, x_arity, params):
+    """The instance masks of a bare atom ["rel", R, ["var", 0], ...] read
+    straight off R's rows: row (x, a) sets bit lexindex(x) in a's mask."""
+    params = [tuple(a) for a in params]
+    arity, rows = structure.relations[phi[1]]
+    assert phi[2:] == [["var", i] for i in range(arity)]
+    assert arity == x_arity + len(params[0])
+    index = structure.const_index
+    keys = [tuple(index(v) for v in a) for a in params]
+    size = len(structure.universe)
+    bits = {key: bytearray((size**x_arity + 7) // 8) for key in keys}
+    for row in rows:
+        mask = bits.get(tuple(index(v) for v in row[x_arity:]))
+        if mask is not None:
+            pos = 0
+            for v in row[:x_arity]:
+                pos = pos * size + index(v)
+            mask[pos >> 3] |= 1 << (pos & 7)
+    return {a: int.from_bytes(bits[key], "little") for a, key in zip(params, keys)}
+
+
+def test_evaluator_matches_bare_atom_rows():
+    """The evaluator's masks of a bare atom equal the masks read off its rows."""
+    for i in range(150):
+        s, phi, x_arity, pool = random_atom_case(random.Random(f"atom:{i}"))
+        assert instance_masks(s, phi, x_arity, pool) == bare_atom_masks(
+            s, phi, x_arity, pool
+        ), i
+
+
+def test_family_masks_match_the_encoded_structure():
+    """family_masks is instance_masks on structure_from_family, in closed
+    form, over 60 seeded families (empty members and no members included)."""
+    fams = [SetFamily(3, [])]
+    for i in range(59):
         rng = random.Random(f"atom-family:{i}")
         g = rng.randint(1, 7)
-        fam = SetFamily(g, [rng.sample(range(g), rng.randint(0, g))
-                            for _ in range(rng.randint(1, 7))])
+        fams.append(SetFamily(g, [rng.sample(range(g), rng.randint(0, g))
+                                  for _ in range(rng.randint(1, 7))]))
+    assert sum(bool(fam.empty_members) for fam in fams) > 10
+    for fam in fams:
         s, phi, pool = structure_from_family(fam)
-        cases.append((s, phi, 1, pool))
-    for i, (s, phi, x_arity, pool) in enumerate(cases):
-        assert typecount._bare_atom_rows(s, phi, len(phi) - 2) is not None, i
-        got = typecount._instance_masks(s, phi, x_arity, pool)
-        assert got == typecount._evaluated_masks(s, phi, x_arity, pool), i
+        want = instance_masks(s, phi, 1, pool)
+        assert list(family_masks(fam).items()) == list(want.items()), fam
 
 
-@pytest.mark.parametrize("phi", [
-    ["rel", "In", ["var", 1], ["var", 0]],
-    ["and", ["rel", "In", ["var", 0], ["var", 1]]],
-    ["not", ["rel", "In", ["var", 0], ["var", 1]]],
-])
-def test_other_formulas_take_the_evaluator(phi):
-    s, _, pool = structure_from_family(SetFamily(4, [{0, 1}, {1, 2, 3}, {3}]))
-    assert typecount._bare_atom_rows(s, phi, 2) is None
-    got = typecount._instance_masks(s, phi, 1, pool)
-    assert got == typecount._evaluated_masks(s, phi, 1, pool)
-
-
-def test_bare_atom_keeps_the_checks():
+def test_instance_masks_keeps_the_checks():
     s, phi, pool = structure_from_family(SetFamily(3, [{0, 1}, {2}]))
+    assert instance_masks(s, phi, 1, []) == {}
     with pytest.raises(ValueError, match="not in universe"):
-        typecount._instance_masks(s, phi, 1, [*pool, (99,)])
+        instance_masks(s, phi, 1, [*pool, (99,)])
     with pytest.raises(ValueError, match="x_arity must be >= 1"):
-        typecount._instance_masks(s, phi, 0, pool)
-    # a bool is no variable index, so this atom is the evaluator's to refuse
+        instance_masks(s, phi, 0, pool)
+    # a bool is no variable index
     with pytest.raises(ValueError, match="bad variable index"):
-        typecount._instance_masks(s, ["rel", "In", ["var", 0], ["var", True]], 1, pool)
+        instance_masks(s, ["rel", "In", ["var", 0], ["var", True]], 1, pool)
+    # refused before the 300**2 x-tuples are built
+    with pytest.raises(ValueError, match="witness space size 90000 exceeds cap"):
+        instance_masks(equality_structure(300), EQ_PHI, 2, eq_pool(300))
 
 
 def set_cliques(adj):
@@ -511,6 +599,28 @@ class TestDividing:
                     s, phi, 1, t, B=pool, C=[], delta=TAUT_DELTA,
                     n=bad_n, k=2
                 )
+        with pytest.raises(ValueError, match="k must be >= 2"):
+            internal_dividing_check(
+                s, phi, 1, t, B=pool, C=[], delta=TAUT_DELTA, n=2, k=1
+            )
+
+    @pytest.mark.parametrize(
+        "B, n",
+        [
+            # p's instance is not in B
+            (lambda pool: pool[1:4], 2),
+            # B holds too few other parameters for a sequence of length n
+            (lambda pool: pool[:2], 3),
+        ],
+    )
+    def test_no_sequence_from_b(self, B, n, grid):
+        s, phi, pool = grid
+        t = enumerate_types(s, phi, 1, pool, 1)[0]
+        assert t.instances == {pool[0]}
+        rep = internal_dividing_check(
+            s, phi, 1, t, B=B(pool), C=[], delta=TAUT_DELTA, n=n, k=2
+        )
+        assert rep.status == "none"
 
     def test_consistent_pool_never_divides(self):
         # all members share element 0: no k-inconsistent sequence exists
@@ -595,6 +705,22 @@ class TestFindKddd:
         assert got is not None
         assert tuple(sorted(got)) == ((0, 1), (2, 3), (4, 5))
 
+    @pytest.mark.parametrize(
+        "edges, d, want",
+        [
+            ([], 1, None),
+            ([(0, 1)], 2, None),  # fewer than k * d vertices
+            ([(0, 1)], 0, "d must be >= 1"),
+            ([()], 1, "edges must be nonempty sets"),
+        ],
+    )
+    def test_degenerate_inputs(self, edges, d, want):
+        if want is None:
+            assert find_kddd(edges, d) is None
+        else:
+            with pytest.raises(ValueError, match=want):
+                find_kddd(edges, d)
+
     def test_nonuniform_rejected(self):
         with pytest.raises(ValueError):
             find_kddd([(0, 1), (2, 3, 4)], 2)
@@ -639,6 +765,31 @@ class TestPowerSaving:
         s = equality_structure(6)
         with pytest.raises(ValueError):
             power_saving_probe(s, EQ_PHI, 1, 1, 2, eq_pool(6), [2, 4], 2)
+
+    def test_evaluates_the_formula_once(self, monkeypatch):
+        calls = []
+        evaluate = typecount.evaluate_formula
+
+        def counted(*args):
+            calls.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(typecount, "evaluate_formula", counted)
+        s = equality_structure(10)
+        power_saving_probe(s, EQ_PHI, 1, 1, 2, eq_pool(10), [3, 5, 7], 2)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "masks, d, message",
+        [
+            ({(a,): 1 << a for a in range(6)}, 0, "d must be >= 1"),
+            # no instance is satisfiable, so every count is 0
+            ({(a,): 0 for a in range(6)}, 2, "with positive counts"),
+        ],
+    )
+    def test_power_saving_refused(self, masks, d, message):
+        with pytest.raises(ValueError, match=message):
+            power_saving(masks, EQ_PHI, 1, 1, 2, [2, 3, 4], d)
 
     def test_nonincreasing_l_rejected(self):
         s = equality_structure(6)
