@@ -1,4 +1,4 @@
-"""Prefix-tree first-order formulas over finite structures, evaluated as arrays.
+"""Prefix-tree first-order formulas over finite structures, evaluated to bitmasks.
 
 Trees are plain nested lists (JSON-ready).  Terms:
 
@@ -24,46 +24,54 @@ table holds bools.  The ring tags name functions of the structure, so
 ["+", s, t] is ["func", "+", s, t].  Quantifiers range over the whole
 universe.
 
-`evaluate_formula` first validates the whole tree: malformed nodes, bad
-or unbound variable indices (a variable must be bound by a quantifier or
-supplied in the assignment), unknown names and wrong arities raise
-ValueError before anything is evaluated, whether or not a branch would
-be reached.  It then evaluates the tree once per chunk of assignments
-rather than once per point: each free variable is an index array that
-broadcasts over the chunk, functions and relations are fancy indexing
-into the tables, and exists/forall add a trailing axis of length |U|
-that `any`/`all` reduce.  A chunk holds at most max(1, 2^16 / |U|^d)
-assignments, d the quantifier depth, so no temporary exceeds
-max(2^16, |U|^d) cells.  numpy is imported inside the evaluator, so
-importing this module loads none.
+`evaluate_formula(structure, node, x_arity, y_arity, params)` reads a
+tree phi(x; y) as one witness bitmask per parameter tuple b in params:
+bit j of b's mask says whether phi(x_j; b) holds, where x_j is the j-th
+tuple of universe^x_arity in lexicographic order.  This module alone
+decides that order, the element-to-index conversion and the bit packing.
+
+It first validates the whole tree against x_arity + y_arity free
+variables: malformed nodes, bad or unbound variable indices (a variable
+must be bound by a quantifier or be free), unknown names and wrong
+arities raise ValueError before anything is evaluated, whether or not a
+branch would be reached, and also when params is empty.  Each parameter
+tuple must have y_arity elements, each read through
+`structure.const_index`.  It then evaluates the tree once per chunk of
+assignments rather than once per point: each free variable is an index
+array that broadcasts over the chunk, functions and relations are fancy
+indexing into the tables, and exists/forall add a trailing axis of
+length |U| that `any`/`all` reduce.  A chunk holds at most
+max(1, 2^16 / |U|^d) assignments, d the quantifier depth, so no
+temporary exceeds max(2^16, |U|^d) cells.  numpy is imported inside the
+evaluator, so importing this module loads none.
 """
 
 from __future__ import annotations
+
+import itertools
 
 _CHUNK_CELLS = 1 << 16
 _RING_FN = ("+", "*", "-", "neg")
 
 
-def evaluate_formula(structure, node, xs, params):
-    """Truth table of node: out[i, j] binds variables 0, 1, ... to xs[j] + params[i].
+def evaluate_formula(structure, node, x_arity, y_arity, params):
+    """Witness masks of node(x; y): mask i has bit j set when node holds
+    with variables 0, 1, ... bound to x_j followed by params[i].
 
-    xs (N rows of kx indices) and params (M rows of kp indices) are
-    integer arrays of universe indices; the result is an (M, N) bool
-    array.  The tree is validated against kx + kp free variables first.
+    x_j is the j-th tuple of universe^x_arity in lexicographic order and
+    each tuple of params holds y_arity universe elements.  The tree is
+    validated against x_arity + y_arity free variables first.
     """
     import numpy as np
 
-    xs = np.asarray(xs)
-    params = np.asarray(params)
-    if xs.ndim != 2 or params.ndim != 2:
-        raise ValueError("assignments must be 2-D arrays of universe indices")
-    kx = xs.shape[1]
     functions, relations = structure.tables()
     compiler = _Compiler(structure, functions, relations, np)
-    run = compiler.formula(node, frozenset(range(kx + params.shape[1])))
+    run = compiler.formula(node, frozenset(range(x_arity + y_arity)))
+    params = _param_indices(structure, params, y_arity, np)
 
     size = len(structure.universe)
-    n_rows, n_cols = params.shape[0], xs.shape[0]
+    n_rows, n_cols = len(params), size**x_arity
+    xs = np.indices((size,) * x_arity).reshape(x_arity, n_cols).T
     out = np.empty((n_rows, n_cols), dtype=bool)
     cells = max(1, _CHUNK_CELLS // size**compiler.depth)
     cols = max(1, min(n_cols, cells))
@@ -72,10 +80,38 @@ def evaluate_formula(structure, node, xs, params):
         x = xs[j : j + cols]
         for i in range(0, n_rows, rows):
             p = params[i : i + rows]
-            env = {v: x[None, :, v] for v in range(kx)}
-            env.update((kx + v, p[:, v, None]) for v in range(p.shape[1]))
+            env = {v: x[None, :, v] for v in range(x_arity)}
+            env.update((x_arity + v, p[:, v, None]) for v in range(y_arity))
             out[i : i + rows, j : j + cols] = run(env, 2)
-    return out
+    data = np.packbits(out, axis=1, bitorder="little").tobytes()
+    width = (n_cols + 7) // 8
+    return [
+        int.from_bytes(data[i : i + width], "little")
+        for i in range(0, len(data), width)
+    ]
+
+
+def _param_indices(structure, params, y_arity, np):
+    """params as a (len(params), y_arity) array of universe indices.
+
+    const_index runs once per distinct int; any other value goes to it
+    each time it occurs, so a bool or float is refused, not read as 1.
+    Ints that are their own indices, as in F_p, are kept as they are.
+    """
+    for b in params:
+        if len(b) != y_arity:
+            raise ValueError(
+                f"parameter tuple {b!r} has {len(b)} element(s), expected {y_arity}"
+            )
+    flat = list(itertools.chain.from_iterable(params))
+    if set(map(type, flat)) <= {int}:
+        index = {v: structure.const_index(v) for v in set(flat)}
+        if any(v != i for v, i in index.items()):
+            flat = map(index.__getitem__, flat)
+    else:
+        flat = [structure.const_index(v) for v in flat]
+    cells = len(params) * y_arity
+    return np.fromiter(flat, np.intp, cells).reshape(len(params), y_arity)
 
 
 def _tag(node):

@@ -10,6 +10,7 @@ exactly.  Everything is exhaustive; the caps keep that honest.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -69,14 +70,6 @@ class FieldStructure:
     def universe(self):
         return range(self.p)
 
-    @property
-    def add_table(self):
-        return self.tables()[0]["+"][1]
-
-    @property
-    def mul_table(self):
-        return self.tables()[0]["*"][1]
-
     def const_index(self, v) -> int:
         """v mod p for a Python int v; bools, floats and strings are refused."""
         if not isinstance(v, int) or isinstance(v, bool):
@@ -127,13 +120,6 @@ def _verify_field_axioms(p: int, add, mul):
         raise ArithmeticError(f"field axiom verification failed for p={p}")
 
 
-def _grid(p: int, arity: int):
-    """The tuples of F_p^arity in lexicographic order, one per row."""
-    import numpy as np
-
-    return np.indices((p,) * arity).reshape(arity, -1).T
-
-
 def definable_family(
     field: FieldStructure,
     phi,
@@ -148,11 +134,11 @@ def definable_family(
     (indices 0..y_arity-1) then z, with z fixed to e.  Ground points are
     the tuples of F_p^x_arity in lexicographic order; labels name b.  An
     empty parameter set yields a family with zero members (callers that
-    need members should treat that as a flag).  psi is evaluated once
-    over the whole y-grid, phi once over (parameter set) x (x-grid).
+    need members should treat that as a flag).  psi is one evaluator call
+    with y as its x-variables and e as its one parameter tuple: its mask
+    names the parameter set, in lexicographic order.  phi is one call that
+    returns the members' masks.
     """
-    import numpy as np
-
     if not 1 <= x_arity <= ARITY_CAP:
         raise ValueError(f"x_arity must be in 1..{ARITY_CAP}")
     if not 1 <= y_arity <= ARITY_CAP:
@@ -160,13 +146,12 @@ def definable_family(
     p = field.p
     npoints = p**x_arity
     check_ground_size(npoints)
-    e = np.array([[field.const_index(v) for v in e]]).reshape(1, len(e))
-    ygrid = _grid(p, y_arity)
-    params = ygrid[evaluate_formula(field, psi, ygrid, e)[0]]
-    table = evaluate_formula(field, phi, _grid(p, x_arity), params)
-    packed = np.packbits(table, axis=1, bitorder="little")
-    masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
-    labels = [f"b={tuple(b)}" for b in params.tolist()]
+    (ymask,) = evaluate_formula(field, psi, y_arity, len(e), [tuple(e)])
+    # bit i of ymask is the i-th y-tuple; bin() lists the bits high to low
+    ygrid = itertools.product(range(p), repeat=y_arity)
+    params = [b for b, bit in zip(ygrid, bin(ymask)[:1:-1]) if bit == "1"]
+    masks = evaluate_formula(field, phi, x_arity, y_arity, params)
+    labels = [f"b={b!r}" for b in params]
     return SetFamily.from_masks(npoints, masks, labels)
 
 

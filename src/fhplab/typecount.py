@@ -40,6 +40,11 @@ X_ARITY_CAP = 16
 # largest relation or function arity; a table has |U|**arity cells
 ARITY_CAP = 16
 TYPE_CAP = 5000
+# largest function table FiniteStructure checks for totality, in cells
+FUNCTION_TABLE_CAP = 10**6
+# longest sequence internal_dividing_check searches; it tries
+# |B|!/(|B|-n)! orderings
+DIVIDING_N_CAP = 6
 EXHAUSTIVE_A_LIMIT = 300
 DEFAULT_SAMPLES = 30
 DEFAULT_DIVIDING_BUDGET = 200000
@@ -97,7 +102,7 @@ class FiniteStructure:
         for name, (arity, table) in dict(functions or {}).items():
             table = {tuple(t): v for t, v in dict(table).items()}
             _check_arity("function", name, arity)
-            if len(uni) ** arity > 10**6:
+            if len(uni) ** arity > FUNCTION_TABLE_CAP:
                 raise ValueError(f"function {name!r}: table too large to validate")
             for args in itertools.product(uni, repeat=arity):
                 if args not in table:
@@ -257,14 +262,6 @@ def _check_x_space(structure: FiniteStructure, x_arity: int):
         raise ValueError(f"witness space size {count} exceeds cap {X_CAP}")
 
 
-def _index_rows(structure, rows, width):
-    """Tuples of universe elements as a (len(rows), width) index array."""
-    import numpy as np
-
-    flat = [structure.const_index(v) for row in rows for v in row]
-    return np.array(flat, dtype=np.intp).reshape(len(rows), width)
-
-
 def instance_masks(structure, phi, x_arity, params):
     """Bitmask of the x-tuples (lexicographic order) satisfying phi(x; a),
     per distinct a in params, keyed in sorted order."""
@@ -272,15 +269,8 @@ def instance_masks(structure, phi, x_arity, params):
     params = sorted({tuple(a) for a in params})
     if not params:
         return {}
-    import numpy as np
-
-    size = len(structure.universe)
-    xgrid = np.indices((size,) * x_arity).reshape(x_arity, -1).T
-    table = evaluate_formula(
-        structure, phi, xgrid, _index_rows(structure, params, len(params[0]))
-    )
-    packed = np.packbits(table, axis=1, bitorder="little")
-    return {a: int.from_bytes(row.tobytes(), "little") for a, row in zip(params, packed)}
+    masks = evaluate_formula(structure, phi, x_arity, len(params[0]), params)
+    return dict(zip(params, masks))
 
 
 def enumerate_types(
@@ -542,13 +532,12 @@ def _delta_indiscernible(structure, sequence, C, delta, budget):
     delta entries are (tree, r, s): the tree's variables cover r sequence
     elements then s parameter tuples from C, concatenated positionally.
     Returns (verdict, evaluations spent); verdict None when out of budget.
-    One evaluator call covers a (tree, C-tuple) block; spent counts what a
-    point-by-point scan of the block would have evaluated: up to and
-    including the first r-tuple that disagrees with the first one.
+    One evaluator call covers a (tree, C-tuple) block, with no x-variables
+    and the block's rows as parameter tuples, so each mask is 0 or 1;
+    spent counts what a point-by-point scan of the block would have
+    evaluated: up to and including the first r-tuple that disagrees with
+    the first one.
     """
-    import numpy as np
-
-    no_params = np.empty((1, 0), dtype=np.intp)
     spent = 0
     n = len(sequence)
     for tree, r, s in delta:
@@ -561,15 +550,13 @@ def _delta_indiscernible(structure, sequence, C, delta, budget):
             rows = [
                 tuple(v for i in idx for v in sequence[i]) + tail for idx in combos
             ]
-            vals = evaluate_formula(
-                structure, tree, _index_rows(structure, rows, len(rows[0])), no_params
-            )[0]
-            differ = np.flatnonzero(vals != vals[0])
-            needed = int(differ[0]) + 1 if differ.size else len(vals)
+            vals = evaluate_formula(structure, tree, 0, len(rows[0]), rows)
+            differ = [i for i, v in enumerate(vals) if v != vals[0]]
+            needed = differ[0] + 1 if differ else len(vals)
             if spent + needed > budget:
                 return None, max(spent, budget) + 1
             spent += needed
-            if differ.size:
+            if differ:
                 return False, spent
     return True, spent
 
@@ -596,8 +583,8 @@ def internal_dividing_check(
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if n > 6:
-        raise ValueError("n capped at 6; the search is exponential")
+    if n > DIVIDING_N_CAP:
+        raise ValueError(f"n capped at {DIVIDING_N_CAP}; the search is exponential")
     if k < 2:
         raise ValueError("k must be >= 2")
     B = sorted({tuple(b) for b in B})

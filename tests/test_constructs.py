@@ -42,6 +42,21 @@ class TestBlock:
         base.update(kw)
         return BlockParams(**base)
 
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(alpha=Fraction(0)), r"alpha must lie in \(0,1\)"),
+            (dict(alpha=Fraction(1)), r"alpha must lie in \(0,1\)"),
+            (dict(gamma=Fraction(0)), r"gamma must lie in \(0,1\]"),
+            (dict(gamma=Fraction(3, 2)), r"gamma must lie in \(0,1\]"),
+            (dict(k_prime=1), "need p_prime >= k_prime >= 2"),
+            (dict(p_prime=2, k_prime=3), "need p_prime >= k_prime >= 2"),
+        ],
+    )
+    def test_parameter_ranges(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            self.params(**kw)
+
     def test_r_inequality_enforced(self):
         with pytest.raises(ValueError, match="1-j/r"):
             self.params(alpha=Fraction(2, 3))
@@ -128,6 +143,11 @@ class TestTp2Grid:
         monkeypatch.setattr(setfam, "SIZE_CAP", 1000)
         with pytest.raises(ValueError, match="ground size 1600 exceeds SIZE_CAP 1000"):
             build_tp2_grid(2, 40)
+
+    def test_windows_must_not_wrap(self):
+        assert build_tp2_grid(2, 3, d=4).n == 6  # m = d - 1
+        with pytest.raises(ValueError, match="need m >= d-1"):
+            build_tp2_grid(2, 2, d=4)
 
 
 class TestCross:
@@ -255,6 +275,14 @@ class TestFuredi:
         fam = SetFamily(4, [{0, 1}, {2}])
         with pytest.raises(ValueError, match="member 1"):
             furedi_extract(fam, trials=5, seed=0)
+
+    @pytest.mark.parametrize(
+        "members, message",
+        [([], "family has no members"), ([set(), {2}], "member 0 is empty")],
+    )
+    def test_no_members_or_empty_first_member_rejected(self, members, message):
+        with pytest.raises(ValueError, match=message):
+            furedi_extract(SetFamily(4, members), trials=5, seed=0)
 
     def test_deterministic_given_seed(self, triangle):
         a = furedi_extract(triangle, trials=50, seed=11)

@@ -1,6 +1,5 @@
 import itertools
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,12 +12,13 @@ from fhplab.typecount import FiniteStructure
 import formula_walker
 
 F5 = FieldStructure.for_prime(5)
-NO_PARAMS = np.empty((1, 0), dtype=int)
 
 
 def truth(structure, node, point=()):
-    row = np.array([[structure.const_index(v) for v in point]]).reshape(1, len(point))
-    return bool(evaluate_formula(structure, node, row, NO_PARAMS)[0, 0])
+    """node at one point, passed as the parameter tuple with no x-variables."""
+    (mask,) = evaluate_formula(structure, node, 0, len(point), [point])
+    assert mask in (0, 1)
+    return mask == 1
 
 
 def test_term_arithmetic():
@@ -106,6 +106,7 @@ INVALID = [
     (STRUCT, ["rel", ["R"], ["var", 0], ["var", 0]], "unknown relation"),
     (STRUCT, ["=", ["func", "f"], ["var", 0]], "expects 1 arguments"),
     (STRUCT, ["=", ["+", ["var", 0], ["var", 0]], ["var", 0]], "unknown function '\\+'"),
+    (F5, ["=", ["func"], ["var", 0]], "'func' node: missing name"),
 ]
 
 
@@ -115,9 +116,72 @@ def test_validation_runs_first(structure, node, message):
         truth(structure, node, (structure.universe[0],))
 
 
-def test_assignments_must_be_2d():
-    with pytest.raises(ValueError, match="2-D"):
-        evaluate_formula(F5, ["true"], np.arange(5), NO_PARAMS)
+@pytest.mark.parametrize(
+    "y_arity, params, bad",
+    [
+        (2, [(0, 0), (1,)], r"\(1,\) has 1 element\(s\), expected 2"),
+        (2, [(0, 0), (1,), (1, 2, 2)], r"\(1,\) has 1 element"),
+        (1, [(1, 2)], r"\(1, 2\) has 2 element\(s\), expected 1"),
+        (0, [(), (3,)], r"\(3,\) has 1 element\(s\), expected 0"),
+    ],
+)
+def test_parameter_tuples_must_have_y_arity(y_arity, params, bad):
+    with pytest.raises(ValueError, match="parameter tuple " + bad):
+        evaluate_formula(F5, ["true"], 1, y_arity, params)
+
+
+def test_tree_validated_without_parameters():
+    assert evaluate_formula(F5, ["=", ["var", 0], ["var", 1]], 1, 1, []) == []
+    with pytest.raises(ValueError, match="unbound variable 2"):
+        evaluate_formula(F5, ["=", ["var", 0], ["var", 2]], 1, 1, [])
+
+
+def test_masks_follow_the_lexicographic_x_grid():
+    # universe order, not value order
+    struct = FiniteStructure((30, 10, 20), {"R": (2, {(10, 20), (20, 30)})})
+    masks = evaluate_formula(struct, ["rel", "R", ["var", 0], ["var", 1]], 2, 0, [()])
+    grid = list(itertools.product(struct.universe, repeat=2))
+    assert masks == [sum(1 << j for j, x in enumerate(grid) if x in {(10, 20), (20, 30)})]
+    phi = ["rel", "R", ["var", 1], ["var", 0]]
+    assert evaluate_formula(struct, phi, 1, 1, [(30,), (10,), (20,)]) == [0, 0b100, 0b001]
+
+
+class _CountingField:
+    """F_5 that records every const_index argument."""
+
+    def __init__(self):
+        self.seen = []
+        self.universe = F5.universe
+
+    def const_index(self, v):
+        self.seen.append(v)
+        return F5.const_index(v)
+
+    def tables(self):
+        return F5.tables()
+
+
+def test_const_index_once_per_distinct_int():
+    field = _CountingField()
+    params = [(0, 7), (7, 0), (0, 0), (12, 7)]
+    got = evaluate_formula(field, ["=", ["var", 0], ["var", 1]], 0, 2, params)
+    assert got == [0, 0, 1, 1]  # 12 and 7 are both 2 in F_5
+    assert sorted(field.seen) == [0, 7, 12]
+
+
+@pytest.mark.parametrize(
+    "structure, params, message",
+    [
+        (F5, [(1,), (True,)], "constant True is not an integer"),
+        (F5, [(2,), (1.0,)], "constant 1.0 is not an integer"),
+        (STRUCT, [(10,), (True,)], "constant True not in universe"),
+        (STRUCT, [(20.0,)], "constant 20.0 not in universe"),
+        (STRUCT, [(40,)], "constant 40 not in universe"),
+    ],
+)
+def test_parameter_elements_go_through_const_index(structure, params, message):
+    with pytest.raises(ValueError, match=message):
+        evaluate_formula(structure, ["true"], 0, 1, params)
 
 
 def test_finite_structure_universe_is_mapped():
@@ -176,19 +240,14 @@ RING = [("+", 2, True), ("*", 2, True), ("-", 2, True), ("neg", 1, True),
 
 
 def assert_matches_walker(structure, node, kx, kp):
-    uni = list(structure.universe)
-    n = len(uni)
-    xs, params = (
-        np.array(list(itertools.product(range(n), repeat=k)), int).reshape(n**k, k)
-        for k in (kx, kp)
-    )
-    got = evaluate_formula(structure, node, xs, params)
-    assert got.shape == (len(params), len(xs))
-    for i, prow in enumerate(params):
-        for j, xrow in enumerate(xs):
-            env = dict(enumerate(uni[v] for v in list(xrow) + list(prow)))
-            want = formula_walker.evaluate_formula(structure, node, env)
-            assert bool(got[i, j]) == want, (node, xrow, prow)
+    xs, params = (list(itertools.product(structure.universe, repeat=k)) for k in (kx, kp))
+    got = evaluate_formula(structure, node, kx, kp, params)
+    assert len(got) == len(params)
+    for mask, b in zip(got, params):
+        assert mask >> len(xs) == 0
+        for j, x in enumerate(xs):
+            want = formula_walker.evaluate_formula(structure, node, dict(enumerate(x + b)))
+            assert bool(mask >> j & 1) == want, (node, x, b)
 
 
 @st.composite
@@ -247,9 +306,8 @@ def test_chunk_boundaries_do_not_change_results(monkeypatch):
     phi = ["or", ["exists", 4, ["=", ["*", ["var", 4], ["var", 4]],
                                 ["+", ["var", 0], ["var", 2]]]],
            ["=", ["var", 1], ["*", ["var", 3], ["var", 0]]]]
-    xs = np.indices((7, 7)).reshape(2, -1).T
-    params = np.indices((7, 7)).reshape(2, -1).T
-    whole = evaluate_formula(F7, phi, xs, params)
+    params = list(itertools.product(range(7), repeat=2))
+    whole = evaluate_formula(F7, phi, 2, 2, params)
     for cells in (1, 7, 50, 343):
         monkeypatch.setattr(formulas, "_CHUNK_CELLS", cells)
-        assert (evaluate_formula(F7, phi, xs, params) == whole).all()
+        assert evaluate_formula(F7, phi, 2, 2, params) == whole

@@ -51,6 +51,10 @@ class TestSolveLp:
         with pytest.raises(ValueError):
             LpProblem([1], [[1, 2]], [1])
 
+    def test_no_variables_rejected(self):
+        with pytest.raises(ValueError, match="need at least one variable"):
+            LpProblem([], [], [])
+
     def test_negative_rhs_rejected(self):
         with pytest.raises(ValueError, match="rhs must be >= 0"):
             LpProblem([1], [[-1], [1]], [-3, 5])
@@ -414,6 +418,8 @@ def test_mutated_results_leave_later_answers_alone(triangle):
 def test_negative_integer_cap_refused(family):
     with pytest.raises(ValueError, match="cap must be >= 0"):
         fractional_transversal(family, integer_cap=-1)
+    with pytest.raises(ValueError, match="cap must be >= 0"):
+        min_transversal_exact(family, cap=-1)
 
 
 def test_lp_command_solves_once(tmp_path, solves, capsys):

@@ -144,6 +144,12 @@ def test_bare_cli_import_is_light():
     assert not modules & LIBRARY
 
 
+def test_package_import_loads_no_submodule():
+    modules = loaded_modules(["fhplab"], driver=IMPORT_DRIVER)
+    assert "fhplab" in modules
+    assert not {m for m in modules if m.startswith("fhplab.")}
+
+
 @pytest.mark.parametrize(
     "module",
     ["fhplab.formulas", "fhplab.typecount", "fhplab.sqfint", "fhplab.vc",

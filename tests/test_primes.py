@@ -76,6 +76,11 @@ class TestIsPrime:
             assert not isprime(p * q)
             assert not isprime(p * p)
 
+    def test_strong_lucas_refuses_squares(self):
+        # 1093^2 is a strong pseudoprime to base 2; no D has (D/n) = -1
+        assert not _strong_lucas_prp(1093**2)
+        assert not isprime(1093**2)
+
     def test_strong_lucas_matches_sympy(self):
         for n in range(3, 30000, 2):
             if math.isqrt(n) ** 2 == n:

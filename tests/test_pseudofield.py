@@ -46,9 +46,10 @@ class TestFieldStructure:
 
     def test_tables_are_field_ops(self):
         f = FieldStructure.for_prime(7)
+        add, mul = f.tables()[0]["+"][1], f.tables()[0]["*"][1]
         for a, b in itertools.product(range(7), repeat=2):
-            assert f.add_table[a][b] == (a + b) % 7
-            assert f.mul_table[a][b] == (a * b) % 7
+            assert add[a][b] == (a + b) % 7
+            assert mul[a][b] == (a * b) % 7
 
     def test_const_index_takes_only_ints(self):
         f = FieldStructure.for_prime(7)
@@ -60,7 +61,7 @@ class TestFieldStructure:
     def test_tables_built_once(self):
         f = FieldStructure(11)
         assert f.tables() is f.tables()
-        assert f.add_table is f.tables()[0]["+"][1]
+        assert f.tables()[0]["+"][1] is f.tables()[0]["+"][1]
 
     def test_tables_verified_on_first_use_only(self, monkeypatch):
         def refuse(p, add, mul):
@@ -76,8 +77,8 @@ class TestFieldStructure:
 
 
 def holds(field, formula, point):
-    """Truth of formula at one point of F_p^k (elements are their indices)."""
-    return bool(evaluate_formula(field, formula, [point], [[]])[0, 0])
+    """Truth of formula at one point of F_p^k, passed as the parameter tuple."""
+    return evaluate_formula(field, formula, 0, len(point), [point]) == [1]
 
 
 class TestEvalFormula:
@@ -366,6 +367,20 @@ class TestColorfulFf:
         # lines meet unless parallel-and-distinct: 1 - q(q-1)(q-1)/q^4
         assert rep.colorful.fraction == Fraction(21, 25)
         assert len(rep.measures) == 2
+
+    @pytest.mark.parametrize(
+        "specs, message",
+        [
+            ([], "need at least one family spec"),
+            ([(LINE_PHI, 2, ["true"], 2, ()), (["true"], 1, ["true"], 1, ())],
+             "equal x_arity"),
+            ([(LINE_PHI, 2, ["false"], 2, ())], "family 0: parameter set is empty"),
+        ],
+    )
+    def test_refused_specs(self, specs, message):
+        F5 = FieldStructure.for_prime(5)
+        with pytest.raises(ValueError, match=message):
+            colorful_ff_experiment(F5, specs, Fraction(1, 2))
 
     def test_single_family_degenerate(self):
         F5 = FieldStructure.for_prime(5)

@@ -122,6 +122,8 @@ class TestValuations:
         assert not in_Pm(4, 1)
         assert in_Pm(4, 2)
         assert not in_Pm(0, 1)
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            in_Pm(6, 0)
 
     def test_in_pm_negative_mirror(self):
         for a in range(1, 60):
@@ -247,6 +249,30 @@ class TestFormulaAndSystem:
             SpecialFormula(
                 lead_k=0, modulus_m=1, positive_slots=0, negative_slots=0
             )
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(positive_slots=-1), "slot counts must be >= 0"),
+            (dict(negative_slots=-1), "slot counts must be >= 0"),
+            (dict(p_conditions=[]), "p_conditions must be an object"),
+            (dict(p_conditions="2"), "p_conditions must be an object"),
+        ],
+    )
+    def test_slots_and_conditions_checked(self, kw, message):
+        args = dict(lead_k=1, modulus_m=1, positive_slots=0, negative_slots=0)
+        with pytest.raises(ValueError, match=message):
+            SpecialFormula(**{**args, **kw})
+
+    def test_equality_with_other_types(self):
+        f = SpecialFormula(lead_k=1, modulus_m=1, positive_slots=1)
+        system = GSystem(f, (2,), ())
+        for value in (f, system):
+            assert value.__eq__(5) is NotImplemented
+            assert value != (value.__class__.__name__, 5)
+        assert f != system and system != f
+        assert f == SpecialFormula(lead_k=1, modulus_m=1, positive_slots=1)
+        assert system == GSystem(f, (2,), ())
 
     def test_shift_system_shape(self):
         sys_ = shift_system([0, 2, 6])
@@ -758,6 +784,10 @@ class TestDickson:
     def test_zero_leading_rejected(self):
         with pytest.raises(ValueError):
             dickson_admissible([(0, 1)])
+
+    def test_no_forms_rejected(self):
+        with pytest.raises(ValueError, match="forms must be nonempty"):
+            dickson_admissible([])
 
     def test_prime_bound_override(self):
         ok, _ = dickson_admissible([(1, 0), (1, 2), (1, 4)], prime_bound=2)

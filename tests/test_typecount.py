@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -112,6 +113,8 @@ class TestFiniteStructure:
             ((0, 1), {"R": (True, {(0,)})}, {}, "relation 'R': arity True outside"),
             ((0, 1), {}, {"f": (17, {})}, "function 'f': arity 17 outside"),
             (tuple(range(1001)), {}, {"f": (2, {})}, "function 'f': table too large"),
+            # one cell past FUNCTION_TABLE_CAP
+            (range(10**6 + 1), {}, {"f": (1, {})}, "function 'f': table too large"),
             ((0, 1), {}, {"f": (1, {(0,): 1})}, r"function 'f': not total at \(1,\)"),
             ((0, 1), {}, {"f": (1, {(0,): 1, (1,): 2})}, "function 'f': value leaves"),
         ],
@@ -142,6 +145,12 @@ class TestFiniteStructure:
     def test_invalid_json_refused(self, doc, message):
         with pytest.raises(ValueError, match=message):
             FiniteStructure.from_json_dict(doc)
+
+    def test_function_table_at_the_cap(self):
+        uni = tuple(range(1000))
+        assert len(uni) ** 2 == typecount.FUNCTION_TABLE_CAP
+        table = {(a, b): a for a in uni for b in uni}
+        assert FiniteStructure(uni, {}, {"f": (2, table)}).functions["f"][0] == 2
 
     def test_function_totality_checked(self):
         with pytest.raises(ValueError):
@@ -489,6 +498,41 @@ def test_family_masks_match_the_encoded_structure():
         assert list(family_masks(fam).items()) == list(want.items()), fam
 
 
+TERNARY = FiniteStructure((0, 1, 2), {"R": (3, {(0, 0, 1), (1, 1, 1), (2, 2, 0)})})
+R3 = ["rel", "R", ["var", 0], ["var", 1], ["var", 2]]
+
+
+@pytest.mark.parametrize(
+    "call, bad",
+    [
+        # the first tuple sets the length; before, this one returned the
+        # masks of (1, 1) and (2, 2) under the keys (1,) and (1, 2, 2)
+        (lambda: instance_masks(TERNARY, R3, 1, [(0, 0), (1,), (1, 2, 2)]),
+         r"\(1,\) has 1 element\(s\), expected 2"),
+        (lambda: instance_masks(TERNARY, EQ_PHI, 1, [(0,), (1, 2)]),
+         r"\(1, 2\) has 2 element\(s\), expected 1"),
+        (lambda: f_phi(TERNARY, R3, 1, 1, 2, [(0, 0), (1,), (1, 2, 2)], 2),
+         r"\(1,\) has 1 element"),
+        (lambda: enumerate_types(TERNARY, R3, 1, [(0, 0), (1, 2, 2)], 1),
+         r"\(1, 2, 2\) has 3 element\(s\), expected 2"),
+    ],
+    ids=["silent-misread", "instance_masks", "f_phi", "enumerate_types"],
+)
+def test_mixed_length_parameters_refused(call, bad):
+    with pytest.raises(ValueError, match="parameter tuple " + bad):
+        call()
+
+
+def test_mixed_length_dividing_pool_refused(grid):
+    s, phi, pool = grid
+    t = enumerate_types(s, phi, 1, pool, 1)[0]
+    last = (pool[-1][0],) * 2  # sorts after every tuple of the pool
+    with pytest.raises(ValueError, match=re.escape(f"parameter tuple {last} has 2 element")):
+        internal_dividing_check(
+            s, phi, 1, t, B=[*pool, last], C=[], delta=TAUT_DELTA, n=2, k=2
+        )
+
+
 def test_instance_masks_keeps_the_checks():
     s, phi, pool = structure_from_family(SetFamily(3, [{0, 1}, {2}]))
     assert instance_masks(s, phi, 1, []) == {}
@@ -602,6 +646,19 @@ class TestDividing:
         with pytest.raises(ValueError, match="k must be >= 2"):
             internal_dividing_check(
                 s, phi, 1, t, B=pool, C=[], delta=TAUT_DELTA, n=2, k=1
+            )
+
+    def test_n_cap(self):
+        s, pool = equality_structure(6), eq_pool(6)
+        t = enumerate_types(s, EQ_PHI, 1, pool, 1)[0]
+        n = typecount.DIVIDING_N_CAP
+        rep = internal_dividing_check(
+            s, EQ_PHI, 1, t, B=pool, C=[], delta=TAUT_DELTA, n=n, k=2
+        )
+        assert (rep.status, len(rep.sequence)) == ("divides", n)
+        with pytest.raises(ValueError, match="^n capped at 6; the search is exponential$"):
+            internal_dividing_check(
+                s, EQ_PHI, 1, t, B=pool, C=[], delta=TAUT_DELTA, n=n + 1, k=2
             )
 
     @pytest.mark.parametrize(

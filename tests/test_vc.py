@@ -134,6 +134,10 @@ class TestDualShatter:
         with pytest.raises(ValueError):
             dual_shatter(triangle, [5])
 
+    def test_no_sizes(self, triangle):
+        res = dual_shatter(triangle, [])
+        assert (res.values, res.mode, res.seed) == ({}, "exhaustive", None)
+
 
 class TestDensityFit:
     def test_linear_data(self):
