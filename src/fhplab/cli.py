@@ -389,7 +389,6 @@ def _handle_count_types(opt):
     samples = typecount.DEFAULT_SAMPLES if opt.samples is None else opt.samples
     if opt.family:
         masks = typecount.family_masks(parse_family(opt.family))
-        phi, x_arity = typecount.IN_PHI, 1
     else:
         structure = _read_document(
             opt.structure, typecount.FiniteStructure.from_json_dict
@@ -401,8 +400,6 @@ def _handle_count_types(opt):
     if opt.l_values is not None:
         report = typecount.power_saving(
             masks,
-            phi,
-            x_arity,
             opt.m,
             opt.k,
             _int_list(opt.l_values),
@@ -412,7 +409,7 @@ def _handle_count_types(opt):
         )
         return {"power_saving": report}, 0
     report = typecount.count_types(
-        masks, phi, x_arity, opt.m, opt.k, opt.l, samples=samples, seed=opt.seed
+        masks, opt.m, opt.k, opt.l, samples=samples, seed=opt.seed
     )
     return {"count": report}, 0
 

@@ -354,29 +354,15 @@ def check_pk_property(family: SetFamily, p: int, k: int) -> PkResult:
             planes.append([-1] + [at[d] | at[d - 1] & mask for d in range(1, k)])
 
 
-def sequence_ratio(family: SetFamily, index_sequence: Sequence[int]) -> Fraction:
-    """(largest intersecting sub-multiset size) / (sequence length).
-
-    A sub-multiset of positions is intersecting iff a ground element lies in
-    all of them, so the numerator is the maximum multiplicity-weighted depth.
-    A singleton of a nonempty set counts; a sequence of empty sets scores 0.
-    """
-    seq = tuple(index_sequence)
-    if not seq:
-        raise ValueError("index sequence must be nonempty")
-    for i in seq:
-        if not 0 <= i < family.n:
-            raise ValueError(f"index {i} out of range")
-    depths = backend.depth_counts([family.masks[i] for i in seq], family.ground_size)
-    return Fraction(max(depths), len(seq))
-
-
 def min_sequence_ratio(family: SetFamily, max_len: int) -> Fraction:
-    """Minimum of sequence_ratio over all index sequences of length <= max_len.
+    """Least ratio, over index sequences of length 1..max_len, of the
+    largest intersecting sub-multiset's size to the sequence length.
 
-    sequence_ratio is permutation-invariant, so only multisets matter.  Let
-    D(p) be the least largest depth over all p-multisets; the minimum is
-    min_p D(p)/p.  The (p, k)-property holds exactly when k <= D(p), and
+    A sub-multiset is intersecting iff a ground element lies in all of
+    its members, so a sequence's ratio is its largest multiplicity-weighted
+    depth over its length.  That ignores order, so only multisets matter.
+    Let D(p) be the least largest depth over all p-multisets; the minimum
+    is min_p D(p)/p.  The (p, k)-property holds exactly when k <= D(p), and
     D(p + 1) >= D(p) because dropping a member never deepens a point, so
     k only climbs: the sweep over p makes at most 2*max_len calls of
     check_pk_property, which is the one multiset search.

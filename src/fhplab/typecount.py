@@ -7,17 +7,21 @@ the supplied ambient finite structure; every report carries that caveat
 implicitly, since no larger model is ever consulted.
 
 Growth of this count in l separates tame formulas (polynomial with a
-power saving below exponent k) from grid-like ones; the probe at the
-bottom measures the exponent empirically and compares it against the
-Zarankiewicz threshold k - 1/d^(k-1).
+power saving below exponent k) from grid-like ones; `power_saving` at
+the bottom measures the exponent empirically and compares it against
+the Zarankiewicz threshold k - 1/d^(k-1).
 
-Two layers.  The structure layer turns (structure, phi, x_arity, pool)
-into a mask table, parameter tuple -> bitmask of the x-tuples satisfying
-phi(x; a), through `instance_masks` and the one formula evaluator;
-`family_masks` writes the table of a set family in closed form.  The
-counting layer (`count_types`, `power_saving`) reads mask tables only.
-`f_phi` and `power_saving_probe` are `instance_masks` followed by the
-counting call.
+Two layers.  The structure layer is the only place a formula appears:
+`instance_masks` turns (structure, phi, x_arity, pool) into a mask table,
+parameter tuple -> bitmask of the x-tuples satisfying phi(x; a), through
+the one formula evaluator; `family_masks` writes the table of a set family
+in closed form; `internal_dividing_check` also evaluates its delta
+formulas.  The counting layer (`enumerate_types`, `m_inconsistent`,
+`count_types`, `power_saving`) is a function of one mask table and reads
+nothing else, so two types are comparable exactly when their instances
+are keys of that table.  `f_phi` is `instance_masks` followed by
+`count_types`; it is kept because perfbench's field-families jobs call
+it by name.
 """
 
 from __future__ import annotations
@@ -220,32 +224,17 @@ def family_masks(family: SetFamily) -> dict:
     return {(g + i,): m for i, m in enumerate(family.masks)}
 
 
-class PositiveType:
-    """A consistent set of instances phi(x, a), a in A, with its witnesses.
+class PositiveType(NamedTuple):
+    """A satisfiable set of instances, read against one mask table.
 
-    instances is the frozenset of parameter tuples.  mask is the nonzero
-    bitmask of the x-tuples satisfying all instances in the ambient
-    structure: bit i stands for the i-th tuple of universe^x_arity in
-    lexicographic order.  inst_masks is the enumeration's table of
-    per-parameter masks in that order, shared by all of its types, so
-    inconsistency checks between types from the same enumeration stay
-    exact and cheap.
+    instances is a nonempty frozenset of the table's keys (parameter
+    tuples); mask is the AND of their masks, nonzero: the witnesses
+    satisfying every instance.  Only `_types_from_masks` builds types, so
+    both conditions hold by construction.
     """
 
-    __slots__ = ("formula", "x_arity", "instances", "mask", "inst_masks")
-
-    def __init__(
-        self, formula, x_arity: int, instances: frozenset, mask: int, inst_masks: dict
-    ):
-        if not instances:
-            raise ValueError("a positive type needs at least one instance")
-        if not mask:
-            raise ValueError("a positive type must have a witness")
-        self.formula = formula
-        self.x_arity = x_arity
-        self.instances = instances
-        self.mask = mask
-        self.inst_masks = inst_masks
+    instances: frozenset
+    mask: int
 
     @property
     def size(self) -> int:
@@ -262,35 +251,39 @@ def _check_x_space(structure: FiniteStructure, x_arity: int):
         raise ValueError(f"witness space size {count} exceeds cap {X_CAP}")
 
 
+def _pool(structure: FiniteStructure, params) -> list:
+    """The distinct tuples of params, sorted.  Each non-int element goes
+    to const_index first, which refuses it: a set would take True for 1,
+    and sorted cannot order a string against an int."""
+    params = [tuple(a) for a in params]
+    for v in itertools.chain.from_iterable(params):
+        if type(v) is not int:
+            structure.const_index(v)
+    return sorted(set(params))
+
+
 def instance_masks(structure, phi, x_arity, params):
     """Bitmask of the x-tuples (lexicographic order) satisfying phi(x; a),
     per distinct a in params, keyed in sorted order."""
     _check_x_space(structure, x_arity)
-    params = sorted({tuple(a) for a in params})
+    params = _pool(structure, params)
     if not params:
         return {}
     masks = evaluate_formula(structure, phi, x_arity, len(params[0]), params)
     return dict(zip(params, masks))
 
 
-def enumerate_types(
-    structure: FiniteStructure,
-    phi,
-    x_arity: int,
-    A: Sequence[tuple],
-    k: int,
-):
-    """All satisfiable instance sets of size 1..k over parameters from A.
+def enumerate_types(masks: dict, k: int):
+    """All satisfiable instance sets of size 1..k over the keys of masks.
 
-    phi's variables are x (indices 0..x_arity-1) then the parameter tuple.
-    Satisfiability is exhaustive over universe^x_arity.  More than TYPE_CAP
-    types raises TypeBlowupError carrying the partial count.
+    masks is a table from instance_masks or family_masks; its keys are
+    taken in sorted order.  More than TYPE_CAP types raises
+    TypeBlowupError carrying the partial count.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    masks = instance_masks(structure, phi, x_arity, A)
-    types = _types_from_masks(list(masks), masks, k)
-    return [PositiveType(phi, x_arity, frozenset(s), w, masks) for s, w in types]
+    types = _types_from_masks(sorted(masks), masks, k)
+    return [PositiveType(frozenset(s), w) for s, w in types]
 
 
 def _types_from_masks(params, masks, k):
@@ -333,18 +326,21 @@ def _some_disjoint(p_masks, q_masks) -> bool:
     return False
 
 
-def m_inconsistent(p: PositiveType, q: PositiveType, m: int) -> bool:
+def m_inconsistent(masks: dict, p: PositiveType, q: PositiveType, m: int) -> bool:
     """Some subsets p0 of p and q0 of q, sizes <= m, share no witness.
 
-    Only maximal-size subsets need checking: shrinking a subset enlarges
-    its witness set.  Types must come from the same enumeration (shared
-    x-tuple order) so their masks are comparable.
+    Both types are read against the one table masks, so every instance
+    must be one of its keys.  Only maximal-size subsets need checking:
+    shrinking a subset enlarges its witness set.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if p.formula != q.formula or p.x_arity != q.x_arity:
-        raise ValueError("types must share the formula and x arity")
-    subs = [_subset_masks(sorted(t.instances), t.inst_masks, m) for t in (p, q)]
+    missing = sorted((p.instances | q.instances) - masks.keys())
+    if missing:
+        raise ValueError(
+            f"instances not in the mask table: {', '.join(map(str, missing))}"
+        )
+    subs = [_subset_masks(sorted(t.instances), masks, m) for t in (p, q)]
     return _some_disjoint(*subs)
 
 
@@ -388,6 +384,8 @@ def _max_clique(adj, seed):
 class CountReport(NamedTuple):
     """Largest pairwise-m-inconsistent type family found over size-l sets.
 
+    witness_family holds the attaining PositiveTypes, read against the
+    table count_types was given; the JSON reports only their sizes.
     exact means: the parameter-set scan was exhaustive and every type
     enumeration completed; the clique search itself is always exact.
     greedy_value is the greedy lower bound on the attaining parameter set.
@@ -434,13 +432,11 @@ def f_phi(
 ) -> CountReport:
     """count_types over the instance masks of phi on the pool."""
     masks = instance_masks(structure, phi, x_arity, parameter_pool)
-    return count_types(masks, phi, x_arity, m, k, l, samples, seed)
+    return count_types(masks, m, k, l, samples, seed)
 
 
 def count_types(
     masks: dict,
-    phi,
-    x_arity: int,
     m: int,
     k: int,
     l: int,
@@ -503,7 +499,7 @@ def count_types(
     if best is None:
         raise blowup
     value, greedy, witness, A = best
-    witness = [PositiveType(phi, x_arity, frozenset(s), w, masks) for s, w in witness]
+    witness = [PositiveType(frozenset(s), w) for s, w in witness]
     return CountReport(
         m=m,
         k=k,
@@ -587,8 +583,8 @@ def internal_dividing_check(
         raise ValueError(f"n capped at {DIVIDING_N_CAP}; the search is exponential")
     if k < 2:
         raise ValueError("k must be >= 2")
-    B = sorted({tuple(b) for b in B})
-    C = sorted({tuple(c) for c in C})
+    B = _pool(structure, B)
+    C = _pool(structure, C)
     masks = instance_masks(structure, phi, x_arity, B)
     spent = 0
     for b in sorted(p.instances):
@@ -685,27 +681,8 @@ class PowerSavingReport(NamedTuple):
     exact: bool
 
 
-def power_saving_probe(
-    structure: FiniteStructure,
-    phi,
-    x_arity: int,
-    m: int,
-    k: int,
-    parameter_pool: Sequence[tuple],
-    l_values: Sequence[int],
-    d: int,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-) -> PowerSavingReport:
-    """power_saving over the instance masks of phi on the pool."""
-    masks = instance_masks(structure, phi, x_arity, parameter_pool)
-    return power_saving(masks, phi, x_arity, m, k, l_values, d, samples, seed)
-
-
 def power_saving(
     masks: dict,
-    phi,
-    x_arity: int,
     m: int,
     k: int,
     l_values: Sequence[int],
@@ -728,7 +705,7 @@ def power_saving(
     counts = []
     exact = True
     for l in ls:
-        rep = count_types(masks, phi, x_arity, m, k, l, samples, seed)
+        rep = count_types(masks, m, k, l, samples, seed)
         counts.append(rep.value)
         exact = exact and rep.exact
     pts = [(l, c) for l, c in zip(ls, counts) if c >= 1]

@@ -328,10 +328,11 @@ def test_10_field_lines(capsys):
 def _brute_f_phi(structure, phi, pool, m, k, l):
     best = 0
     for A in itertools.combinations(pool, l):
-        types = typecount.enumerate_types(structure, phi, 1, list(A), k)
+        masks = typecount.instance_masks(structure, phi, 1, A)
+        types = typecount.enumerate_types(masks, k)
 
-        def consistent(i, j, ts=types, mm=m):
-            return not typecount.m_inconsistent(ts[i], ts[j], mm)
+        def consistent(i, j, ts=types, mm=m, masks=masks):
+            return not typecount.m_inconsistent(masks, ts[i], ts[j], mm)
 
         best = max(best, oracle_max_inconsistent(consistent, len(types)))
     return best

@@ -109,6 +109,7 @@ class TestExitCodes:
         assert rep["report"]["admissible"] is False
         assert rep["report"]["obstruction"] == 3
 
+    @pytest.mark.wallclock
     def test_fit_huge_n_is_refused(self):
         proc = run_cli("ff", "fit", "--count", "31", "--q", "31",
                        "--n", "100000", timeout=5)
@@ -118,6 +119,7 @@ class TestExitCodes:
             "error: n * bit_length(q) = 500000 exceeds FIT_BITS_CAP 10000\n"
         )
 
+    @pytest.mark.wallclock
     def test_dickson_huge_prime_bound_is_fast(self):
         # only the automatic candidates can obstruct, so the bound only
         # filters them; no prime up to it is scanned
@@ -692,6 +694,7 @@ def test_sqf_count_huge_level(tmp_path):
     assert json.loads(proc.stdout)["report"]["count"] == 29
 
 
+@pytest.mark.wallclock
 def test_sqf_psat_huge_level_refused(tmp_path):
     """p_satisfiable would scan 3^(10^8) residues: refused before p^L is
     built, in a subprocess under a short timeout."""
@@ -798,6 +801,7 @@ def test_console_script_entry():
     assert "fhplab" in proc.stdout
 
 
+@pytest.mark.wallclock
 def test_tp2_at_the_size_cap_in_seconds():
     """250,000 points and 1,000 members, built as masks: at most a few seconds."""
     proc = run_cli("construct", "tp2", "--k", "2", "--m", "500", timeout=10)
@@ -805,6 +809,7 @@ def test_tp2_at_the_size_cap_in_seconds():
     assert proc.stdout.count('"S[') == 1000
 
 
+@pytest.mark.wallclock
 def test_cross_verify_in_seconds():
     """Every pair of crosses meets in two points, so the k = 3 count of
     --verify never narrows a branch to one point; it counts by points."""
@@ -815,6 +820,7 @@ def test_cross_verify_in_seconds():
     assert len(report["sets"]) == 200
 
 
+@pytest.mark.wallclock
 def test_cross_40_lp_in_seconds(tmp_path):
     """cross-40's packing LP has 820 atom rows and 40 member columns; the
     solver keeps only the 40 nonbasic columns, not the 820 basic ones."""
@@ -828,6 +834,7 @@ def test_cross_40_lp_in_seconds(tmp_path):
     assert report["transversal"]["tau_star"] == {"num": 20, "den": 1}
 
 
+@pytest.mark.wallclock
 def test_lines_f61_k3_in_seconds():
     """3,721 lines over F_61: cons_3 = 61^2 C(61, 3) of C(61^2, 3); the
     fraction is below 1/2, so the FHP hypothesis fails and the exit is 1."""

@@ -144,6 +144,7 @@ def test_document_over_its_grammar_is_input_error(flag, doc, fixed):
     ],
     ids=["relation", "function"],
 )
+@pytest.mark.wallclock
 def test_arity_refused_before_built(tables, message, fixed, tmp_path):
     """|U|**arity is never built above ARITY_CAP; run as a subprocess so a
     regression fails on the timeout instead of hanging."""

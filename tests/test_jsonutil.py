@@ -106,8 +106,9 @@ def _library_reports():
     s, phi, pool = typecount.structure_from_family(fam)
     for l in (2, 3):
         out[f"count{l}"] = typecount.f_phi(s, phi, 1, 1, 2, pool, l)
-    out["power"] = typecount.power_saving_probe(s, phi, 1, 1, 2, pool, [2, 3, 4], 2)
-    for i, p in enumerate(typecount.enumerate_types(s, phi, 1, pool, 1)[:3]):
+    masks = typecount.instance_masks(s, phi, 1, pool)
+    out["power"] = typecount.power_saving(masks, 1, 2, [2, 3, 4], 2)
+    for i, p in enumerate(typecount.enumerate_types(masks, 1)[:3]):
         for budget in (1, 200000):
             out[f"div{i}_{budget}"] = typecount.internal_dividing_check(
                 s, phi, 1, p, pool, pool, [], 2, 2, budget=budget

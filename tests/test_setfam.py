@@ -3,11 +3,13 @@ import math
 import random
 import time
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fhplab import _backend as backend
 from fhplab import setfam
 from fhplab.constructs import build_two_order_cross
 from fhplab.setfam import (
@@ -22,7 +24,6 @@ from fhplab.setfam import (
     max_intersecting,
     measure_fhp_check,
     min_sequence_ratio,
-    sequence_ratio,
     wfhp_counting_bound,
 )
 
@@ -235,6 +236,24 @@ class TestPkProperty:
             for k in range(1, p + 1):
                 mine = check_pk_property(fam, p, k)
                 assert (mine.holds, mine.counterexample) == oracle_pk(fam, p, k), (p, k)
+
+
+# the oracle of min_sequence_ratio
+def sequence_ratio(family: SetFamily, index_sequence: Sequence[int]) -> Fraction:
+    """(largest intersecting sub-multiset size) / (sequence length).
+
+    A sub-multiset of positions is intersecting iff a ground element lies in
+    all of them, so the numerator is the maximum multiplicity-weighted depth.
+    A singleton of a nonempty set counts; a sequence of empty sets scores 0.
+    """
+    seq = tuple(index_sequence)
+    if not seq:
+        raise ValueError("index sequence must be nonempty")
+    for i in seq:
+        if not 0 <= i < family.n:
+            raise ValueError(f"index {i} out of range")
+    depths = backend.depth_counts([family.masks[i] for i in seq], family.ground_size)
+    return Fraction(max(depths), len(seq))
 
 
 def test_sequence_ratio_triangle(triangle):

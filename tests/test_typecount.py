@@ -24,7 +24,6 @@ from fhplab.typecount import (
     internal_dividing_check,
     m_inconsistent,
     power_saving,
-    power_saving_probe,
     structure_from_family,
 )
 from fhplab.typecount import _delta_indiscernible
@@ -186,25 +185,26 @@ class TestFiniteStructure:
 class TestEnumerateTypes:
     def test_equality_ten_points(self):
         s = equality_structure(10)
-        types = enumerate_types(s, EQ_PHI, 1, eq_pool(10), 2)
+        types = enumerate_types(instance_masks(s, EQ_PHI, 1, eq_pool(10)), 2)
         assert len(types) == 10
         assert all(t.size == 1 for t in types)
 
     def test_grid_pairs(self, grid):
         s, phi, pool = grid
-        types = enumerate_types(s, phi, 1, pool, 2)
+        types = enumerate_types(instance_masks(s, phi, 1, pool), 2)
         assert sum(1 for t in types if t.size == 2) == 9
         assert sum(1 for t in types if t.size == 1) == 6
 
     def test_k_above_pool_size(self):
         s = equality_structure(3)
-        a = enumerate_types(s, EQ_PHI, 1, eq_pool(3), 3)
-        b = enumerate_types(s, EQ_PHI, 1, eq_pool(3), 9)
+        masks = instance_masks(s, EQ_PHI, 1, eq_pool(3))
+        a = enumerate_types(masks, 3)
+        b = enumerate_types(masks, 9)
         assert len(a) == len(b)
 
     def test_witnesses_satisfy_instances(self, grid):
         s, phi, pool = grid
-        for t in enumerate_types(s, phi, 1, pool, 2):
+        for t in enumerate_types(instance_masks(s, phi, 1, pool), 2):
             assert t.mask
             # x_arity 1: bit i stands for the i-th universe element
             for i, w in enumerate(s.universe):
@@ -214,67 +214,87 @@ class TestEnumerateTypes:
 
     def test_k_below_one_rejected(self):
         with pytest.raises(ValueError, match="k must be >= 1"):
-            enumerate_types(equality_structure(3), EQ_PHI, 1, eq_pool(3), 0)
-
-    @pytest.mark.parametrize(
-        "instances, mask, message",
-        [
-            (frozenset(), 1, "needs at least one instance"),
-            (frozenset({(0,)}), 0, "must have a witness"),
-        ],
-    )
-    def test_positive_type_refused(self, instances, mask, message):
-        with pytest.raises(ValueError, match=message):
-            PositiveType(EQ_PHI, 1, instances, mask, {})
+            enumerate_types(
+                instance_masks(equality_structure(3), EQ_PHI, 1, eq_pool(3)), 0
+            )
 
     def test_blowup_cap(self, monkeypatch):
         monkeypatch.setattr(typecount, "TYPE_CAP", 5)
         s = equality_structure(12)
         with pytest.raises(TypeBlowupError) as err:
-            enumerate_types(s, EQ_PHI, 1, eq_pool(12), 2)
+            enumerate_types(instance_masks(s, EQ_PHI, 1, eq_pool(12)), 2)
         assert err.value.partial_count >= 5
 
 
 class TestMInconsistent:
     def test_self_never(self, grid):
         s, phi, pool = grid
-        types = enumerate_types(s, phi, 1, pool, 2)
+        masks = instance_masks(s, phi, 1, pool)
+        types = enumerate_types(masks, 2)
         for t in types[:5]:
-            assert not m_inconsistent(t, t, 1)
+            assert not m_inconsistent(masks, t, t, 1)
 
     def test_disjoint_rows(self, grid):
         s, phi, pool = grid
-        singles = {
-            next(iter(t.instances)): t
-            for t in enumerate_types(s, phi, 1, pool, 1)
-        }
+        masks = instance_masks(s, phi, 1, pool)
+        singles = {next(iter(t.instances)): t for t in enumerate_types(masks, 1)}
         keys = sorted(singles)
         # same-row labels produce disjoint sets -> 1-inconsistent
-        assert m_inconsistent(singles[keys[0]], singles[keys[1]], 1)
+        assert m_inconsistent(masks, singles[keys[0]], singles[keys[1]], 1)
         # cross-row labels always meet
-        assert not m_inconsistent(singles[keys[0]], singles[keys[3]], 1)
+        assert not m_inconsistent(masks, singles[keys[0]], singles[keys[3]], 1)
 
     def test_monotone_in_m(self, grid):
         s, phi, pool = grid
-        types = enumerate_types(s, phi, 1, pool, 2)
+        masks = instance_masks(s, phi, 1, pool)
+        types = enumerate_types(masks, 2)
         for p, q in itertools.combinations(types[:8], 2):
-            if m_inconsistent(p, q, 1):
-                assert m_inconsistent(p, q, 2)
+            if m_inconsistent(masks, p, q, 1):
+                assert m_inconsistent(masks, p, q, 2)
 
     def test_m_below_one_rejected(self, grid):
         s, phi, pool = grid
-        t = enumerate_types(s, phi, 1, pool, 1)[0]
+        masks = instance_masks(s, phi, 1, pool)
+        t = enumerate_types(masks, 1)[0]
         with pytest.raises(ValueError, match="m must be >= 1"):
-            m_inconsistent(t, t, 0)
+            m_inconsistent(masks, t, t, 0)
 
     def test_mixed_formula_rejected(self, grid):
+        # a type of another formula read against the grid's table, whose
+        # keys are member labels: its instance (0,) is not one of them
         s, phi, pool = grid
-        t1 = enumerate_types(s, phi, 1, pool, 1)[0]
+        masks = instance_masks(s, phi, 1, pool)
+        t1 = enumerate_types(masks, 1)[0]
         t2 = enumerate_types(
-            equality_structure(4), EQ_PHI, 1, eq_pool(4), 1
+            instance_masks(equality_structure(4), EQ_PHI, 1, eq_pool(4)), 1
         )[0]
-        with pytest.raises(ValueError):
-            m_inconsistent(t1, t2, 1)
+        with pytest.raises(ValueError, match=r"not in the mask table: \(0,\)$"):
+            m_inconsistent(masks, t1, t2, 1)
+
+    def test_instances_outside_the_table_named(self):
+        # types over a 4-element universe against a 3-element table
+        masks = instance_masks(equality_structure(3), EQ_PHI, 1, eq_pool(3))
+        types = enumerate_types(
+            instance_masks(equality_structure(4), EQ_PHI, 1, eq_pool(4)), 1
+        )
+        assert [sorted(t.instances) for t in types[2:]] == [[(2,)], [(3,)]]
+        with pytest.raises(ValueError, match=r"not in the mask table: \(3,\)$"):
+            m_inconsistent(masks, types[2], types[3], 1)
+        stray = PositiveType(frozenset({(5,), (4,)}), 1)
+        with pytest.raises(ValueError, match=r"table: \(3,\), \(4,\), \(5,\)$"):
+            m_inconsistent(masks, types[3], stray, 1)
+
+    def test_reversed_universe_read_against_one_table(self):
+        # the type {(0,)} of x = y over universes (0, 1, 2) and (2, 1, 0)
+        # has masks 1 and 4 over different x-grids; comparing those masks
+        # called one instance set 1-inconsistent with itself
+        a, r = (
+            enumerate_types(instance_masks(FiniteStructure(u), EQ_PHI, 1, [(0,)]), 1)[0]
+            for u in ((0, 1, 2), (2, 1, 0))
+        )
+        assert (a, r) == ((frozenset({(0,)}), 1), (frozenset({(0,)}), 4))
+        masks = instance_masks(FiniteStructure((0, 1, 2)), EQ_PHI, 1, eq_pool(3))
+        assert not m_inconsistent(masks, a, r, 1)
 
 
 class TestFPhi:
@@ -295,8 +315,9 @@ class TestFPhi:
         s, phi, pool = grid
         rep = f_phi(s, phi, 1, m=1, k=2, parameter_pool=pool, l=6)
         assert len(rep.witness_family) == rep.value
+        masks = instance_masks(s, phi, 1, pool)
         for p, q in itertools.combinations(rep.witness_family, 2):
-            assert m_inconsistent(p, q, 1)
+            assert m_inconsistent(masks, p, q, 1)
 
     def test_greedy_at_most_exact(self, grid):
         s, phi, pool = grid
@@ -344,7 +365,7 @@ class TestFPhi:
     def test_bad_arguments_refused(self, m, k, l, samples, message):
         masks = instance_masks(equality_structure(3), EQ_PHI, 1, eq_pool(3))
         with pytest.raises(ValueError, match=message):
-            count_types(masks, EQ_PHI, 1, m, k, l, samples)
+            count_types(masks, m, k, l, samples)
 
     def test_sampled_mode_flagged(self):
         s = equality_structure(14)
@@ -372,10 +393,11 @@ class TestFPhi:
             assert rep.exact
             best = 0
             for A in itertools.combinations(pool, l):
-                types = enumerate_types(s, phi, 1, list(A), k)
+                masks = instance_masks(s, phi, 1, A)
+                types = enumerate_types(masks, k)
 
-                def clash(i, j, ts=types, mm=m):
-                    return not m_inconsistent(ts[i], ts[j], mm)
+                def clash(i, j, ts=types, mm=m, masks=masks):
+                    return not m_inconsistent(masks, ts[i], ts[j], mm)
 
                 best = max(
                     best, oracle_max_inconsistent(clash, len(types))
@@ -424,13 +446,14 @@ def test_types_and_inconsistency_pinned():
         fam = SetFamily(g, [rng.sample(range(g), rng.randint(0, g))
                             for _ in range(rng.randint(1, 6))])
         s, phi, pool = structure_from_family(fam)
-        types = enumerate_types(s, phi, 1, pool, rng.randint(1, 3))
+        masks = instance_masks(s, phi, 1, pool)
+        types = enumerate_types(masks, rng.randint(1, 3))
         m = rng.randint(1, 3)
         out.append([
             [[sorted(t.instances),
               [i for i in range(t.mask.bit_length()) if t.mask >> i & 1]]
              for t in types],
-            [[m_inconsistent(p, q, m) for q in types] for p in types],
+            [[m_inconsistent(masks, p, q, m) for q in types] for p in types],
         ])
     digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
     assert digest == "30465c8760f9183e4273b99e6343a100f6ffff7a18dd0c396db2cdbce3be8363"
@@ -513,7 +536,8 @@ R3 = ["rel", "R", ["var", 0], ["var", 1], ["var", 2]]
          r"\(1, 2\) has 2 element\(s\), expected 1"),
         (lambda: f_phi(TERNARY, R3, 1, 1, 2, [(0, 0), (1,), (1, 2, 2)], 2),
          r"\(1,\) has 1 element"),
-        (lambda: enumerate_types(TERNARY, R3, 1, [(0, 0), (1, 2, 2)], 1),
+        (lambda: enumerate_types(
+            instance_masks(TERNARY, R3, 1, [(0, 0), (1, 2, 2)]), 1),
          r"\(1, 2, 2\) has 3 element\(s\), expected 2"),
     ],
     ids=["silent-misread", "instance_masks", "f_phi", "enumerate_types"],
@@ -525,7 +549,7 @@ def test_mixed_length_parameters_refused(call, bad):
 
 def test_mixed_length_dividing_pool_refused(grid):
     s, phi, pool = grid
-    t = enumerate_types(s, phi, 1, pool, 1)[0]
+    t = enumerate_types(instance_masks(s, phi, 1, pool), 1)[0]
     last = (pool[-1][0],) * 2  # sorts after every tuple of the pool
     with pytest.raises(ValueError, match=re.escape(f"parameter tuple {last} has 2 element")):
         internal_dividing_check(
@@ -546,6 +570,28 @@ def test_instance_masks_keeps_the_checks():
     # refused before the 300**2 x-tuples are built
     with pytest.raises(ValueError, match="witness space size 90000 exceeds cap"):
         instance_masks(equality_structure(300), EQ_PHI, 2, eq_pool(300))
+
+
+@pytest.mark.parametrize(
+    "pool, bad",
+    [
+        # a set would take True for 1 and drop it as a duplicate
+        ([(1,), (True,)], "True"),
+        # sorted cannot order a string against an int (TypeError)
+        ([(1,), ("a",)], "'a'"),
+        ([(2,), (1.0,)], "1.0"),
+    ],
+)
+def test_pool_refuses_non_int_elements(pool, bad):
+    s = equality_structure(3)
+    with pytest.raises(ValueError, match=f"^constant {re.escape(bad)} not in universe$"):
+        instance_masks(s, EQ_PHI, 1, pool)
+    t = enumerate_types(instance_masks(s, EQ_PHI, 1, eq_pool(3)), 1)[0]
+    for B, C in ((pool, eq_pool(3)), (eq_pool(3), pool)):
+        with pytest.raises(ValueError, match=f"^constant {re.escape(bad)} not in"):
+            internal_dividing_check(
+                s, EQ_PHI, 1, t, B=B, C=C, delta=TAUT_DELTA, n=2, k=2
+            )
 
 
 def set_cliques(adj):
@@ -600,7 +646,7 @@ def test_bitset_cliques_match_set_search():
 class TestDividing:
     def test_grid_row_divides(self, grid):
         s, phi, pool = grid
-        types = enumerate_types(s, phi, 1, pool, 1)
+        types = enumerate_types(instance_masks(s, phi, 1, pool), 1)
         p = types[0]
         rep = internal_dividing_check(
             s, phi, 1, p, B=pool[:3], C=[], delta=TAUT_DELTA, n=2, k=2
@@ -618,7 +664,7 @@ class TestDividing:
         s = FiniteStructure(tuple(range(size)), rels, {})
         phi = EQ_PHI
         pool = eq_pool(size)
-        types = enumerate_types(s, phi, 1, pool, 1)
+        types = enumerate_types(instance_masks(s, phi, 1, pool), 1)
         delta = [(["rel", f"P{i}", ["var", 0]], 1, 0) for i in range(size)]
         rep = internal_dividing_check(
             s, phi, 1, types[0], B=pool, C=pool, delta=delta, n=2, k=2
@@ -627,7 +673,7 @@ class TestDividing:
 
     def test_budget_exhaustion_indeterminate(self, grid):
         s, phi, pool = grid
-        types = enumerate_types(s, phi, 1, pool, 1)
+        types = enumerate_types(instance_masks(s, phi, 1, pool), 1)
         rep = internal_dividing_check(
             s, phi, 1, types[0], B=pool, C=pool,
             delta=[(phi, 1, 1)], n=3, k=3, budget=2
@@ -636,7 +682,7 @@ class TestDividing:
 
     def test_n_bounds(self, grid):
         s, phi, pool = grid
-        t = enumerate_types(s, phi, 1, pool, 1)[0]
+        t = enumerate_types(instance_masks(s, phi, 1, pool), 1)[0]
         for bad_n in (1, 7):
             with pytest.raises(ValueError):
                 internal_dividing_check(
@@ -650,7 +696,7 @@ class TestDividing:
 
     def test_n_cap(self):
         s, pool = equality_structure(6), eq_pool(6)
-        t = enumerate_types(s, EQ_PHI, 1, pool, 1)[0]
+        t = enumerate_types(instance_masks(s, EQ_PHI, 1, pool), 1)[0]
         n = typecount.DIVIDING_N_CAP
         rep = internal_dividing_check(
             s, EQ_PHI, 1, t, B=pool, C=[], delta=TAUT_DELTA, n=n, k=2
@@ -672,7 +718,7 @@ class TestDividing:
     )
     def test_no_sequence_from_b(self, B, n, grid):
         s, phi, pool = grid
-        t = enumerate_types(s, phi, 1, pool, 1)[0]
+        t = enumerate_types(instance_masks(s, phi, 1, pool), 1)[0]
         assert t.instances == {pool[0]}
         rep = internal_dividing_check(
             s, phi, 1, t, B=B(pool), C=[], delta=TAUT_DELTA, n=n, k=2
@@ -683,7 +729,7 @@ class TestDividing:
         # all members share element 0: no k-inconsistent sequence exists
         fam = SetFamily(3, [{0, 1}, {0, 2}, {0}])
         s, phi, pool = structure_from_family(fam)
-        t = enumerate_types(s, phi, 1, pool, 1)[0]
+        t = enumerate_types(instance_masks(s, phi, 1, pool), 1)[0]
         rep = internal_dividing_check(
             s, phi, 1, t, B=pool, C=[], delta=TAUT_DELTA, n=3, k=2
         )
@@ -804,8 +850,8 @@ class TestFindKddd:
 class TestPowerSaving:
     def test_equality_exponent_one(self):
         s = equality_structure(10)
-        rep = power_saving_probe(
-            s, EQ_PHI, 1, 1, 2, eq_pool(10), [3, 5, 7, 9], 2
+        rep = power_saving(
+            instance_masks(s, EQ_PHI, 1, eq_pool(10)), 1, 2, [3, 5, 7, 9], 2
         )
         assert abs(float(rep.exponent_estimate) - 1.0) < 0.05
         assert rep.below_threshold
@@ -813,7 +859,7 @@ class TestPowerSaving:
     def test_grid_exponent_two(self):
         fam = build_tp2_grid(2, 5)
         s, phi, pool = structure_from_family(fam)
-        rep = power_saving_probe(s, phi, 1, 1, 2, pool, [4, 6, 8, 10], 2)
+        rep = power_saving(instance_masks(s, phi, 1, pool), 1, 2, [4, 6, 8, 10], 2)
         assert abs(float(rep.exponent_estimate) - 2.0) < 1e-9
         assert not rep.below_threshold
         assert rep.threshold == 2 - 1 / 2  # k - 1/d^{k-1}
@@ -821,7 +867,7 @@ class TestPowerSaving:
     def test_needs_three_points(self):
         s = equality_structure(6)
         with pytest.raises(ValueError):
-            power_saving_probe(s, EQ_PHI, 1, 1, 2, eq_pool(6), [2, 4], 2)
+            power_saving(instance_masks(s, EQ_PHI, 1, eq_pool(6)), 1, 2, [2, 4], 2)
 
     def test_evaluates_the_formula_once(self, monkeypatch):
         calls = []
@@ -832,8 +878,9 @@ class TestPowerSaving:
             return evaluate(*args)
 
         monkeypatch.setattr(typecount, "evaluate_formula", counted)
-        s = equality_structure(10)
-        power_saving_probe(s, EQ_PHI, 1, 1, 2, eq_pool(10), [3, 5, 7], 2)
+        masks = instance_masks(equality_structure(10), EQ_PHI, 1, eq_pool(10))
+        assert len(calls) == 1
+        power_saving(masks, 1, 2, [3, 5, 7], 2)
         assert len(calls) == 1
 
     @pytest.mark.parametrize(
@@ -846,12 +893,12 @@ class TestPowerSaving:
     )
     def test_power_saving_refused(self, masks, d, message):
         with pytest.raises(ValueError, match=message):
-            power_saving(masks, EQ_PHI, 1, 1, 2, [2, 3, 4], d)
+            power_saving(masks, 1, 2, [2, 3, 4], d)
 
     def test_nonincreasing_l_rejected(self):
         s = equality_structure(6)
         with pytest.raises(ValueError):
-            power_saving_probe(s, EQ_PHI, 1, 1, 2, eq_pool(6), [4, 3, 5], 2)
+            power_saving(instance_masks(s, EQ_PHI, 1, eq_pool(6)), 1, 2, [4, 3, 5], 2)
 
 
 def test_structure_from_family_encoding(triangle):

@@ -8,8 +8,8 @@ generated sitecustomize.py first on PYTHONPATH so that every CLI
 subprocess the tests start traces itself too and appends its lines to a
 shared log at exit.  A statement is a line that holds bytecode; each run
 of missed statements with no executed one between them prints as a
-range.  Tracing makes the code several times slower, so a test with a
-tight subprocess timeout may fail here.
+range.  Tracing makes the code several times slower, so the tests marked
+`wallclock` (a CLI subprocess under a wall-clock timeout) are deselected.
 """
 
 import atexit
@@ -78,7 +78,7 @@ def main(argv):
         path = [tmp, os.environ.get("PYTHONPATH")]
         os.environ["PYTHONPATH"] = os.pathsep.join(p for p in path if p)
         hit = start()
-        status = pytest.main(argv)
+        status = pytest.main(["-m", "not wallclock", *argv])
         sys.settrace(None)
         if os.path.exists(log):
             with open(log) as fh:
