@@ -103,17 +103,19 @@ def _verify_field_axioms(p: int, add, mul):
     import numpy as np
 
     r = np.arange(p)
-    i, j, k = np.meshgrid(r, r, r, indexing="ij", sparse=False)
+    # each identity over all (i, j, k), gathered flat: t.ravel()[a*p + b] is t[a, b]
+    A, M = add.ravel(), mul.ravel()
+    i, k = r[:, None, None] * p, r[None, None, :]
     checks = [
         (add == add.T).all(),
         (mul == mul.T).all(),
         (add[0] == r).all(),
         (mul[1] == r).all(),
-        (add[add[i, j], k] == add[i, add[j, k]]).all(),
-        (mul[mul[i, j], k] == mul[i, mul[j, k]]).all(),
-        (mul[i, add[j, k]] == add[mul[i, j], mul[i, k]]).all(),
-        all(0 in add[a] for a in range(p)),
-        all(1 in mul[a] for a in range(1, p)),
+        (A[add[:, :, None] * p + k] == A[i + add[None, :, :]]).all(),
+        (M[mul[:, :, None] * p + k] == M[i + mul[None, :, :]]).all(),
+        (M[i + add[None, :, :]] == A[mul[:, :, None] * p + mul[:, None, :]]).all(),
+        (add == 0).any(axis=1).all(),
+        (mul[1:] == 1).any(axis=1).all(),
         (mul[0] == 0).all(),
     ]
     if not all(bool(c) for c in checks):
@@ -155,6 +157,18 @@ def definable_family(
     return SetFamily.from_masks(npoints, masks, labels)
 
 
+def _block_rotations(q: int, base: int) -> list:
+    """base and its q - 1 successors, each rotating every q-bit block of
+    a q*q-bit mask up by one."""
+    top = sum(1 << (x * q + q - 1) for x in range(q))
+    rest = ((1 << q * q) - 1) ^ top
+    out = []
+    for _ in range(q):
+        out.append(base)
+        base = ((base & rest) << 1) | ((base & top) >> (q - 1))
+    return out
+
+
 def line_family(field: FieldStructure) -> SetFamily:
     """All q^2 non-vertical lines x1 = a*x0 + b over F_q^2, labeled by (a,b).
 
@@ -162,19 +176,21 @@ def line_family(field: FieldStructure) -> SetFamily:
     all (y0, y1), written as masks without evaluating phi.  Point (x0, x1)
     is bit x0*q + x1, so a line holds one bit in each q-bit block x0: at
     b = 0 bit a*x0 mod q, and each next b rotates every block up by one.
+    The column table is written the same way for `from_masks`: member a*q + b
+    holds (x0, x1) iff b = x1 - a*x0, so the column of (x0, 0) holds bit
+    -a*x0 mod q of each q-bit block a, and each next x1 rotates it.
     """
     q = field.p
     check_ground_size(q * q)
-    top = sum(1 << (x0 * q + q - 1) for x0 in range(q))
-    rest = ((1 << q * q) - 1) ^ top
-    masks = []
+    masks, columns = [], []
     for a in range(q):
-        m = sum(1 << (x0 * q + a * x0 % q) for x0 in range(q))
-        for _ in range(q):
-            masks.append(m)
-            m = ((m & rest) << 1) | ((m & top) >> (q - 1))
+        line = sum(1 << (x0 * q + a * x0 % q) for x0 in range(q))
+        masks += _block_rotations(q, line)
+    for x0 in range(q):
+        column = sum(1 << (a * q + -a * x0 % q) for a in range(q))
+        columns += _block_rotations(q, column)
     labels = [f"b={(a, b)}" for a in range(q) for b in range(q)]
-    return SetFamily.from_masks(q * q, masks, labels)
+    return SetFamily.from_masks(q * q, masks, labels, columns)
 
 
 class DimMeasFit(NamedTuple):

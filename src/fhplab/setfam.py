@@ -81,9 +81,16 @@ class SetFamily:
         self._store(ground_size, packed, labels)
 
     @classmethod
-    def from_masks(cls, ground_size: int, masks, labels=None) -> "SetFamily":
+    def from_masks(cls, ground_size: int, masks, labels=None, columns=None) -> "SetFamily":
+        """columns, when given, is taken as the transpose of masks (one
+        member bitmask per ground element) and returned by `columns`."""
         family = cls.__new__(cls)
         family._store(ground_size, masks, labels)
+        if columns is not None:
+            columns = tuple(columns)
+            if len(columns) != ground_size:
+                raise ValueError("columns length must match ground_size")
+            family.__dict__["columns"] = columns  # the cached_property's slot
         return family
 
     def _store(self, ground_size, masks, labels) -> None:

@@ -22,6 +22,11 @@ nothing else, so two types are comparable exactly when their instances
 are keys of that table.  `f_phi` is `instance_masks` followed by
 `count_types`; it is kept because perfbench's field-families jobs call
 it by name.
+
+When 2*min(m, k) <= k or l <= k, `count_types` solves each
+m-inconsistency graph once per call, not once per parameter set:
+parameter sets whose types sit at the same positions then have the same
+graph, so the clique found for one is read off the other's types.
 """
 
 from __future__ import annotations
@@ -283,14 +288,16 @@ def enumerate_types(masks: dict, k: int):
     if k < 1:
         raise ValueError("k must be >= 1")
     types = _types_from_masks(sorted(masks), masks, k)
-    return [PositiveType(frozenset(s), w) for s, w in types]
+    return [PositiveType(frozenset(s), w) for s, w, _ in types]
 
 
 def _types_from_masks(params, masks, k):
-    """(instances, witness mask) of each satisfiable params tuple of size 1..k."""
+    """(instances, witness mask, position bitmask within params) of each
+    satisfiable params tuple of size 1..k, in lexicographic order of
+    positions."""
     types = []
 
-    def rec(start: int, chosen: tuple, mask: int):
+    def rec(start: int, chosen: tuple, mask: int, pos: int):
         if len(types) > TYPE_CAP:
             raise TypeBlowupError(TYPE_CAP, len(types))
         for i in range(start, len(params)):
@@ -299,11 +306,11 @@ def _types_from_masks(params, masks, k):
             if not m2:
                 continue
             sel = chosen + (a,)
-            types.append((sel, m2))
+            types.append((sel, m2, pos | 1 << i))
             if len(sel) < k:
-                rec(i + 1, sel, m2)
+                rec(i + 1, sel, m2, pos | 1 << i)
 
-    rec(0, (), -1)
+    rec(0, (), -1, 0)
     return types
 
 
@@ -381,6 +388,21 @@ def _max_clique(adj, seed):
     return best
 
 
+def _solve_types(types, masks, m) -> tuple:
+    """(maximum clique, greedy clique size) of the m-inconsistency graph
+    of types, given as (instances, mask, position) triples."""
+    # m_inconsistent on every pair, with each type's subset masks built once
+    subs = [_subset_masks(sel, masks, m) for sel, _, _ in types]
+    adj = [0] * len(types)
+    for i in range(len(types)):
+        for j in range(i + 1, len(types)):
+            if _some_disjoint(subs[i], subs[j]):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    greedy = _greedy_clique(adj)
+    return _max_clique(adj, greedy), len(greedy)
+
+
 class CountReport(NamedTuple):
     """Largest pairwise-m-inconsistent type family found over size-l sets.
 
@@ -452,6 +474,15 @@ def count_types(
     max-clique on the m-inconsistency graph of the types.  When every
     parameter set has more than TYPE_CAP types, the last set's
     TypeBlowupError is raised.
+
+    Types p, q clash iff the AND over some p0 | q0 is 0, where
+    |p0 | q0| <= reach = min(l, 2*min(m, k)).  When reach <= k every such
+    union is itself a type or has an empty witness set, so the positions
+    of A's types within A, in enumeration order, fix A's graph: a set
+    whose types sit where an earlier set's did reuses its clique, and the
+    same clique positions name its own witness types, so reports are
+    those of a clique search per set.  When reach > k each set's graph is
+    built and solved on its own.
     """
     pool = sorted(masks)
     if l < 1 or l > len(pool):
@@ -476,6 +507,8 @@ def count_types(
         mode = "sampled"
         used_seed = seed
 
+    reach = min(l, 2 * min(m, k))
+    solved = {}
     best = None
     blowup = None
     for A in subsets:
@@ -484,22 +517,19 @@ def count_types(
         except TypeBlowupError as exc:
             blowup = exc
             continue
-        # m_inconsistent on every pair, with each type's subset masks built once
-        subs = [_subset_masks(sel, masks, m) for sel, _ in types]
-        adj = [0] * len(types)
-        for i in range(len(types)):
-            for j in range(i + 1, len(types)):
-                if _some_disjoint(subs[i], subs[j]):
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-        greedy = _greedy_clique(adj)
-        clique = _max_clique(adj, greedy)
+        if reach > k:
+            clique, greedy = _solve_types(types, masks, m)
+        else:
+            key = tuple(pos for _, _, pos in types)
+            if key not in solved:
+                solved[key] = _solve_types(types, masks, m)
+            clique, greedy = solved[key]
         if best is None or len(clique) > best[0]:
-            best = (len(clique), len(greedy), [types[i] for i in clique], A)
+            best = (len(clique), greedy, [types[i] for i in clique], A)
     if best is None:
         raise blowup
     value, greedy, witness, A = best
-    witness = [PositiveType(frozenset(s), w) for s, w in witness]
+    witness = [PositiveType(frozenset(s), w) for s, w, _ in witness]
     return CountReport(
         m=m,
         k=k,

@@ -821,6 +821,18 @@ def test_cross_verify_in_seconds():
 
 
 @pytest.mark.wallclock
+def test_count_types_repeated_members_in_seconds(tmp_path):
+    """20 equal members: every sampled parameter set has the same 1,023
+    types and one m-inconsistency graph, which count_types solves once."""
+    path = family_file(tmp_path, [{0, 1}] * 20, 2)
+    proc = run_cli("count-types", "--family", path, "--m", "1", "--k", "10",
+                   "--l", "10", timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    count = json.loads(proc.stdout)["report"]["count"]
+    assert (count["value"], count["mode"]) == (1, "sampled")
+
+
+@pytest.mark.wallclock
 def test_cross_40_lp_in_seconds(tmp_path):
     """cross-40's packing LP has 820 atom rows and 40 member columns; the
     solver keeps only the 40 nonbasic columns, not the 820 basic ones."""

@@ -3,9 +3,10 @@ import itertools
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from fhplab import pseudofield
+from fhplab import _backend, pseudofield
 from fhplab._primes import primerange
 from fhplab.pseudofield import (
     ARITY_CAP,
@@ -74,6 +75,18 @@ class TestFieldStructure:
             definable_family(f, LINE_PHI, 2, ["true"], 2)
         with pytest.raises(ArithmeticError):
             f.tables()
+
+    @pytest.mark.parametrize("table", ["add", "mul"])
+    def test_corrupted_symmetric_entry_refused(self, table):
+        # symmetric, so only the associativity and distributivity gathers see it
+        p = 7
+        r = np.arange(p)
+        tables = {"add": (r[:, None] + r) % p, "mul": (r[:, None] * r) % p}
+        pseudofield._verify_field_axioms(p, tables["add"], tables["mul"])
+        t = tables[table]
+        t[2, 3] = t[3, 2] = (t[2, 3] + 1) % p
+        with pytest.raises(ArithmeticError, match="failed for p=7"):
+            pseudofield._verify_field_axioms(p, tables["add"], tables["mul"])
 
 
 def holds(field, formula, point):
@@ -234,6 +247,18 @@ class TestLineFamily:
         assert fam.masks == want.masks
         assert fam.labels == want.labels
         assert fam.ground_size == want.ground_size == p * p
+
+    @pytest.mark.parametrize("q", list(primerange(2, FIELD_CAP + 1)))
+    def test_columns_are_the_transpose(self, q, monkeypatch):
+        transpose = _backend._columns
+
+        def refuse(*args):
+            raise AssertionError("columns recomputed")
+
+        # the table line_family writes is the one `columns` returns
+        monkeypatch.setattr(_backend, "_columns", refuse)
+        fam = line_family(FieldStructure.for_prime(q))
+        assert fam.columns == tuple(transpose(fam.masks, q * q))
 
     @pytest.mark.parametrize("q", [5, 11])
     def test_counts(self, q):

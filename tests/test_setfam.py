@@ -102,6 +102,20 @@ class TestSetFamily:
         with pytest.raises(ValueError, match="labels length"):
             SetFamily.from_masks(2, [1], labels=["a", "b"])
 
+    def test_from_masks_keeps_given_columns(self, monkeypatch):
+        masks = [0b011, 0b110, 0b000]
+        want = tuple(backend._columns(masks, 3))
+
+        def refuse(*args):
+            raise AssertionError("columns recomputed")
+
+        monkeypatch.setattr(backend, "_columns", refuse)
+        fam = SetFamily.from_masks(3, masks, columns=list(want))
+        assert fam.columns == want == (0b001, 0b011, 0b010)
+        assert fam == SetFamily.from_masks(3, masks)
+        with pytest.raises(ValueError, match="columns length"):
+            SetFamily.from_masks(3, masks, columns=want[:2])
+
     def test_elements_and_masks_build_one_family(self):
         members = [[0, 1], [1, 2], [], [2, 0, 2], list(range(70, 200)), [199]]
         labels = ("a", "b", "c", "d", "e", "f")

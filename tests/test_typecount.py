@@ -594,6 +594,98 @@ def test_pool_refuses_non_int_elements(pool, bad):
             )
 
 
+def per_set_count_types(masks, m, k, l, samples=30, seed=0):
+    """count_types' oracle: the same parameter sets, each with its own
+    m-inconsistency graph built and solved, however often a pattern of
+    witnesses repeats."""
+    pool = sorted(masks)
+    exhaustive = math.comb(len(pool), l) <= typecount.EXHAUSTIVE_A_LIMIT
+    if exhaustive:
+        subsets = itertools.combinations(pool, l)
+    else:
+        rng = random.Random(seed)
+        subsets = [tuple(sorted(rng.sample(pool, l))) for _ in range(samples)]
+    best = None
+    blowup = None
+    for A in subsets:
+        try:
+            types = typecount._types_from_masks(A, masks, k)
+        except TypeBlowupError as exc:
+            blowup = exc
+            continue
+        subs = [typecount._subset_masks(sel, masks, m) for sel, _, _ in types]
+        adj = [0] * len(types)
+        for i, j in itertools.combinations(range(len(types)), 2):
+            if typecount._some_disjoint(subs[i], subs[j]):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+        greedy = typecount._greedy_clique(adj)
+        clique = typecount._max_clique(adj, greedy)
+        if best is None or len(clique) > best[0]:
+            best = (len(clique), len(greedy), [types[i] for i in clique], A)
+    if best is None:
+        raise blowup
+    value, greedy, witness, A = best
+    return typecount.CountReport(
+        m=m, k=k, l=l, value=value,
+        exact=exhaustive and blowup is None,
+        mode="exhaustive" if exhaustive else "sampled",
+        greedy_value=greedy,
+        witness_family=tuple(PositiveType(frozenset(s), w) for s, w, _ in witness),
+        parameter_set=A,
+        seed=None if exhaustive else seed,
+    )
+
+
+def count_outcome(count, masks, m, k, l, samples, seed):
+    """The report with its witness types, or the TypeBlowupError's message
+    and partial count."""
+    try:
+        rep = count(masks, m, k, l, samples, seed)
+    except TypeBlowupError as exc:
+        return str(exc), exc.partial_count
+    return to_json(rep), [(sorted(t.instances), t.mask) for t in rep.witness_family]
+
+
+def test_count_types_matches_per_set_oracle(monkeypatch):
+    """1,500 seeded tables: ground <= 10, pool <= 9, m and k in 1..4, so
+    sets are solved both through the memo (reach <= k) and each on its
+    own (reach > k); a lowered EXHAUSTIVE_A_LIMIT forces
+    sampled mode with repeated draws, a lowered TYPE_CAP the blowup."""
+    kinds = {"exhaustive": 0, "sampled": 0, "blowup": 0, "reach>k": 0}
+    for case in range(1500):
+        rng = random.Random(f"memo:{case}")
+        g, n = rng.randint(1, 10), rng.randint(1, 9)
+        # sparse, even and dense masks, so types both clash and agree
+        op = rng.choice([int.__and__, int.__or__, lambda x, y: x])
+        masks = {(a,): op(rng.getrandbits(g), rng.getrandbits(g)) for a in range(n)}
+        m, k, l = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, n)
+        limit = rng.choice([typecount.EXHAUSTIVE_A_LIMIT, 1])
+        cap = rng.choice([typecount.TYPE_CAP, typecount.TYPE_CAP, rng.randint(0, 20)])
+        monkeypatch.setattr(typecount, "EXHAUSTIVE_A_LIMIT", limit)
+        monkeypatch.setattr(typecount, "TYPE_CAP", cap)
+        args = (masks, m, k, l, rng.randint(1, 40), rng.randint(0, 99))
+        got = count_outcome(count_types, *args)
+        assert got == count_outcome(per_set_count_types, *args), (case, args)
+        if isinstance(got[0], str):
+            kinds["blowup"] += 1
+        else:
+            kinds[got[0]["mode"]] += 1
+        kinds["reach>k"] += min(l, 2 * min(m, k)) > k
+    assert min(kinds.values()) >= 100, kinds
+
+
+@pytest.mark.parametrize("l_values, m, k", [
+    ([2, 3, 4, 5], 1, 2), ([3, 5, 7], 2, 2), ([4, 6, 8, 9], 2, 3),
+])
+def test_power_saving_matches_per_set_oracle(monkeypatch, l_values, m, k):
+    rng = random.Random(f"power:{l_values}")
+    masks = {(a,): rng.getrandbits(8) | rng.getrandbits(8) for a in range(9)}
+    got = power_saving(masks, m, k, l_values, 2, samples=5, seed=1)
+    monkeypatch.setattr(typecount, "count_types", per_set_count_types)
+    assert got == power_saving(masks, m, k, l_values, 2, samples=5, seed=1)
+
+
 def set_cliques(adj):
     """(greedy seed, first maximum clique) of the set-based search: the
     seed takes vertices by (-degree, index), the branch and bound the
