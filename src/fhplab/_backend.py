@@ -21,8 +21,8 @@ from one of two sides:
   addition; Knuth, TAOCP 4A 7.1.3); the branch then goes by members.
 
 A one-point AND always goes by points.  A larger one goes by points when
-its points cost less than its later members, at POINT_STEP against
-MEMBER_STEP a step.  Two lines of a plane meet in at most one point, so on
+its points cost less than its later members, at POINT_STEP against one
+member step.  Two lines of a plane meet in at most one point, so on
 line families most branches opened by one line are counted by its points;
 two crosses of `build_two_order_cross` meet in two points that no third
 cross holds, so most branches opened by two crosses are too.  The column
@@ -63,13 +63,13 @@ def _columns(masks, ground_size):
     return cols
 
 
-# The cost of one step of each side of a branch.  A point step peels a point
-# and reads its column; a member step ANDs one mask.  Timed with CPython 3.11
-# on a 2-vCPU VM over the benchmark's line, cross, caps and shattered-pairs
-# families, a point step costs about three member steps: lines and crosses
-# ran fastest at a ratio of 2 to 3, shattered pairs at 3 or more.
+# The cost of one point step of a branch, in member steps.  A point step
+# peels a point and reads its column; a member step ANDs one mask.  Timed
+# with CPython 3.11 on a 2-vCPU VM over the benchmark's line, cross, caps and
+# shattered-pairs families, a point step costs about three member steps:
+# lines and crosses ran fastest at a ratio of 2 to 3, shattered pairs at 3
+# or more.
 POINT_STEP = 3
-MEMBER_STEP = 1
 
 
 def count_intersecting_k(masks, ground_size, k, columns=None):
@@ -83,8 +83,6 @@ def count_intersecting_k(masks, ground_size, k, columns=None):
     if columns is None:
         columns = partial(_columns, masks, ground_size)
     cols = None
-    # room[i]: the cost of going by members in a branch opened by member i
-    room = [*range(MEMBER_STEP * (n - 1), -1, -MEMBER_STEP)]
 
     def by_points(start, need, acc):
         # need-subsets of masks[start:] that meet acc in a common point, summed
@@ -130,7 +128,8 @@ def count_intersecting_k(masks, ground_size, k, columns=None):
                 later = (cols[a.bit_length() - 1] >> (i + 1)).bit_count()
                 total += comb(later, need - 1)
                 continue
-            if POINT_STEP * size < room[i]:
+            # n - 1 - i: the cost of going by members in a branch opened by i
+            if POINT_STEP * size < n - 1 - i:
                 got = by_points(i + 1, need - 1, a)
                 if got is not None:
                     total += got

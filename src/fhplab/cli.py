@@ -266,10 +266,8 @@ def _handle_sqf(opt):
             "count": count,
         }
         if opt.tail_prime:
-            cert = sqfint.density_certificate(
-                sys_.formula, opt.tail_prime, constants=sys_.c
-            )
-            bound = cert.epsilon_lower * opt.window - cert.error_term(opt.window)
+            cert = sqfint.density_certificate(sys_.formula, opt.tail_prime)
+            bound = cert.epsilon_lower * opt.window - sys_.error_term(opt.window)
             out["certificate"] = cert
             out["lower_bound"] = cert.printable("lower_bound", bound)
             out["bound_holds"] = Fraction(count) >= bound
@@ -287,10 +285,7 @@ def _handle_sqf(opt):
         return out, (0 if sat else 1)
     if action == "density":
         formula = _read_document(opt.formula, sqfint.SpecialFormula.from_json_dict)
-        constants = _int_list(opt.constants) if opt.constants else None
-        cert = sqfint.density_certificate(
-            formula, opt.tail_prime, constants=constants
-        )
+        cert = sqfint.density_certificate(formula, opt.tail_prime)
         return {"action": "density", "certificate": cert}, 0
     if action == "dickson":
         forms = []
@@ -414,17 +409,6 @@ def _handle_count_types(opt):
     return {"count": report}, 0
 
 
-_HANDLERS = {
-    "analyze": _handle_analyze,
-    "lp": _handle_lp,
-    "vc": _handle_vc,
-    "construct": _handle_construct,
-    "sqf": _handle_sqf,
-    "ff": _handle_ff,
-    "count-types": _handle_count_types,
-}
-
-
 # ---------------------------------------------------------------- emission
 
 
@@ -474,7 +458,7 @@ def _emit(text: str, output: Optional[str]):
 
 def run(opt: argparse.Namespace) -> int:
     """Dispatch parsed options, emit their report, return the exit code."""
-    handler = _HANDLERS[opt.command]
+    handler = _COMMANDS[opt.command][2]
     started = time.monotonic()
     try:
         body, code = handler(opt)
@@ -591,7 +575,6 @@ def _sqf_psat_args(p):
 def _sqf_density_args(p):
     p.add_argument("--formula", required=True, help="SpecialFormula JSON path")
     p.add_argument("--tail-prime", type=int, required=True, dest="tail_prime")
-    p.add_argument("--constants", default=None)
 
 
 def _sqf_dickson_args(p):
@@ -651,12 +634,12 @@ def _count_types_args(p):
     )
 
 
-# command -> (help, argument adder); a command with actions has
+# command -> (help, argument adder, handler); a command with actions has
 # (dest, {action: argument adder}) in place of its adder
 _COMMANDS = {
-    "analyze": ("intersection statistics of a family", _analyze_args),
-    "lp": ("intersection number and fractional transversal", _lp_args),
-    "vc": ("VC dimension and dual shatter growth", _vc_args),
+    "analyze": ("intersection statistics of a family", _analyze_args, _handle_analyze),
+    "lp": ("intersection number and fractional transversal", _lp_args, _handle_lp),
+    "vc": ("VC dimension and dual shatter growth", _vc_args, _handle_vc),
     "construct": ("emit a generated family", ("construction", {
         "block": _block_args,
         "tp2": _tp2_args,
@@ -664,20 +647,20 @@ _COMMANDS = {
         "caps": _caps_args,
         "shattered": _shattered_args,
         "furedi": _furedi_args,
-    })),
+    }), _handle_construct),
     "sqf": ("square-free arithmetic systems", ("action", {
         "count": _sqf_count_args,
         "psat": _sqf_psat_args,
         "density": _sqf_density_args,
         "dickson": _sqf_dickson_args,
         "experiment": _sqf_experiment_args,
-    })),
+    }), _handle_sqf),
     "ff": ("definable families over small prime fields", ("action", {
         "lines": _ff_lines_args,
         "custom": _ff_custom_args,
         "fit": _ff_fit_args,
-    })),
-    "count-types": ("positive type counting", _count_types_args),
+    }), _handle_ff),
+    "count-types": ("positive type counting", _count_types_args, _handle_count_types),
 }
 
 
@@ -696,7 +679,7 @@ def build_parser(argv) -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, args) in _COMMANDS.items():
+    for name, (text, args, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
         if argv[:1] != [name]:
             continue

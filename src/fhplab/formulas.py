@@ -36,11 +36,13 @@ must be bound by a quantifier or be free), unknown names and wrong
 arities raise ValueError before anything is evaluated, whether or not a
 branch would be reached, and also when params is empty.  Each parameter
 tuple must have y_arity elements, each read through
-`structure.const_index`.  It then evaluates the tree once per chunk of
-assignments rather than once per point: each free variable is an index
-array that broadcasts over the chunk, functions and relations are fancy
-indexing into the tables, and exists/forall add a trailing axis of
-length |U| that `any`/`all` reduce.  A chunk holds at most
+`structure.const_index`.  A grid of more than GRID_CAP cells (parameter
+tuples times x-tuples) is refused next, before any array is built.  It
+then evaluates the tree once per chunk of assignments rather than once
+per point: each free variable is an index array that broadcasts over the
+chunk, functions and relations are fancy indexing into the tables, and
+exists/forall add a trailing axis of length |U| that `any`/`all`
+reduce.  A chunk holds at most
 max(1, 2^16 / |U|^d) assignments, d the quantifier depth, so no
 temporary exceeds max(2^16, |U|^d) cells.  numpy is imported inside the
 evaluator, so importing this module loads none.
@@ -51,6 +53,11 @@ from __future__ import annotations
 import itertools
 
 _CHUNK_CELLS = 1 << 16
+# most cells (parameter tuples times x-tuples) one call evaluates, 33,554,432;
+# the grid holds one byte a cell until it is packed.  F_61 at x and y arity
+# 2 is 13,845,841 cells and F_31 at 3 and 2 is 28,629,151; F_61 at 3 and 3
+# would be 51,520,374,361 cells, about 48 GiB, and is refused unbuilt.
+GRID_CAP = 1 << 25
 _RING_FN = ("+", "*", "-", "neg")
 
 
@@ -71,6 +78,11 @@ def evaluate_formula(structure, node, x_arity, y_arity, params):
 
     size = len(structure.universe)
     n_rows, n_cols = len(params), size**x_arity
+    if n_rows * n_cols > GRID_CAP:
+        raise ValueError(
+            f"{n_rows} parameter tuples x {n_cols} x-tuples = "
+            f"{n_rows * n_cols} cells exceed GRID_CAP {GRID_CAP}"
+        )
     xs = np.indices((size,) * x_arity).reshape(x_arity, n_cols).T
     out = np.empty((n_rows, n_cols), dtype=bool)
     cells = max(1, _CHUNK_CELLS // size**compiler.depth)

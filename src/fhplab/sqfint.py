@@ -10,8 +10,9 @@ unknown x through linear slots k*x + z_i that must land in P_m (positive
 slots) or avoid it (negative slots), plus finitely many per-prime side
 conditions built from U-avoidance atoms.  Substituting concrete integers
 for the slots gives a system whose solution set in a window (0, t) can be
-counted exactly by sieving, and bounded below by an explicit density
-certificate with a fully computable error term.
+counted exactly by sieving.  A density certificate brackets the formula's
+density constant epsilon and depends on the formula alone; the system's
+fully computable error term turns it into a lower bound on that count.
 
 All window arithmetic is checked to stay within signed 64-bit range even
 though Python would not overflow; exceeding it is an error naming the
@@ -307,6 +308,15 @@ class GSystem:
         """No positive constant equals a negative one."""
         return all(ci != cj for ci in self.c for cj in self.c_prime)
 
+    def error_term(self, t: int) -> int:
+        """sum_i(ceil sqrt|c_i| + ceil sqrt|k*t + c_i|) + 1, k = lead_k: how
+        far the window count on (0, t) may fall below epsilon_lower * t."""
+        k = self.formula.lead_k
+        total = 1
+        for ci in self.c:
+            total += _ceil_sqrt(abs(ci)) + _ceil_sqrt(abs(k * t + ci))
+        return total
+
     def assignment(self, x: int) -> dict:
         assign = {"x": x}
         for i, v in enumerate(self.c):
@@ -381,19 +391,21 @@ def _ceil_sqrt(x: int) -> int:
 
 
 class DensityCertificate(NamedTuple):
-    """Computable lower-bound data for the window count of a positive system.
+    """The density constant epsilon of a positive formula, bracketed exactly.
 
-    epsilon is reported as an exact rational interval: epsilon_upper is the
-    head factor 1/(2D) times the truncated Euler-type product over primes in
+    It depends on the formula, its slot count n and the tail prime alone;
+    a concrete system's window count on (0, t) is at least
+    epsilon_lower * t minus that system's GSystem.error_term(t).  epsilon
+    is reported as an exact rational interval: epsilon_upper is the head
+    factor 1/(2D) times the truncated Euler-type product over primes in
     (B, tail_prime]; epsilon_lower additionally pays the infinite-tail bound
     1 - 2n/tail_prime.  An end whose exact numerator or denominator has
     more than EXACT_DIGITS digits is rounded outward (lower down, upper up)
     to 64 significant bits, which keeps the bracket sound and the report
-    renderable.  error_term(t) is the explicit ceiling version of
-    sum_i(sqrt|c_i| + sqrt|kt + c_i|) + 1.  degenerate marks certificates
-    whose lower bound carries no information (tail bound <= 0).  head is the
-    (prime, level) of the largest factor of D, named when an end, or a
-    value derived from one, is too long to print.
+    renderable.  degenerate marks certificates whose lower bound carries
+    no information (tail bound <= 0).  head is the (prime, level) of the
+    largest factor of D, named when an end, or a value derived from one,
+    is too long to print.
     """
 
     epsilon_lower: Fraction
@@ -402,16 +414,8 @@ class DensityCertificate(NamedTuple):
     D: int
     tail_prime: int
     n: int
-    lead_k: int
-    constants: tuple
     degenerate: bool
     head: tuple
-
-    def error_term(self, t: int) -> int:
-        total = 1
-        for ci in self.constants:
-            total += _ceil_sqrt(abs(ci)) + _ceil_sqrt(abs(self.lead_k * t + ci))
-        return total
 
     def printable(self, name: str, value: Fraction) -> Fraction:
         """value, refused when Python cannot print its numerator or
@@ -424,7 +428,7 @@ class DensityCertificate(NamedTuple):
         return value
 
     def to_json_dict(self) -> dict:
-        # lead_k, constants and head are not reported
+        # head is not reported
         return {
             "schema": SCHEMA_VERSION,
             "epsilon_lower": self.printable("epsilon_lower", self.epsilon_lower),
@@ -485,11 +489,7 @@ def default_cutoff(formula: SpecialFormula, n: int) -> int:
     return max(candidates)
 
 
-def density_certificate(
-    formula: SpecialFormula,
-    tail_prime: int,
-    constants: Optional[Sequence[int]] = None,
-) -> DensityCertificate:
+def density_certificate(formula: SpecialFormula, tail_prime: int) -> DensityCertificate:
     """Bracket the density constant for a positive formula, exactly.
 
     Head: D multiplies p^(L_p) over primes p <= B = default_cutoff, with
@@ -498,27 +498,16 @@ def density_certificate(
     exists, i.e. the system is p-satisfiable at the head primes; pair with
     p_satisfiable before trusting a concrete instance.  A tail prime too
     small for the slots leaves no lower bound and flags the certificate
-    degenerate.  constants (the slot values, default all zero) only affect
-    error_term.
+    degenerate.
     """
     if formula.negative_slots:
         raise ValueError("density_certificate needs a positive formula")
-    return _certificate(formula, formula.positive_slots, tail_prime, constants)
+    return _certificate(formula, formula.positive_slots, tail_prime)
 
 
-def _certificate(
-    formula: SpecialFormula,
-    n: int,
-    tail_prime: int,
-    constants: Optional[Sequence[int]] = None,
-) -> DensityCertificate:
+def _certificate(formula: SpecialFormula, n: int, tail_prime: int) -> DensityCertificate:
     """density_certificate for n positive slots.  Of the formula it reads
     lead_k, modulus_m, the condition primes and their theta levels."""
-    if constants is None:
-        constants = (0,) * n
-    constants = tuple(int(v) for v in constants)
-    if len(constants) != n:
-        raise ValueError("constants length must equal positive_slots")
     B = default_cutoff(formula, n)
     if tail_prime < B:
         raise ValueError("tail_prime must be >= B")
@@ -549,8 +538,6 @@ def _certificate(
         D=D,
         tail_prime=tail_prime,
         n=n,
-        lead_k=formula.lead_k,
-        constants=constants,
         degenerate=degenerate,
         head=widest[1:],
     )

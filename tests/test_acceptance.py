@@ -269,13 +269,11 @@ def test_09_squarefree_suite(capsys):
                 break
         system = sqfint.shift_system(shifts)
         assert all(sqfint.p_satisfiable(system, p)[0] for p in (2, 3, 5))
-        cert = sqfint.density_certificate(
-            system.formula, 10007, constants=system.c
-        )
+        cert = sqfint.density_certificate(system.formula, 10007)
         assert not cert.degenerate
         if all(
             sqfint.count_solutions_window(system, t)
-            >= cert.epsilon_lower * t - cert.error_term(t)
+            >= cert.epsilon_lower * t - system.error_term(t)
             for t in (10**3, 10**4, 10**5)
         ):
             bound_ok += 1

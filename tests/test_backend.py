@@ -174,7 +174,7 @@ class TestCountByPoints:
     def test_shared_pair_falls_back_to_members(self):
         # every later member holds both points of the first, so the first
         # branch tries its points, finds the overlap and goes by members
-        assert _backend.POINT_STEP * 2 < _backend.MEMBER_STEP * 11
+        assert _backend.POINT_STEP * 2 < 11
         masks = [0b11] * 12
         for k in (2, 3, 4):
             assert _backend.count_intersecting_k(masks, 2, k) == comb(12, k)
@@ -212,10 +212,10 @@ class TestCountByPoints:
 
     def test_side_flips_with_depth(self):
         # a line of F_11 has 11 points: the branch opened by line i goes by
-        # points while POINT_STEP * 11 < MEMBER_STEP * (120 - i), and by
-        # members for the last lines
+        # points while POINT_STEP * 11 < 120 - i, and by members for the
+        # last lines
         q = 11
-        assert _backend.POINT_STEP * q < _backend.MEMBER_STEP * (q * q - 1)
+        assert _backend.POINT_STEP * q < q * q - 1
         for k in (2, 3, 4, 5):
             assert _backend.count_intersecting_k(line_masks(q), q * q, k) == (
                 q * q * comb(q, k)

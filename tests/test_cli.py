@@ -656,6 +656,23 @@ def test_ff_custom_non_integer_constant_is_input_error(const, tmp_path, capsys):
     assert captured.err == f"error: constant {const!r} is not an integer\n"
 
 
+@pytest.mark.wallclock
+def test_ff_custom_grid_above_cap_refused_in_seconds(tmp_path):
+    """F_61 at x and y arity 3 passes every field and ground cap, but its
+    grid would hold 226,981^2 cells (48 GiB): refused before it is built."""
+    true_path = tmp_path / "true.json"
+    true_path.write_text(json.dumps(["true"]))
+    proc = run_cli("ff", "custom", "--p", "61", "--phi", str(true_path),
+                   "--x-arity", "3", "--psi", str(true_path), "--y-arity", "3",
+                   "--k", "2", "--alpha", "1/2", timeout=5)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: 226981 parameter tuples x 226981 x-tuples = 51520374361 cells"
+        " exceed GRID_CAP 33554432\n"
+    )
+
+
 @pytest.mark.parametrize("const", [True, False, 1.0], ids=json.dumps)
 def test_count_types_non_integer_constant_is_input_error(const, tmp_path, capsys):
     # True and 1.0 hash like the universe element 1, False like 0

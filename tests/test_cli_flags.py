@@ -72,7 +72,7 @@ COMMANDS = {
     "sqf psat": ("sqf psat", {"--shifts": LIST, "--p": INT},
                  {"--modulus": INT}),
     "sqf density": ("sqf density --formula {formula}",
-                    {"--tail-prime": INT}, {"--constants": LIST}),
+                    {"--tail-prime": INT}, {}),
     "sqf dickson": ("sqf dickson", {"--forms": FORMS},
                     {"--prime-bound": INT}),
     "sqf experiment": (

@@ -130,6 +130,17 @@ def test_parameter_tuples_must_have_y_arity(y_arity, params, bad):
         evaluate_formula(F5, ["true"], 1, y_arity, params)
 
 
+def test_grid_above_cap_refused_after_parameters(monkeypatch):
+    # 5 x-tuples per parameter tuple: 4 tuples fill a cap of 20 cells
+    monkeypatch.setattr(formulas, "GRID_CAP", 20)
+    params = [(0,), (1,), (2,), (3,)]
+    assert evaluate_formula(F5, ["true"], 1, 1, params) == [0b11111] * 4
+    with pytest.raises(ValueError, match="= 25 cells exceed GRID_CAP 20$"):
+        evaluate_formula(F5, ["true"], 1, 1, params + [(4,)])
+    with pytest.raises(ValueError, match="parameter tuple"):
+        evaluate_formula(F5, ["true"], 1, 1, params + [(4,), (1, 2)])
+
+
 def test_tree_validated_without_parameters():
     assert evaluate_formula(F5, ["=", ["var", 0], ["var", 1]], 1, 1, []) == []
     with pytest.raises(ValueError, match="unbound variable 2"):

@@ -71,10 +71,7 @@ CASES = {
     "sqf_count_system": "sqf count --system {dir}/sqf_system.json --window 500",
     "sqf_psat": "sqf psat --system {dir}/sqf_system.json --p 3",
     "sqf_psat_unsat": "sqf psat --shifts 0,1,2,3 --p 2",
-    "sqf_density": (
-        "sqf density --formula {dir}/sqf_formula_pos.json --tail-prime 97"
-        " --constants 0,2"
-    ),
+    "sqf_density": "sqf density --formula {dir}/sqf_formula_pos.json --tail-prime 97",
     "sqf_dickson": "sqf dickson --forms 1,0;1,2;1,6",
     "sqf_dickson_prime_bound": "sqf dickson --forms 1,0;1,2;1,4 --prime-bound 5",
     "sqf_experiment": (

@@ -631,15 +631,14 @@ class TestDensityCertificate:
         f = shift_system([0, 2]).formula
         prev_width = None
         for tail in (100, 1000, 10000):
-            cert = density_certificate(f, tail, constants=[0, 2])
+            cert = density_certificate(f, tail)
             width = cert.epsilon_upper - cert.epsilon_lower
             if prev_width is not None:
                 assert width < prev_width
             prev_width = width
 
     def test_error_term_formula(self):
-        cert = density_certificate(shift_system([0, 2]).formula, 100,
-                                   constants=[0, 2])
+        sys_ = shift_system([0, 2])
         t = 50
         want = (
             math.isqrt(0)
@@ -648,18 +647,20 @@ class TestDensityCertificate:
             + math.ceil(math.sqrt(52))
             + 1
         )
-        assert cert.error_term(t) == want
+        assert sys_.error_term(t) == want
+        # lead_k scales t: 1 + 2 + ceil sqrt 23 + 3 + ceil sqrt 15
+        assert shift_system([3, -5], lead_k=2).error_term(10) == 15
 
     def test_forced_low_cutoff_degenerate(self):
         # the tail bound 1 - 2n/tail_prime = 1 - 10/7 is negative
         sys_ = shift_system([0, 1, 2, 3, 4])
-        cert = density_certificate(sys_.formula, 7, constants=list(sys_.c))
+        cert = density_certificate(sys_.formula, 7)
         assert cert.degenerate
         assert cert.epsilon_lower == 0 < cert.epsilon_upper
 
     def test_auto_cutoff_avoids_degeneracy(self):
         sys_ = shift_system([0, 1, 2, 3, 4])
-        cert = density_certificate(sys_.formula, 1000, constants=list(sys_.c))
+        cert = density_certificate(sys_.formula, 1000)
         assert not cert.degenerate
         assert cert.B >= 2
 
@@ -675,11 +676,10 @@ class TestDensityCertificate:
         for _ in range(8):
             shifts = sorted(rng.sample(range(0, 50, 2), 3))
             sys_ = shift_system(shifts)
-            cert = density_certificate(sys_.formula, 2000,
-                                       constants=list(sys_.c))
+            cert = density_certificate(sys_.formula, 2000)
             for t in (500, 5000):
                 got = count_solutions_window(sys_, t)
-                assert got >= cert.epsilon_lower * t - cert.error_term(t)
+                assert got >= cert.epsilon_lower * t - sys_.error_term(t)
 
 
 class TestSolutionFamily:
