@@ -22,9 +22,19 @@ values of one solve are the transversal weights w (tau* = nu*, Fueredi
 min_F mu(F), is the covering LP rescaled by mu = w / tau*, so
 i(F) * tau*(F) = 1 whenever all members are nonempty.
 
-Each family's packing LP is built, solved and certified once: the atoms
-and the solution are kept in the family object's __dict__, and every
-call builds its own dicts and Fractions from them.
+The LP is solved on the family's kernel (`_kernel`), by the classical
+domination reduction for covering LPs.  A member that contains another
+member is dropped: a cover of the smaller one covers it.  Then an atom
+whose pattern over the kept members lies inside another atom's is
+dropped: its packing row is implied by the other's, as y >= 0.  Neither
+moves tau*.  The kept rows go largest first, which cuts Bland's pivots
+several times over on atom-heavy families.  The solution is lifted
+with zeros on what was dropped and checked in integers against the
+full packing LP and its dual, so a wrong kernel raises.
+
+Each family's packing LP is built, solved and certified once: the atoms,
+the kernel and the solution are kept in the family object's __dict__,
+and each public call builds only its own dicts and Fractions from them.
 """
 
 from __future__ import annotations
@@ -104,14 +114,33 @@ def solve_lp(problem: LpProblem) -> LpSolution:
 
     An unbounded problem is reported in the status, never as an exception.
     """
-    nvars = len(problem.objective)
+    found = _simplex(problem.objective, problem.rows, problem.rhs)
+    if found is None:
+        return LpSolution(status="unbounded")
+    X, Y, det = found
+    _verify_certificates(problem, X, Y, det)
+    return LpSolution(
+        status="optimal",
+        value=Fraction(sum(c * x for c, x in zip(problem.objective, X)), det),
+        primal=tuple(Fraction(x, det) for x in X),
+        dual=tuple(Fraction(y, det) for y in Y),
+    )
+
+
+def _simplex(objective, rows, rhs):
+    """(X, Y, det) at the optimum of max objective . x s.t. rows . x <= rhs,
+    x >= 0: the primal x = X / det and the dual y = Y / det, one entry per
+    variable and per row.  None when the problem is unbounded.  The
+    entries must be integers and rhs >= 0; nothing is checked here.
+    """
+    nvars = len(objective)
     # row i is basic variable basis[i]'s det * (nonbasic columns | value),
     # the last row det * (reduced costs | -objective value); stored column j
     # is variable cols[j]: v < nvars structural, nvars + i the slack of row i
-    tab = [[*row, b] for row, b in zip(problem.rows, problem.rhs)]
-    tab.append([*problem.objective, 0])
+    tab = [[*row, b] for row, b in zip(rows, rhs)]
+    tab.append([*objective, 0])
     cols = list(range(nvars))
-    basis = list(range(nvars, nvars + len(problem.rhs)))
+    basis = list(range(nvars, nvars + len(rhs)))
     det = 1
     # Bland's rule: the least variable with positive reduced cost enters
     while entering := [(v, j) for j, v in enumerate(cols) if tab[-1][j] > 0]:
@@ -126,7 +155,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
             ):
                 prow, a_min, b_min = i, a, b
         if prow < 0:
-            return LpSolution(status="unbounded")
+            return None
         # fraction-free pivot on p = a_min: every other row i becomes
         # (p*T[i][j] - T[i][pcol]*T[prow][j]) // det, an exact division
         # (Bareiss), and det becomes p.  Column pcol turns into the leaving
@@ -145,18 +174,12 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         basis[prow], cols[pcol] = cols[pcol], basis[prow]
         det = a_min
 
-    # x = X / det, y = Y / det; y_i is minus the reduced cost of slack i
+    # y_i is minus the reduced cost of slack i
     x = {v: row[-1] for v, row in zip(basis, tab)}
     y = {v: -r for v, r in zip(cols, tab[-1])}
     X = [x.get(v, 0) for v in range(nvars)]
     Y = [y.get(v, 0) for v in range(nvars, nvars + len(basis))]
-    _verify_certificates(problem, X, Y, det)
-    return LpSolution(
-        status="optimal",
-        value=Fraction(sum(c * x for c, x in zip(problem.objective, X)), det),
-        primal=tuple(Fraction(x, det) for x in X),
-        dual=tuple(Fraction(y, det) for y in Y),
-    )
+    return X, Y, det
 
 
 def _verify_certificates(problem: LpProblem, X, Y, det: int):
@@ -194,48 +217,104 @@ def _atoms(family: SetFamily):
     return cache["_fraclp_atoms"]
 
 
-def _packing_lp(family: SetFamily):
-    """(tau*, ((e, w), ...)) from the family's packing LP, solved once.
+def _kernel(family: SetFamily):
+    """(keep, atoms): the packing LP's members and atoms after domination.
 
-    The pairs are the LP's certified dual values, one per atom, keyed by
-    the atom's smallest element; zero weights are dropped.  The family's
-    members must all be nonempty.  Kept in the family's __dict__.
+    keep is the bitmask of the minimal members: a member that contains
+    another member's points is dropped, and of equal members the lowest
+    index stays.  atoms are the (rep, pattern) pairs of `_atoms`, each
+    pattern restricted to keep, of the maximal atoms among them: an atom
+    whose restricted pattern lies inside another's is dropped, and of
+    equal patterns the lowest rep stays.  One pass of each, not a fixed
+    point.  Every kept member lies in a kept atom.  The family's members
+    must all be nonempty.  Kept in the family's __dict__.
+    """
+    cache = family.__dict__
+    if "_fraclp_kernel" not in cache:
+        masks = family.masks
+        keep, minimal = 0, []
+        # by size, so a member's subsets come first; ties by index
+        for i in sorted(range(family.n), key=lambda i: masks[i].bit_count()):
+            m = masks[i]
+            if all(s & m != s for s in minimal):
+                minimal.append(m)
+                keep |= 1 << i
+        reps, patterns = _atoms(family)
+        restricted = [pat & keep for pat in patterns]
+        inside = [elements(pat) for pat in restricted]
+        # kept member -> bitmask of the atom indices through it
+        through = [0] * family.n
+        for k, members in enumerate(inside):
+            for i in members:
+                through[i] |= 1 << k
+        atoms = []
+        for k, (pat, members) in enumerate(zip(restricted, inside)):
+            if not members:
+                continue
+            over = -1  # the atoms whose patterns contain pat, k among them
+            for i in members:
+                over &= through[i]
+            if all(j > k and restricted[j] == pat for j in elements(over ^ 1 << k)):
+                atoms.append((reps[k], pat))
+        cache["_fraclp_kernel"] = keep, tuple(atoms)
+    return cache["_fraclp_kernel"]
+
+
+def _packing_lp(family: SetFamily):
+    """(total, det, ((e, w), ...)) from the family's packing LP, solved once.
+
+    tau* is total / det.  The pairs are the certified dual values w / det,
+    one per atom, keyed by the atom's smallest element, ascending; zero
+    weights are dropped.  The LP is solved over the kernel, with its rows
+    ordered by size, largest first; the solution is lifted with y_F = 0
+    on dropped members and w_a = 0 on dropped atoms and checked against
+    the full packing LP.  The family's members must all be nonempty.
+    Kept in the family's __dict__.
     """
     cache = family.__dict__
     if "_fraclp_packing" not in cache:
-        reps, patterns = _atoms(family)
-        n = family.n
-        rows = tuple(tuple(pat >> i & 1 for i in range(n)) for pat in patterns)
-        sol = solve_lp(LpProblem((1,) * n, rows, (1,) * len(reps)))
-        if sol.status != "optimal":
-            raise ArithmeticError(f"packing LP came back {sol.status}")
-        weights = tuple((e, w) for e, w in zip(reps, sol.dual) if w)
-        cache["_fraclp_packing"] = sol.value, weights
+        keep, atoms = _kernel(family)
+        members = elements(keep)
+        # ties keep ascending atom order: the sort is stable
+        rows = sorted(atoms, key=lambda atom: -atom[1].bit_count())
+        found = _simplex(
+            (1,) * len(members),
+            [[pat >> i & 1 for i in members] for _, pat in rows],
+            (1,) * len(rows),
+        )
+        # every kept member lies in a kept atom, so every y_F is bounded by
+        # a row; only a wrong kernel gets here
+        if found is None:
+            raise ArithmeticError("internal: packing LP unbounded on its kernel")
+        X, Y, det = found
+        y = [(i, v) for i, v in zip(members, X) if v]
+        w = sorted((e, v) for (e, _), v in zip(rows, Y) if v)
+        _verify_packing(family, y, w, det)
+        cache["_fraclp_packing"] = sum(X), det, tuple(w)
     return cache["_fraclp_packing"]
 
 
-def _family_lp(family: SetFamily, integer_cap: Optional[int] = None):
-    """(i(F), its distribution, the transversal) from one packing LP solve.
-
-    integer_cap is checked first, whatever the family.  A family with no
-    members has no i(F): value and distribution are None and tau* is 0.
-    Other edge cases as in intersection_number.  The dicts are built
-    afresh on every call, so mutating one changes no later answer.
-    """
-    if integer_cap is not None and integer_cap < 0:
-        raise ValueError("cap must be >= 0")
-    if family.n == 0:
-        return None, None, TransversalResult(tau_star=Fraction(0), weights={})
-    if family.empty_members:
-        infeasible = TransversalResult(tau_star=None, weights={}, status="infeasible")
-        return Fraction(0), {0: Fraction(1)}, infeasible
-    tau, weights = _packing_lp(family)
-    hit = None if integer_cap is None else min_transversal_exact(family, integer_cap)
-    integer_tau, integer_witness = hit or (None, None)
-    tr = TransversalResult(
-        tau, dict(weights), integer_tau=integer_tau, integer_witness=integer_witness
-    )
-    return 1 / tau, {e: w / tau for e, w in weights}, tr
+def _verify_packing(family: SetFamily, y, w, det: int):
+    """Check in integers that y and w, (index, value) pairs of the nonzero
+    y_F * det per member and w_a * det per atom rep, are optimal for the
+    family's full packing LP and its covering dual: signs, every atom's
+    row, every member's column and equal objectives; raise ArithmeticError
+    if not.  Read from the bitmask patterns: atom rep e's is columns[e]."""
+    if any(v < 0 for _, v in y) or any(v < 0 for _, v in w):
+        raise ArithmeticError("internal: packing certificate sign violated")
+    load = dict(y)
+    support = sum(1 << i for i in load)
+    for pat in _atoms(family)[1]:
+        if sum(load[i] for i in elements(pat & support)) > det:
+            raise ArithmeticError("internal: packing row violated")
+    cover = [0] * family.n
+    for e, v in w:
+        for i in elements(family.columns[e]):
+            cover[i] += v
+    if min(cover) < det:
+        raise ArithmeticError("internal: covering column violated")
+    if sum(load.values()) != sum(v for _, v in w):
+        raise ArithmeticError("internal: packing objectives differ")
 
 
 def intersection_number(family: SetFamily):
@@ -246,11 +325,14 @@ def intersection_number(family: SetFamily):
     supported on atom representatives, the transversal weights over tau*.
     An empty member forces value 0 and a documented degenerate distribution
     (point mass on element 0).  A family with no members raises ValueError.
+    The dict is built afresh on every call.
     """
-    value, dist, _ = _family_lp(family)
-    if value is None:
+    if family.n == 0:
         raise ValueError("family has no members")
-    return value, dist
+    if family.empty_members:
+        return Fraction(0), {0: Fraction(1)}
+    total, det, weights = _packing_lp(family)
+    return Fraction(det, total), {e: Fraction(w, total) for e, w in weights}
 
 
 def fractional_transversal(
@@ -261,18 +343,37 @@ def fractional_transversal(
     Families with an empty member are flagged infeasible rather than raising,
     so generators can pipe degenerate instances through; a family with no
     members has tau* = 0.  When integer_cap is given, the exact smallest
-    integer transversal up to that size is attached.
+    integer transversal up to that size is attached; integer_cap is checked
+    first, whatever the family.  The weights are built afresh on every call.
     """
-    return _family_lp(family, integer_cap)[2]
+    if integer_cap is not None and integer_cap < 0:
+        raise ValueError("cap must be >= 0")
+    if family.n == 0:
+        return TransversalResult(tau_star=Fraction(0), weights={})
+    if family.empty_members:
+        return TransversalResult(tau_star=None, weights={}, status="infeasible")
+    total, det, weights = _packing_lp(family)
+    hit = None if integer_cap is None else min_transversal_exact(family, integer_cap)
+    integer_tau, integer_witness = hit or (None, None)
+    return TransversalResult(
+        Fraction(total, det),
+        {e: Fraction(w, det) for e, w in weights},
+        integer_tau=integer_tau,
+        integer_witness=integer_witness,
+    )
 
 
 def min_transversal_exact(family: SetFamily, cap: int):
     """Smallest hitting set of size <= cap, or None.
 
     Iterative deepening over the target size with branch-on-smallest-member
-    search over the atoms: the members still unhit are one bitmask, and
-    each branch hits the lowest-index unhit member with the fewest atoms;
-    deterministic, so the witness is reproducible.
+    search over the family's kernel (see `_kernel`): only the minimal
+    members need hitting, since each other member contains one, and only
+    the maximal atoms are tried, since a dominated atom can be swapped for
+    its dominator in any cover.  The members still unhit are one bitmask,
+    and each branch hits the lowest-index unhit member with the fewest
+    atoms, trying its atoms by ascending representative; deterministic,
+    so the witness is reproducible.
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
@@ -280,12 +381,9 @@ def min_transversal_exact(family: SetFamily, cap: int):
         return 0, frozenset()
     if family.empty_members:
         return None
-    reps, patterns = _atoms(family)
-    # member -> the (rep, pattern) pairs of the atoms through it
-    through = [
-        [(e, pat) for e, pat in zip(reps, patterns) if pat >> i & 1]
-        for i in range(family.n)
-    ]
+    keep, atoms = _kernel(family)
+    # member -> the (rep, pattern) pairs of the kept atoms through it
+    through = [[(e, pat) for e, pat in atoms if pat >> i & 1] for i in range(family.n)]
 
     def exists(budget, left, chosen):
         if not left:
@@ -301,9 +399,8 @@ def min_transversal_exact(family: SetFamily, cap: int):
                 return found
         return None
 
-    everyone = (1 << family.n) - 1
     for size in range(0, cap + 1):
-        found = exists(size, everyone, [])
+        found = exists(size, keep, [])
         if found is not None:
             return len(found), frozenset(found)
     return None

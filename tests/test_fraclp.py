@@ -10,7 +10,6 @@ from fhplab._jsonutil import rat_to_json, to_json
 from fhplab.cli import main
 from fhplab.fraclp import (
     LpProblem,
-    _family_lp,
     fractional_transversal,
     intersection_number,
     min_transversal_exact,
@@ -191,17 +190,19 @@ class TestMinTransversal:
             size, witness = min_transversal_exact(fam, fam.ground_size)
             out.append([size, sorted(witness)])
         digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
-        assert digest == "c8b0259f8b3fc7b9ae47d7e7f7c8b561f6841e78bfa1b364ef15484ed46a0f37"
+        assert digest == "77186168ac3513df0d7922565c62cfe1311e8e315b4ff693784ea6dcfce97ffc"
 
     def test_ties_go_to_the_lowest_index(self):
         # among the unhit members with the fewest atoms the search branches
         # on the lowest index, at every depth; that fixes which of the
-        # several 4-covers it finds first
+        # several 3-covers it finds first.  Branching on the highest index
+        # at depth 0, or at depth 1, finds {1, 2, 4} first.  (At the last
+        # depth the choice cannot matter: whichever member is chosen, the
+        # first atom that hits every member left is the same.)
         fam = SetFamily(6, [
-            [2, 3, 5], [0, 1, 3, 5], [1, 2, 3], [0, 2], [0, 2], [0], [1, 2, 4],
-            [3, 4], [0, 2, 3], [0, 1, 4, 5], [0, 4, 5], [2, 3], [1, 5], [5],
+            [1, 2], [1, 3], [0, 2, 5], [2, 3, 5], [0, 4], [0, 4, 5], [4, 5],
         ])
-        assert min_transversal_exact(fam, 6) == (4, frozenset({0, 1, 3, 5}))
+        assert min_transversal_exact(fam, 6) == (3, frozenset({0, 1, 5}))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_integer_at_least_ceiling_of_fractional(self, seed):
@@ -219,6 +220,115 @@ def test_atom_reduction_invariance():
         == fractional_transversal(doubled).tau_star
     )
     assert intersection_number(base)[0] == intersection_number(doubled)[0]
+
+
+def dominated_family(rng):
+    """A family with duplicate members, nested members and dominated atoms:
+    a random base, a copy or a superset of some base members, and up to
+    three new points, each in some of the members through one old point."""
+    g = rng.randint(2, 8)
+    base = [set(rng.sample(range(g), rng.randint(1, g))) for _ in range(rng.randint(1, 6))]
+    members = list(base)
+    for s in base:
+        if rng.random() < 0.4:
+            members.append(set(s))
+        if rng.random() < 0.4:
+            members.append(s | set(rng.sample(range(g), rng.randint(1, g))))
+    extra = rng.randint(1, 3)
+    for e in range(g, g + extra):
+        p = rng.randrange(g)
+        for s in members:
+            if p in s and rng.random() < 0.5:
+                s.add(e)
+    rng.shuffle(members)
+    return SetFamily(g + extra, [sorted(s) for s in members])
+
+
+def kernel_by_definition(fam):
+    """(keep, atoms) of `fraclp._kernel`, from the member sets: the members
+    containing no other member (of equal ones the first), then the atoms
+    whose kept-member sets lie in no other's (of equal ones the first)."""
+    sets = fam.members
+    keep = [
+        i for i, s in enumerate(sets)
+        if not any(t < s or (t == s and j < i) for j, t in enumerate(sets))
+    ]
+    reps = {}
+    for e in range(fam.ground_size):
+        reps.setdefault(frozenset(i for i, s in enumerate(sets) if e in s), e)
+    through = [(e, frozenset(i for i in keep if e in sets[i])) for e in reps.values()]
+    atoms = [
+        (e, sum(1 << i for i in pat)) for k, (e, pat) in enumerate(through)
+        if pat and not any(
+            pat < other or (pat == other and j < k)
+            for j, (_, other) in enumerate(through)
+        )
+    ]
+    return sum(1 << i for i in keep), tuple(atoms)
+
+
+def test_kernel_keeps_every_answer():
+    """On families the kernel shrinks, the kernel is its definition, and
+    tau*, i(F) and the integer size equal the full packing LP's over every
+    ground element and the exhaustive cover oracle's."""
+    shrunk = {"members": 0, "atoms": 0}
+    for seed in range(300):
+        fam = dominated_family(random.Random(f"kernel:{seed}"))
+        keep, atoms = fraclp._kernel(fam)
+        assert (keep, atoms) == kernel_by_definition(fam), seed
+        shrunk["members"] += keep != (1 << fam.n) - 1
+        shrunk["atoms"] += len(atoms) < len(fraclp._atoms(fam)[0])
+        full = full_tableau_lp(LpProblem(
+            [1] * fam.n,
+            [[int(e in s) for s in fam.members] for e in range(fam.ground_size)],
+            [1] * fam.ground_size,
+        ))
+        value, dist = intersection_number(fam)
+        tr = fractional_transversal(fam, integer_cap=fam.ground_size)
+        check_against_oracle(fam, value, dist, tr, full.value, f"seed {seed}")
+        assert tr.integer_tau == oracle_min_cover(fam), seed
+        assert all(tr.integer_witness & s for s in fam.members), seed
+    assert min(shrunk.values()) > 150, shrunk
+
+
+@pytest.mark.parametrize(
+    "family, wrong, message",
+    [
+        # the triangle's three atoms are all maximal
+        (SetFamily(3, [{0, 1}, {1, 2}, {0, 2}]), lambda keep, atoms: (keep, atoms[1:]),
+         "packing row violated"),
+        # member 0's only atom is gone, so y_0 has no row
+        (SetFamily(2, [{0}, {1}]), lambda keep, atoms: (keep, atoms[1:]),
+         "packing LP unbounded"),
+        # member 1 is dropped, though it contains no other member
+        (SetFamily(2, [{0}, {1}]), lambda keep, atoms: (1, atoms[:1]),
+         "covering column violated"),
+    ],
+    ids=["atom", "every-atom-of-a-member", "member"],
+)
+def test_wrong_kernel_fails_the_full_certificate(monkeypatch, family, wrong, message):
+    real = fraclp._kernel
+    monkeypatch.setattr(fraclp, "_kernel", lambda fam: wrong(*real(fam)))
+    with pytest.raises(ArithmeticError, match=message):
+        fraclp._packing_lp(family)
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (lambda y, w: (y, [(0, -1), *w[1:]]), "sign"),
+        # y_0 + y_2 = 3 on atom 0's row
+        (lambda y, w: ([(0, 2), *y[1:]], w), "packing row"),
+        (lambda y, w: (y, w[1:]), "covering column"),
+        (lambda y, w: (y[1:], w), "objectives differ"),
+    ],
+)
+def test_tampered_packing_certificate_rejected(triangle, tamper, message):
+    """Each check of the lifted certificate catches its own kind of bad witness."""
+    y = w = [(0, 1), (1, 1), (2, 1)]  # the triangle's optimum at det = 2
+    fraclp._verify_packing(triangle, y, w, 2)
+    with pytest.raises(ArithmeticError, match=message):
+        fraclp._verify_packing(triangle, *tamper(y, w), 2)
 
 
 def random_lp(rng, max_vars=6, max_rows=7):
@@ -301,7 +411,7 @@ def test_packing_lp_reports_pinned():
     digest = lp_digest(
         lambda fam: (*intersection_number(fam), fractional_transversal(fam))
     )
-    assert digest == "f47de4125adf5d321366cadee2d692e067d5be135a53f748ab7e7eb4d45f2b7c"
+    assert digest == "8095a386bf38952d6b5e8f50533c131046ebfd2fb351590e687976e3f10ed839"
 
 
 def check_against_oracle(fam, value, dist, tr, tau, label):
@@ -332,7 +442,10 @@ def test_packing_lp_matches_two_lp_oracle():
     seeds = range(10_000, 13_000)
     families = [random_family(random.Random(seed)) for seed in seeds]
     for seed, fam, tr in zip(seeds, families, transversal_lps(families)):
-        check_against_oracle(fam, *_family_lp(fam), tr.tau_star, f"seed {seed}")
+        check_against_oracle(
+            fam, *intersection_number(fam), fractional_transversal(fam), tr.tau_star,
+            f"seed {seed}",
+        )
 
 
 def test_general_lps_match_full_tableau():
@@ -351,20 +464,22 @@ def test_packing_lps_match_full_tableau(solves):
     for fam in lp_sweep_families():
         fractional_transversal(fam)
     assert len(solves) == 203
-    for i, prob in enumerate(solves):
+    for i, prob in enumerate([LpProblem(*args) for args in solves]):
         assert solve_lp(prob) == full_tableau_lp(prob), f"family {i}"
 
 
 @pytest.fixture
 def solves(monkeypatch):
-    """The problems passed to solve_lp, recorded through the module global."""
+    """The (objective, rows, rhs) passed to _simplex, recorded through the
+    module global: the packing LP's solves, and solve_lp's."""
     calls = []
+    real = fraclp._simplex
 
-    def counting(problem):
-        calls.append(problem)
-        return solve_lp(problem)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(fraclp, "solve_lp", counting)
+    monkeypatch.setattr(fraclp, "_simplex", counting)
     return calls
 
 
@@ -376,22 +491,31 @@ def test_each_function_solves_once(triangle, solves):
 
 
 def test_one_solve_and_one_atomization_per_family(monkeypatch, solves):
-    columns = []
-    real_columns = _backend._columns
+    columns, kernels = [], []
+    real_columns, real_kernel = _backend._columns, fraclp._kernel
 
     def counting(masks, ground_size):
         columns.append(masks)
         return real_columns(masks, ground_size)
 
+    def recording(family):
+        kernels.append(real_kernel(family))
+        return kernels[-1]
+
     monkeypatch.setattr(_backend, "_columns", counting)
+    monkeypatch.setattr(fraclp, "_kernel", recording)
     fam = SetFamily(5, [{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}])
     value, _ = intersection_number(fam)
     res = fractional_transversal(fam, integer_cap=3)
     assert (value, res.tau_star, res.integer_tau) == (F(2, 5), F(5, 2), 3)
     assert len(solves) == 1 and len(columns) == 1
-    # a fresh, equal family still solves its own LP
+    # the packing LP and the search read one kernel, built once
+    assert len(kernels) == 2 and kernels[0] is kernels[1]
+    # a fresh, equal family still solves its own LP on its own kernel
     assert intersection_number(SetFamily(5, fam.members))[0] == value
     assert len(solves) == 2 and len(columns) == 2
+    assert len(kernels) == 3 and kernels[2] == kernels[0]
+    assert kernels[2] is not kernels[0]
 
 
 def test_mutated_results_leave_later_answers_alone(triangle):
